@@ -19,8 +19,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dgcf.data import load_split
-from dgcf.evaluate import diagnostic_hyper, evaluate_model, smoothness
-from dgcf.model import forward
+from dgcf.evaluate import evaluate_model, smoothness
+from dgcf.model import forward, preset
 from dgcf.train import TrainConfig, fit, laplacian_for
 
 
@@ -43,7 +43,7 @@ def main() -> int:
           f"{'user_sim':>9} {'wall_s':>7}")
     for tag in ("ours", "plain"):
         for L in args.depths:
-            hyper = diagnostic_hyper(tag, L, d=args.dim)
+            hyper = preset(tag, d=args.dim, L=L)
             t0 = time.time()
             params, _ = fit(split, hyper, cfg)
             wall = time.time() - t0

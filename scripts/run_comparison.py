@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Train BPRMF, LightGCN, and the residual-propagation model on one dataset
-and print a Recall@20 / NDCG@20 comparison table.
+and print a Recall@20 / NDCG@20 comparison table. All three are presets of
+the one model, trained by the same loop and scored by the same forward pass.
 
 Example:
     python3 scripts/make_synthetic.py --generator walk --out /tmp/walk.tsv
@@ -12,14 +13,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dgcf.baselines import bprmf_fit, lightgcn_forward
 from dgcf.data import load_split
 from dgcf.evaluate import evaluate_model
-from dgcf.model import Hyperparams, forward
+from dgcf.model import forward, preset
 from dgcf.train import TrainConfig, fit, laplacian_for
 
 
@@ -39,27 +37,18 @@ def main() -> int:
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
                       eval_every=10, early_stop_patience=6)
 
+    hypers = {
+        "bprmf": preset("bprmf", d=args.dim),
+        "lightgcn": preset("lightgcn", d=args.dim, L=args.layers),
+        "ours": preset("ours", d=args.dim, L=args.layers, activation="identity", lr=3e-4),
+    }
     rows = []
-
-    def record(name, e_star, log, wall):
-        metrics = evaluate_model(e_star, split, k=args.k)
+    for name, hyper in hypers.items():
+        t0 = time.time()
+        params, log = fit(split, hyper, cfg)
+        wall = time.time() - t0
+        metrics = evaluate_model(forward(params, S, hyper).E_star, split, k=args.k)
         rows.append((name, metrics.recall_at_k, metrics.ndcg_at_k, len(log), wall))
-
-    t0 = time.time()
-    mf, log = bprmf_fit(split, args.dim, cfg)
-    record("bprmf", np.vstack([mf.P, mf.Q]), log, time.time() - t0)
-
-    t0 = time.time()
-    lg_hyper = Hyperparams(d=args.dim, L=args.layers, alpha=0.0, beta=0.0,
-                           activation="identity", embedding_mode="free")
-    params, log = fit(split, lg_hyper, cfg)
-    record("lightgcn", lightgcn_forward(params.W, S, args.layers), log, time.time() - t0)
-
-    t0 = time.time()
-    ours_hyper = Hyperparams(d=args.dim, L=args.layers, alpha=0.1, beta=0.1,
-                             activation="identity", embedding_mode="sw", lr=3e-4)
-    params, log = fit(split, ours_hyper, cfg)
-    record("ours", forward(params, S, ours_hyper).E_star, log, time.time() - t0)
 
     print(f"{'model':<10} {'recall@%d' % args.k:>10} {'ndcg@%d' % args.k:>10} "
           f"{'epochs':>7} {'wall_s':>7}")

@@ -1,4 +1,4 @@
 """Graph collaborative filtering with initial-residual and identity-mapping
-propagation, plus BPRMF and LightGCN-style reference models."""
+propagation; BPRMF and LightGCN are reduced configurations of the same model."""
 
 __version__ = "0.1.0"

@@ -1,112 +1,19 @@
-"""Reference models: BPRMF matrix factorization and LightGCN-style propagation.
+"""Independent LightGCN propagation, the oracle for the model's reductions.
 
-lightgcn_forward is kept as an independent implementation on purpose: the
-main model configured with alpha=0, beta=0, identity activation and free
-embeddings must reproduce it, and the test suite checks the two code paths
-against each other.
+BPRMF and LightGCN are not separate code paths: they are configurations of
+the one model (`dgcf.model.PRESETS`), trained by `dgcf.train.fit` and scored
+through `dgcf.model.forward`. lightgcn_forward is kept as an independent
+implementation on purpose: the main model configured with alpha=0, beta=0,
+identity activation and free embeddings must reproduce it, and the test
+suite checks the two code paths against each other. No package code calls it.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
-from .data import DatasetSplit, sample_bpr_triples
-from .errors import DivergenceError
 from .graph import spmm
-from .train import OptimizerState, TrainConfig, optimizer_step
-
-
-@dataclass
-class MfParams:
-    P: np.ndarray  # (m, d) user factors
-    Q: np.ndarray  # (n, d) item factors
-
-
-def bprmf_predict(mf: MfParams, u: int, i: int) -> float:
-    if not 0 <= u < mf.P.shape[0]:
-        raise IndexError(f"user index {u} out of range [0, {mf.P.shape[0]})")
-    if not 0 <= i < mf.Q.shape[0]:
-        raise IndexError(f"item index {i} out of range [0, {mf.Q.shape[0]})")
-    return float(np.sum(mf.P[u] * mf.Q[i]))
-
-
-def bprmf_grads(mf: MfParams, batch: np.ndarray, reg_lambda: float,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form BPR gradient: dloss/dp_u = -sigmoid(-x)(q_i - q_j), etc."""
-    m, n = mf.P.shape[0], mf.Q.shape[0]
-    u, i, j = batch[:, 0], batch[:, 1], batch[:, 2]
-    x = np.sum(mf.P[u] * (mf.Q[i] - mf.Q[j]), axis=1)
-    c = (-expit(-x) / len(batch))[:, None]
-    d = mf.P.shape[1]
-    gP = np.empty((m, d))
-    gQ = np.empty((n, d))
-    pu_vals = c * mf.P[u]
-    qdiff_vals = c * (mf.Q[i] - mf.Q[j])
-    for col in range(d):
-        gP[:, col] = np.bincount(u, weights=qdiff_vals[:, col], minlength=m)
-        gQ[:, col] = (np.bincount(i, weights=pu_vals[:, col], minlength=n)
-                      - np.bincount(j, weights=pu_vals[:, col], minlength=n))
-    gP += 2.0 * reg_lambda * mf.P
-    gQ += 2.0 * reg_lambda * mf.Q
-    return gP, gQ
-
-
-def bprmf_loss(mf: MfParams, batch: np.ndarray, reg_lambda: float) -> float:
-    x = np.sum(mf.P[batch[:, 0]] * (mf.Q[batch[:, 1]] - mf.Q[batch[:, 2]]), axis=1)
-    reg = float(np.sum(mf.P * mf.P)) + float(np.sum(mf.Q * mf.Q))
-    return float(np.mean(np.logaddexp(0.0, -x))) + reg_lambda * reg
-
-
-def bprmf_fit(split: DatasetSplit, d: int, config: TrainConfig, lr: float = 1e-3,
-              reg_lambda: float = 1e-4) -> tuple[MfParams, list[dict]]:
-    """Same sampling, optimizer, logging, and determinism contracts as fit."""
-    from .evaluate import evaluate_model
-
-    rng = np.random.default_rng(config.seed)
-    mf = MfParams(P=rng.normal(0.0, 0.1, size=(split.m, d)),
-                  Q=rng.normal(0.0, 0.1, size=(split.n, d)))
-    state = OptimizerState()
-    bpe = config.batches_per_epoch or max(1, math.ceil(split.train.nnz / config.batch_size))
-    log: list[dict] = []
-    best = None
-    best_recall = -1.0
-    stale = 0
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.monotonic()
-        total = 0.0
-        for _ in range(bpe):
-            batch = sample_bpr_triples(split, config.batch_size, rng)
-            loss = bprmf_loss(mf, batch, reg_lambda)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            gP, gQ = bprmf_grads(mf, batch, reg_lambda)
-            optimizer_step([mf.P, mf.Q], [gP, gQ], lr, config, state)
-            total += loss
-        entry = {"epoch": epoch, "loss": total / bpe}
-        stop = False
-        if config.eval_every and epoch % config.eval_every == 0:
-            metrics = evaluate_model(np.vstack([mf.P, mf.Q]), split, k=20)
-            entry["recall@20"] = metrics.recall_at_k
-            entry["ndcg@20"] = metrics.ndcg_at_k
-            if metrics.recall_at_k > best_recall:
-                best_recall = metrics.recall_at_k
-                best = MfParams(P=mf.P.copy(), Q=mf.Q.copy())
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    stop = True
-        entry["wall_ms"] = int((time.monotonic() - t0) * 1000)
-        log.append(entry)
-        if stop:
-            return best, log
-    return mf, log
 
 
 def lightgcn_forward(E0: np.ndarray, S: sp.csr_array, L: int) -> np.ndarray:

@@ -13,118 +13,79 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import bprmf_fit, lightgcn_forward
-from .data import k_core_filter, load_split, parse_interactions, save_split, split_train_test
-from .data import FORMATS
+from .data import FORMATS, k_core_filter, load_split, parse_interactions, save_split, \
+    split_train_test
 from .errors import ConfigError, DataError, DgcfError
 from .evaluate import evaluate_model, oversmoothing_report, rank_items, report_tsv
-from .model import ACTIVATIONS, EMBEDDING_MODES, Hyperparams, ModelParams, forward, \
-    score_all_items
-from .modelfile import ModelRecord, load_model, save_model
+from .model import ACTIVATIONS, EMBEDDING_MODES, PRESETS, forward, preset, score_all_items
+from .modelfile import MODEL_TAGS, ModelRecord, load_model, save_model
 from .train import OPTIMIZERS, TrainConfig, fit, laplacian_for
 from .util import write_atomic_text
 
-MODEL_CHOICES = ("ours", "plain", "lightgcn", "bprmf")
+PRE, TRAIN, EVAL, REC, DIAG = "preprocess", "train", "evaluate", "recommend", "diagnose"
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation."""
+class Option(NamedTuple):
+    """One row of OPTIONS. `name` is the config-file key and the resolved
+    attribute; a None default leaves an optional option unset (and unechoed)."""
 
-    command: str
-    input: str | None = None
-    format: str | None = None
-    k_core: int | None = None
-    test_ratio: float | None = None
-    seed: int | None = None
-    out: str | None = None
-    data: str | None = None
-    model: str | None = None
-    log: str | None = None
-    dim: int | None = None
-    layers: int | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    activation: str | None = None
-    embedding_mode: str | None = None
-    layer_weights: str | None = None
-    lr: float | None = None
-    reg_lambda: float | None = None
-    epochs: int | None = None
-    batch_size: int | None = None
-    batches_per_epoch: int | None = None
-    optimizer: str | None = None
-    eval_every: int | None = None
-    patience: int | None = None
-    model_path: str | None = None
-    k: int | None = None
-    user: str | None = None
-    top: int | None = None
-    models: str | None = None
-    layer_range: str | None = None
+    name: str
+    flag: str
+    commands: tuple[str, ...]
+    cast: type = str
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# In resolution order: a command missing several required options reports the first.
+OPTIONS = [
+    Option("model_path", "--model", (EVAL, REC), required=True, help="model file"),
+    Option("input", "--input", (PRE,), required=True, help="raw interaction file"),
+    Option("data", "--data", (TRAIN, EVAL, REC, DIAG), required=True, help="dataset directory"),
+    Option("format", "--format", (PRE,), default="edge-pairs", choices=FORMATS),
+    Option("k_core", "--k-core", (PRE,), int, 10, help="minimum interactions per node"),
+    Option("test_ratio", "--test-ratio", (PRE,), float, 0.2),
+    Option("model", "--model", (TRAIN,), default="ours", choices=tuple(PRESETS)),
+    Option("out", "--out", (PRE, TRAIN), required=True, help="output dataset dir or model file"),
+    Option("log", "--log", (TRAIN,), help="training log path (default: <out>.log.jsonl)"),
+    Option("models", "--models", (DIAG,), default="ours,plain", help="comma-separated tags"),
+    Option("layer_range", "--layers", (DIAG,), default="1..8", help="depth or range, e.g. 1..8"),
+    Option("dim", "--dim", (TRAIN, DIAG), int, 64),
+    Option("layers", "--layers", (TRAIN,), int, 4),
+    Option("alpha", "--alpha", (TRAIN,), float, 0.1),
+    Option("beta", "--beta", (TRAIN,), float, 0.1),
+    Option("activation", "--activation", (TRAIN,), default="relu", choices=ACTIVATIONS),
+    Option("embedding_mode", "--embedding-mode", (TRAIN,), default="sw", choices=EMBEDDING_MODES),
+    Option("layer_weights", "--layer-weights", (TRAIN,), help="comma-separated, length layers+1"),
+    Option("lr", "--lr", (TRAIN,), float, 1e-3),
+    Option("reg_lambda", "--reg-lambda", (TRAIN,), float, 1e-4),
+    Option("epochs", "--epochs", (TRAIN,), int, 200),
+    Option("batch_size", "--batch-size", (TRAIN,), int, 1024),
+    Option("batches_per_epoch", "--batches-per-epoch", (TRAIN,), int),
+    Option("optimizer", "--optimizer", (TRAIN,), default="adam", choices=OPTIMIZERS),
+    Option("eval_every", "--eval-every", (TRAIN,), int, 10),
+    Option("patience", "--patience", (TRAIN,), int, 10),
+    Option("k", "--k", (EVAL,), int, 20),
+    Option("user", "--user", (REC,), required=True, help="original user token"),
+    Option("top", "--top", (REC,), int, 10),
+    Option("seed", "--seed", (PRE, TRAIN, DIAG), int, 0),
+]
+
+
+class RunConfig(SimpleNamespace):
+    """Resolved settings of one command: `command` and one attribute per option."""
 
     def echo(self) -> str:
-        skip = {"command"}
-        items = [(k, v) for k, v in vars(self).items() if v is not None and k not in skip]
+        items = [(k, v) for k, v in vars(self).items() if v is not None and k != "command"]
         return "".join(f"{k}={v}\n" for k, v in sorted(items))
-
-
-# (field, cast, default, required); None default + not required = optional
-_FIELDS = {
-    "preprocess": [
-        ("input", str, None, True),
-        ("format", str, "edge-pairs", False),
-        ("k_core", int, 10, False),
-        ("test_ratio", float, 0.2, False),
-        ("seed", int, 0, False),
-        ("out", str, None, True),
-    ],
-    "train": [
-        ("data", str, None, True),
-        ("model", str, "ours", False),
-        ("out", str, None, True),
-        ("log", str, None, False),
-        ("dim", int, 64, False),
-        ("layers", int, 4, False),
-        ("alpha", float, 0.1, False),
-        ("beta", float, 0.1, False),
-        ("activation", str, "relu", False),
-        ("embedding_mode", str, "sw", False),
-        ("layer_weights", str, None, False),
-        ("lr", float, 1e-3, False),
-        ("reg_lambda", float, 1e-4, False),
-        ("epochs", int, 200, False),
-        ("batch_size", int, 1024, False),
-        ("batches_per_epoch", int, None, False),
-        ("optimizer", str, "adam", False),
-        ("eval_every", int, 10, False),
-        ("patience", int, 10, False),
-        ("seed", int, 0, False),
-    ],
-    "evaluate": [
-        ("model_path", str, None, True),
-        ("data", str, None, True),
-        ("k", int, 20, False),
-    ],
-    "recommend": [
-        ("model_path", str, None, True),
-        ("data", str, None, True),
-        ("user", str, None, True),
-        ("top", int, 10, False),
-    ],
-    "diagnose": [
-        ("data", str, None, True),
-        ("models", str, "ours,plain", False),
-        ("layer_range", str, "1..8", False),
-        ("dim", int, 64, False),
-        ("seed", int, 0, False),
-    ],
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,57 +97,12 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="dgcf", description="Graph collaborative filtering pipeline")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pre = sub.add_parser("preprocess", help="filter, remap, and split an interaction file")
-    pre.add_argument("--input", help="raw interaction file")
-    pre.add_argument("--format", choices=FORMATS)
-    pre.add_argument("--k-core", type=int, dest="k_core", help="minimum interactions per node")
-    pre.add_argument("--test-ratio", type=float, dest="test_ratio")
-    pre.add_argument("--seed", type=int)
-    pre.add_argument("--out", help="output dataset directory")
-
-    tr = sub.add_parser("train", help="train a model on a preprocessed directory")
-    tr.add_argument("--data", help="preprocessed dataset directory")
-    tr.add_argument("--model", choices=MODEL_CHOICES)
-    tr.add_argument("--out", help="model file path")
-    tr.add_argument("--log", help="training log path (default: <out>.log.jsonl)")
-    tr.add_argument("--dim", type=int)
-    tr.add_argument("--layers", type=int)
-    tr.add_argument("--alpha", type=float)
-    tr.add_argument("--beta", type=float)
-    tr.add_argument("--activation", choices=ACTIVATIONS)
-    tr.add_argument("--embedding-mode", choices=EMBEDDING_MODES, dest="embedding_mode")
-    tr.add_argument("--layer-weights", dest="layer_weights",
-                    help="comma-separated weights, length layers+1")
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--reg-lambda", type=float, dest="reg_lambda")
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--batch-size", type=int, dest="batch_size")
-    tr.add_argument("--batches-per-epoch", type=int, dest="batches_per_epoch")
-    tr.add_argument("--optimizer", choices=OPTIMIZERS)
-    tr.add_argument("--eval-every", type=int, dest="eval_every")
-    tr.add_argument("--patience", type=int)
-    tr.add_argument("--seed", type=int)
-
-    ev = sub.add_parser("evaluate", help="rank held-out items and report Recall/NDCG")
-    ev.add_argument("--model", dest="model_path", help="model file")
-    ev.add_argument("--data")
-    ev.add_argument("--k", type=int)
-
-    rec = sub.add_parser("recommend", help="top items for one user")
-    rec.add_argument("--model", dest="model_path", help="model file")
-    rec.add_argument("--data")
-    rec.add_argument("--user", help="original user token")
-    rec.add_argument("--top", type=int)
-
-    di = sub.add_parser("diagnose", help="per-layer embedding smoothness table")
-    di.add_argument("--data")
-    di.add_argument("--models", help="comma-separated tags from: ours, plain")
-    di.add_argument("--layers", dest="layer_range", help="depth or range, e.g. 8 or 1..8")
-    di.add_argument("--dim", type=int)
-    di.add_argument("--seed", type=int)
-
-    for s in (pre, tr, ev, rec, di):
+    for command, (_, help_text) in COMMANDS.items():
+        s = sub.add_parser(command, help=help_text)
+        for opt in OPTIONS:
+            if command in opt.commands:
+                s.add_argument(opt.flag, dest=opt.name, type=opt.cast, choices=opt.choices,
+                               help=opt.help)
         s.add_argument("--config", help="key=value config file; flags override it")
     return p
 
@@ -209,30 +125,27 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def resolve_config(ns: argparse.Namespace, file_cfg: dict[str, str]) -> RunConfig:
-    fields = _FIELDS[ns.command]
-    known = {name for name, _, _, _ in fields}
+    options = [opt for opt in OPTIONS if ns.command in opt.commands]
+    known = {opt.name for opt in options}
     for key in file_cfg:
         if key not in known:
             raise ConfigError(f"config file key {key!r} is not valid for {ns.command}")
     values: dict = {}
-    for name, cast, default, required in fields:
-        val = getattr(ns, name, None)
-        if val is None and name in file_cfg:
+    for opt in options:
+        val = getattr(ns, opt.name, None)
+        if val is None and opt.name in file_cfg:
             try:
-                val = cast(file_cfg[name])
+                val = opt.cast(file_cfg[opt.name])
             except ValueError as exc:
-                raise ConfigError(f"config key {name}={file_cfg[name]!r}: {exc}") from exc
+                raise ConfigError(f"config key {opt.name}={file_cfg[opt.name]!r}: {exc}") from exc
         if val is None:
-            val = default
-        if val is None and required:
-            raise ConfigError(f"{ns.command} requires --{name.replace('_', '-')}")
-        values[name] = val
+            val = opt.default
+        if val is None and opt.required:
+            raise ConfigError(f"{ns.command} requires {opt.flag}")
+        if opt.choices and val not in opt.choices:
+            raise ConfigError(f"{opt.flag} must be one of {', '.join(opt.choices)}; got {val!r}")
+        values[opt.name] = val
     return RunConfig(command=ns.command, **values)
-
-
-def _require_choice(value: str, choices, what: str) -> None:
-    if value not in choices:
-        raise ConfigError(f"{what} must be one of {', '.join(choices)}; got {value!r}")
 
 
 def _parse_layer_weights(text: str | None, L: int):
@@ -251,11 +164,7 @@ def parse_layer_range(text: str) -> int:
     """'8' or '1..8' -> deepest requested layer (one run covers all shallower)."""
     lo, sep, hi = text.partition("..")
     try:
-        if not sep:
-            depth = int(lo)
-            low = depth
-        else:
-            low, depth = int(lo), int(hi)
+        low, depth = int(lo), int(hi if sep else lo)
     except ValueError:
         raise ConfigError(f"bad layer range {text!r}, expected e.g. 8 or 1..8") from None
     if low < 0 or depth < low:
@@ -263,37 +172,12 @@ def parse_layer_range(text: str) -> int:
     return depth
 
 
-def hyper_for_tag(cfg: RunConfig) -> Hyperparams:
-    weights = _parse_layer_weights(cfg.layer_weights, cfg.layers)
-    if cfg.model == "plain":
-        # plain deep propagation: no residual, no transform, final-layer readout
-        if weights is None:
-            weights = np.zeros(cfg.layers + 1)
-            weights[cfg.layers] = 1.0
-        return Hyperparams(d=cfg.dim, L=cfg.layers, alpha=0.0, beta=0.0, layer_weights=weights,
-                           activation="identity", embedding_mode=cfg.embedding_mode,
-                           reg_lambda=cfg.reg_lambda, lr=cfg.lr)
-    if cfg.model == "lightgcn":
-        return Hyperparams(d=cfg.dim, L=cfg.layers, alpha=0.0, beta=0.0, layer_weights=weights,
-                           activation="identity", embedding_mode="free",
-                           reg_lambda=cfg.reg_lambda, lr=cfg.lr)
-    return Hyperparams(d=cfg.dim, L=cfg.layers, alpha=cfg.alpha, beta=cfg.beta,
-                       layer_weights=weights, activation=cfg.activation,
-                       embedding_mode=cfg.embedding_mode, reg_lambda=cfg.reg_lambda, lr=cfg.lr)
-
-
 def model_embeddings(record: ModelRecord, split) -> np.ndarray:
-    """Combined embedding table for any saved model type."""
-    if record.tag == "bprmf":
-        return record.params.W
-    S = laplacian_for(split)
-    if record.tag == "lightgcn":
-        return lightgcn_forward(record.params.W, S, record.hyper.L)
-    return forward(record.params, S, record.hyper).E_star
+    """Combined embedding table E* of a saved model, whatever its tag."""
+    return forward(record.params, laplacian_for(split), record.hyper).E_star
 
 
 def cmd_preprocess(cfg: RunConfig) -> None:
-    _require_choice(cfg.format, FORMATS, "--format")
     if cfg.k_core < 1:
         raise ConfigError(f"--k-core must be >= 1, got {cfg.k_core}")
     if not 0.0 < cfg.test_ratio < 1.0:
@@ -309,22 +193,19 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    _require_choice(cfg.model, MODEL_CHOICES, "--model")
     split = load_split(cfg.data)
     tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                        batches_per_epoch=cfg.batches_per_epoch, seed=cfg.seed,
                        optimizer=cfg.optimizer, eval_every=cfg.eval_every,
                        early_stop_patience=cfg.patience)
-    if cfg.model == "bprmf":
-        mf, log = bprmf_fit(split, cfg.dim, tcfg, lr=cfg.lr, reg_lambda=cfg.reg_lambda)
-        params = ModelParams(m=split.m, n=split.n, W=np.vstack([mf.P, mf.Q]), W_layers=[])
-        hyper = Hyperparams(d=cfg.dim, L=0, alpha=0.0, beta=0.0, layer_weights=[1.0],
-                            activation="identity", embedding_mode="free")
-        tag = "bprmf"
-    else:
-        hyper = hyper_for_tag(cfg)
-        params, log = fit(split, hyper, tcfg)
-        tag = "lightgcn" if cfg.model == "lightgcn" else "ours"
+    weights = None  # a tag that pins layer_weights ignores --layer-weights, as with --layers
+    if "layer_weights" not in PRESETS[cfg.model]:
+        weights = _parse_layer_weights(cfg.layer_weights, cfg.layers)
+    hyper = preset(cfg.model, d=cfg.dim, L=cfg.layers, alpha=cfg.alpha, beta=cfg.beta,
+                   layer_weights=weights, activation=cfg.activation,
+                   embedding_mode=cfg.embedding_mode, reg_lambda=cfg.reg_lambda, lr=cfg.lr)
+    params, log = fit(split, hyper, tcfg)
+    tag = cfg.model if cfg.model in MODEL_TAGS else "ours"
     save_model(cfg.out, tag, params, hyper)
     log_path = cfg.log or cfg.out + ".log.jsonl"
     write_atomic_text(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
@@ -380,11 +261,11 @@ def cmd_diagnose(cfg: RunConfig) -> None:
 
 
 COMMANDS = {
-    "preprocess": cmd_preprocess,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "recommend": cmd_recommend,
-    "diagnose": cmd_diagnose,
+    PRE: (cmd_preprocess, "filter, remap, and split an interaction file"),
+    TRAIN: (cmd_train, "train a model on a preprocessed directory"),
+    EVAL: (cmd_evaluate, "rank held-out items and report Recall/NDCG"),
+    REC: (cmd_recommend, "top items for one user"),
+    DIAG: (cmd_diagnose, "per-layer embedding smoothness table"),
 }
 
 
@@ -392,17 +273,14 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     file_cfg = read_config_file(ns.config) if getattr(ns, "config", None) else {}
     cfg = resolve_config(ns, file_cfg)
-    COMMANDS[cfg.command](cfg)
+    COMMANDS[cfg.command][0](cfg)
     return 0
 
 
 def entrypoint() -> int:
     try:
         return main()
-    except DgcfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DgcfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -212,42 +212,56 @@ def load_split(data_dir: str | Path) -> DatasetSplit:
     d = Path(data_dir)
     if not d.is_dir():
         raise DataError(f"dataset directory not found: {d}")
-    stats = json.loads((d / "stats.json").read_text(encoding="utf-8"))
-    m, n = int(stats["m"]), int(stats["n"])
-    user_map = _read_map(d / "user_map.tsv")
-    item_map = _read_map(d / "item_map.tsv")
-    if len(user_map) != m or len(item_map) != n:
-        raise DataError(f"{d}: token maps disagree with stats.json")
+    stats_path = d / "stats.json"
+    try:
+        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+        m, n, seed = int(stats["m"]), int(stats["n"]), int(stats["seed"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{stats_path}: expected JSON with integer m, n, seed ({exc!r})") from None
+    user_map = _read_map(d / "user_map.tsv", m)
+    item_map = _read_map(d / "item_map.tsv", n)
     train_pairs: list[tuple[int, int]] = []
-    for u, items in _read_adjacency(d / "train.txt").items():
+    for u, items in _read_adjacency(d / "train.txt", m, n).items():
         train_pairs.extend((u, i) for i in items)
     test: list[list[int]] = [[] for _ in range(m)]
     test_path = d / "test.txt"
     if test_path.exists() and test_path.stat().st_size:
-        for u, items in _read_adjacency(test_path).items():
-            if u >= m:
-                raise DataError(f"{test_path}: user index {u} out of range")
-            test[u] = sorted(items)
+        for u, items in _read_adjacency(test_path, m, n).items():
+            test[u] = sorted(set(items))
     train = InteractionMatrix.from_pairs(m, n, train_pairs)
-    return DatasetSplit(train=train, test=test, user_map=user_map, item_map=item_map,
-                        seed=int(stats["seed"]))
+    return DatasetSplit(train=train, test=test, user_map=user_map, item_map=item_map, seed=seed)
 
 
-def _read_map(path: Path) -> dict[str, int]:
+def _read_map(path: Path, size: int) -> dict[str, int]:
+    """'token<TAB>index' lines whose indices are exactly 0..size-1 (size from stats.json)."""
     mapping: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'token<TAB>index'")
-        mapping[parts[0]] = int(parts[1])
+        try:
+            token, index = line.split("\t")
+            mapping[token] = int(index)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: expected 'token<TAB>index', got {line!r}") from None
+    if sorted(mapping.values()) != list(range(size)):
+        raise DataError(f"{path}: indices are not 0..{size - 1} as stats.json says")
     return mapping
 
 
-def _read_adjacency(path: Path) -> dict[int, list[int]]:
+def _read_adjacency(path: Path, m: int, n: int) -> dict[int, list[int]]:
+    """'user item1 item2 ...' lines of indices into the m x n interaction matrix."""
     out: dict[int, list[int]] = {}
-    raw = parse_interactions(path, "adjacency-list")
-    for u, i in raw.pairs:
-        out.setdefault(int(u), []).append(int(i))
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            u, *items = (int(tok) for tok in line.split())
+        except ValueError:
+            u, items = -1, []
+        if not items or not 0 <= u < m or not all(0 <= i < n for i in items):
+            raise ParseError(f"{path}:{lineno}: expected 'user item1 item2 ...' with user "
+                             f"index < {m} and item indices < {n}, got {line!r}")
+        out.setdefault(u, []).extend(items)
+    if not out:
+        raise DataError(f"{path}: no interactions found")
     return out

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetSplit
-from .errors import ConfigError, DataError
-from .model import Hyperparams, forward, init_params, score_all_items
-
-DIAGNOSTIC_TAGS = ("ours", "plain")
+from .errors import DataError
+from .model import forward, init_params, preset, score_all_items
+from .train import laplacian_for
 
 
 @dataclass
@@ -104,34 +103,19 @@ def smoothness(E_block: np.ndarray) -> float:
     return float(np.clip(val, -1.0, 1.0))
 
 
-def diagnostic_hyper(tag: str, L: int, d: int = 64, alpha: float = 0.1,
-                     beta: float = 0.1) -> Hyperparams:
-    """Forward configurations compared by the over-smoothing diagnostic."""
-    if tag == "ours":
-        return Hyperparams(d=d, L=L, alpha=alpha, beta=beta, activation="relu",
-                           embedding_mode="sw")
-    if tag == "plain":
-        last_only = np.zeros(L + 1)
-        last_only[L] = 1.0
-        return Hyperparams(d=d, L=L, alpha=0.0, beta=0.0, activation="identity",
-                           embedding_mode="sw", layer_weights=last_only)
-    raise ConfigError(f"unknown diagnostic model tag {tag!r}, expected one of {DIAGNOSTIC_TAGS}")
-
-
 def oversmoothing_report(split: DatasetSplit, hyper_grid: list[tuple[str, int]],
                          seed: int, d: int = 64) -> list[SmoothnessReport]:
     """Per-layer user/item smoothness for each (model tag, depth) configuration.
 
+    Tags name model presets, taken at their default fields.
     Every configuration starts from the identical seeded initialization, so
     rows differ only through the propagation rule.
     """
-    from .train import laplacian_for
-
     S = laplacian_for(split)
     m = split.m
     out: list[SmoothnessReport] = []
     for tag, L in hyper_grid:
-        hyper = diagnostic_hyper(tag, L, d=d)
+        hyper = preset(tag, d=d, L=L)
         params = init_params(split.m, split.n, hyper, np.random.default_rng(seed))
         trace = forward(params, S, hyper)
         for layer, E in enumerate(trace.E_layers):

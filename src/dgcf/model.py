@@ -11,8 +11,9 @@ with the identity matrix (identity mapping):
     score(u, i) = <E*[u], E*[m+i]>
 
 Both mixing weights live in [0, 1]; the endpoints are reduction modes
-(a=0, b=0 is plain propagation, a=1, b=0 freezes E(l) at E(0)) used by
-baselines and diagnostics rather than trained configurations.
+(a=0, b=0 is plain propagation, a=1, b=0 freezes E(l) at E(0)). PRESETS
+names the reductions that are trained and compared: BPRMF (L=0), LightGCN
+and the plain ablation are configurations of this one model.
 """
 
 from __future__ import annotations
@@ -46,25 +47,49 @@ class Hyperparams:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.L < 0:
             raise ConfigError(f"L must be >= 0, got {self.L}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
+        for key in ("alpha", "beta"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must be in [0, 1], got {getattr(self, key)}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.embedding_mode not in EMBEDDING_MODES:
             raise ConfigError(
                 f"embedding_mode must be one of {EMBEDDING_MODES}, got {self.embedding_mode!r}")
-        if self.reg_lambda < 0 or self.lr < 0:
-            raise ConfigError("reg_lambda and lr must be >= 0")
+        for key in ("reg_lambda", "lr"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if self.layer_weights is None:
             self.layer_weights = np.full(self.L + 1, 1.0 / (self.L + 1))
         else:
             self.layer_weights = np.asarray(self.layer_weights, dtype=np.float64)
-            if self.layer_weights.shape != (self.L + 1,):
+            if (self.layer_weights.shape != (self.L + 1,)
+                    or not np.isfinite(self.layer_weights).all()):
                 raise ConfigError(
-                    f"layer_weights must have length L+1={self.L + 1}, "
-                    f"got shape {self.layer_weights.shape}")
+                    f"layer_weights must be L+1={self.L + 1} finite values, "
+                    f"got {self.layer_weights}")
+
+
+# Fields each model tag pins; the caller's values fill in the rest.
+PRESETS = {
+    "ours": {},
+    "plain": dict(alpha=0.0, beta=0.0, activation="identity"),
+    "lightgcn": dict(alpha=0.0, beta=0.0, activation="identity", embedding_mode="free"),
+    "bprmf": dict(L=0, alpha=0.0, beta=0.0, layer_weights=[1.0], activation="identity",
+                  embedding_mode="free"),
+}
+
+
+def preset(tag: str, **fields) -> Hyperparams:
+    """Hyperparams of model `tag`: its PRESETS fields over `fields`. Unless
+    given layer_weights, "plain" reads out only its last layer."""
+    if tag not in PRESETS:
+        raise ConfigError(f"unknown model tag {tag!r}, expected one of {tuple(PRESETS)}")
+    fields.update(PRESETS[tag])
+    if tag == "plain" and fields.get("layer_weights") is None:
+        L = fields.get("L", Hyperparams.L)
+        fields["layer_weights"] = np.arange(L + 1) == L
+    return Hyperparams(**fields)
 
 
 @dataclass
@@ -107,46 +132,37 @@ def initial_embedding(S: sp.csr_array, W: np.ndarray) -> np.ndarray:
     return spmm(S, W)
 
 
-def _mix(S, E_prev, E0, alpha: float) -> np.ndarray:
-    # M = (1-a) S E_prev + a E0; endpoints skip work and stay exact
-    if alpha == 1.0:
-        return E0
-    P = spmm(S, E_prev)
-    if alpha == 0.0:
-        return P
-    return (1.0 - alpha) * P + alpha * E0
-
-
-def _transform(M: np.ndarray, beta: float, W_l: np.ndarray | None) -> np.ndarray:
-    # Z = M ((1-b) I + b W)
-    if beta == 0.0:
-        return M
-    if W_l is None:
-        raise ValueError("beta > 0 requires a layer transform matrix")
-    d = M.shape[1]
-    T = (1.0 - beta) * np.eye(d)
-    T += beta * W_l
-    return M @ T
-
-
-def _activate(Z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "identity":
-        return Z
-    if activation == "relu":
-        return np.maximum(Z, 0.0)
-    raise ConfigError(f"unknown activation {activation!r}")
-
-
-def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation) -> tuple[np.ndarray, np.ndarray]:
-    """One propagation layer; returns (Z, E_next) with E_next = act(Z)."""
+def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One propagation layer; returns (M, Z, E_next), the mix, the transformed
+    mix and its activation. Endpoint alpha and beta skip work and stay exact."""
     if E_prev.shape != E0.shape:
         raise ValueError(f"E_prev {E_prev.shape} and E0 {E0.shape} disagree")
     if S.shape[0] != E_prev.shape[0]:
         raise ValueError(f"S {S.shape} does not match embeddings {E_prev.shape}")
-    Z = _transform(_mix(S, E_prev, E0, alpha), beta, W_l)
+    # M = (1-a) S E_prev + a E0
+    if alpha == 1.0:
+        M = E0
+    elif alpha == 0.0:
+        M = spmm(S, E_prev)
+    else:
+        M = (1.0 - alpha) * spmm(S, E_prev) + alpha * E0
+    # Z = M ((1-b) I + b W)
+    if beta == 0.0:
+        Z = M
+    elif W_l is None:
+        raise ValueError("beta > 0 requires a layer transform matrix")
+    else:
+        T = (1.0 - beta) * np.eye(M.shape[1])
+        T += beta * W_l
+        Z = M @ T
     if not np.isfinite(Z).all():
         raise DivergenceError("non-finite values in propagation layer output")
-    return Z, _activate(Z, activation)
+    if activation == "identity":
+        return M, Z, Z
+    if activation == "relu":
+        return M, Z, np.maximum(Z, 0.0)
+    raise ConfigError(f"unknown activation {activation!r}")
 
 
 def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams) -> ForwardTrace:
@@ -164,14 +180,12 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams) -> Forward
         E0 = params.W
     E_layers = [E0]
     mixed, preact = [], []
-    for l in range(1, hyper.L + 1):
-        M = _mix(S, E_layers[-1], E0, hyper.alpha)
-        Z = _transform(M, hyper.beta, params.W_layers[l - 1])
-        if not np.isfinite(Z).all():
-            raise DivergenceError(f"non-finite values at layer {l}")
+    for W_l in params.W_layers:
+        M, Z, E = propagate_layer(E_layers[-1], E0, S, hyper.alpha, hyper.beta, W_l,
+                                  hyper.activation)
         mixed.append(M)
         preact.append(Z)
-        E_layers.append(_activate(Z, hyper.activation))
+        E_layers.append(E)
     trace = ForwardTrace(m=params.m, E_layers=E_layers, mixed_layers=mixed, preact_layers=preact)
     trace.E_star = combine_layers(E_layers, hyper.layer_weights)
     return trace

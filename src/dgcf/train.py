@@ -84,12 +84,11 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
 
 
 def _scatter_rows(N: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Sum the rows of vals into an (N, d) zero matrix at positions idx."""
-    d = vals.shape[1]
-    out = np.empty((N, d))
-    for col in range(d):
-        out[:, col] = np.bincount(idx, weights=vals[:, col], minlength=N)
-    return out
+    """Sum the rows of vals into an (N, d) zero matrix at positions idx, as one
+    incidence-matrix product whose output rows add their entries in idx order."""
+    k = len(idx)
+    incidence = sp.csr_array((np.ones(k), (idx, np.arange(k))), shape=(N, k))
+    return incidence @ vals
 
 
 def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:

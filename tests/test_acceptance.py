@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from dgcf import cli
-from dgcf.baselines import bprmf_fit, lightgcn_forward
+from dgcf.baselines import lightgcn_forward
 from dgcf.data import RawInteractions, k_core_filter, split_train_test
 from dgcf.evaluate import evaluate_model, ndcg_at_k, oversmoothing_report
-from dgcf.model import Hyperparams, forward, init_params
+from dgcf.model import Hyperparams, forward, init_params, preset
 from dgcf.synthetic import bipartite_ring, walk_interactions
 from dgcf.train import TrainConfig, backward, bpr_loss, finite_diff_grad, fit, laplacian_for
 
@@ -46,16 +46,13 @@ def report(check: int, passed: bool, detail: str, capfd) -> None:
     assert passed, line
 
 
-def ours_hyper(L: int) -> Hyperparams:
-    return Hyperparams(d=DIM, L=L, alpha=0.1, beta=0.1, activation="identity",
-                       embedding_mode="sw", lr=OURS_LR)
-
-
-def plain_hyper(L: int) -> Hyperparams:
-    last_only = np.zeros(L + 1)
-    last_only[L] = 1.0
-    return Hyperparams(d=DIM, L=L, alpha=0.0, beta=0.0, activation="identity",
-                       embedding_mode="sw", layer_weights=last_only)
+def accuracy_hyper(tag: str) -> Hyperparams:
+    """'bprmf', 'lightgcn' (L=3), or '<ours|plain>_L<depth>' as a model preset."""
+    kind, _, depth = tag.partition("_L")
+    fields = dict(d=DIM, L=int(depth or 3), activation="identity")
+    if kind == "ours":
+        fields.update(alpha=0.1, beta=0.1, lr=OURS_LR)
+    return preset(kind, **fields)
 
 
 @pytest.fixture(scope="session")
@@ -74,22 +71,10 @@ def trained(accuracy_split):
     def get(tag: str):
         if tag in cache:
             return cache[tag]
-        cfg = TrainConfig(**TRAIN_CFG)
+        hyper = accuracy_hyper(tag)
         t0 = time.monotonic()
-        if tag == "bprmf":
-            mf, _ = bprmf_fit(split, DIM, cfg)
-            e_star = np.vstack([mf.P, mf.Q])
-        elif tag == "lightgcn":
-            hyper = Hyperparams(d=DIM, L=3, alpha=0.0, beta=0.0,
-                                activation="identity", embedding_mode="free")
-            params, _ = fit(split, hyper, cfg)
-            e_star = lightgcn_forward(params.W, S, hyper.L)
-        else:
-            kind, L = tag.split("_L")
-            hyper = ours_hyper(int(L)) if kind == "ours" else plain_hyper(int(L))
-            params, _ = fit(split, hyper, cfg)
-            e_star = forward(params, S, hyper).E_star
-        recall = evaluate_model(e_star, split, k=20).recall_at_k
+        params, _ = fit(split, hyper, TrainConfig(**TRAIN_CFG))
+        recall = evaluate_model(forward(params, S, hyper).E_star, split, k=20).recall_at_k
         cache[tag] = (recall, time.monotonic() - t0)
         return cache[tag]
 

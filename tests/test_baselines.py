@@ -1,88 +1,93 @@
+"""The reference models as presets of the one model: BPRMF is L=0 with free
+embeddings (E* = W = [P; Q]), LightGCN is checked against the independent
+lightgcn_forward oracle."""
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgcf.baselines import MfParams, bprmf_fit, bprmf_grads, bprmf_loss, \
-    bprmf_predict, lightgcn_forward
+from dgcf.baselines import lightgcn_forward
 from dgcf.data import RawInteractions, split_train_test
-from dgcf.model import Hyperparams, ModelParams, forward
-from dgcf.train import TrainConfig
+from dgcf.evaluate import evaluate_model
+from dgcf.model import ModelParams, forward, predict, preset
+from dgcf.train import TrainConfig, backward, bpr_loss, finite_diff_grad, fit, laplacian_for
 from helpers import rel_err
 
 from conftest import laplacian_from_pairs
 
 
-def mf_finite_diff(mf, batch, reg, step=1e-6):
-    gP = np.zeros_like(mf.P)
-    gQ = np.zeros_like(mf.Q)
-    for arr, grad in ((mf.P, gP), (mf.Q, gQ)):
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + step
-            hi = bprmf_loss(mf, batch, reg)
-            arr[idx] = orig - step
-            lo = bprmf_loss(mf, batch, reg)
-            arr[idx] = orig
-            grad[idx] = (hi - lo) / (2 * step)
-    return gP, gQ
+def bprmf_instance(P, Q, reg=0.0):
+    """(params, S, hyper) of BPRMF with user factors P and item factors Q."""
+    m, n = len(P), len(Q)
+    params = ModelParams(m, n, np.vstack([P, Q]), [])
+    # L=0 in free mode makes no graph product; S only has to have the right shape
+    return params, sp.csr_array((m + n, m + n)), preset("bprmf", d=P.shape[1], reg_lambda=reg)
+
+
+def bprmf_loss(params, S, hyper, batch):
+    return bpr_loss(forward(params, S, hyper), batch, hyper.reg_lambda, params)
 
 
 class TestPredict:
     def test_unit_vectors(self):
-        mf = MfParams(P=np.eye(3), Q=np.eye(3))
-        assert bprmf_predict(mf, 0, 0) == 1.0
-        assert bprmf_predict(mf, 0, 1) == 0.0
+        params, S, hyper = bprmf_instance(np.eye(3), np.eye(3))
+        E_star = forward(params, S, hyper).E_star
+        assert predict(E_star, 3, 0, 0) == 1.0
+        assert predict(E_star, 3, 0, 1) == 0.0
 
     def test_dot_product_value(self):
-        mf = MfParams(P=np.array([[1.0, 2.0]]), Q=np.array([[3.0, 4.0]]))
-        assert bprmf_predict(mf, 0, 0) == 11.0
+        params, S, hyper = bprmf_instance(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
+        assert predict(forward(params, S, hyper).E_star, 1, 0, 0) == 11.0
 
     @pytest.mark.parametrize("u,i", [(-1, 0), (3, 0), (0, -1), (0, 5)])
     def test_out_of_range(self, u, i):
-        mf = MfParams(P=np.zeros((3, 2)), Q=np.zeros((5, 2)))
+        params, S, hyper = bprmf_instance(np.zeros((3, 2)), np.zeros((5, 2)))
         with pytest.raises(IndexError):
-            bprmf_predict(mf, u, i)
+            predict(forward(params, S, hyper).E_star, 3, u, i)
 
 
 class TestGrads:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        mf = MfParams(P=rng.normal(0, 0.5, (4, 3)), Q=rng.normal(0, 0.5, (6, 3)))
+        P, Q = rng.normal(0, 0.5, (4, 3)), rng.normal(0, 0.5, (6, 3))
         batch = np.stack([rng.integers(0, 4, 8), rng.integers(0, 6, 8),
                           rng.integers(0, 6, 8)], axis=1)
-        gP, gQ = bprmf_grads(mf, batch, reg_lambda=0.02)
-        wP, wQ = mf_finite_diff(mf, batch, 0.02)
-        assert rel_err(gP, wP) <= 1e-6
-        assert rel_err(gQ, wQ) <= 1e-6
+        params, S, hyper = bprmf_instance(P, Q, reg=0.02)
+        got = backward(forward(params, S, hyper), batch, params, S, hyper)
+        want = finite_diff_grad(params, lambda p: bprmf_loss(p, S, hyper, batch), step=1e-6)
+        assert got.grad_W_layers == []
+        assert rel_err(got.grad_W, want.grad_W) <= 1e-6
 
     def test_identical_pos_neg_leaves_only_reg(self):
         rng = np.random.default_rng(0)
-        mf = MfParams(P=rng.normal(size=(3, 2)), Q=rng.normal(size=(4, 2)))
+        params, S, hyper = bprmf_instance(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)),
+                                          reg=0.5)
         batch = np.array([[0, 2, 2], [1, 3, 3]])
-        gP, gQ = bprmf_grads(mf, batch, reg_lambda=0.5)
-        assert np.allclose(gP, mf.P, atol=1e-15)  # 2 * 0.5 * P
-        assert np.allclose(gQ, mf.Q, atol=1e-15)
+        grads = backward(forward(params, S, hyper), batch, params, S, hyper)
+        assert np.allclose(grads.grad_W, params.W, atol=1e-15)  # 2 * 0.5 * W
 
     def test_loss_at_zero_margin(self):
-        mf = MfParams(P=np.zeros((2, 3)), Q=np.zeros((5, 3)))
+        params, S, hyper = bprmf_instance(np.zeros((2, 3)), np.zeros((5, 3)))
         batch = np.array([[0, 1, 2], [1, 3, 4]])
-        assert bprmf_loss(mf, batch, 0.0) == pytest.approx(np.log(2), abs=1e-12)
+        assert bprmf_loss(params, S, hyper, batch) == pytest.approx(np.log(2), abs=1e-12)
 
 
 class TestFit:
     def test_lr_zero_is_identity(self, ring_split):
         cfg = TrainConfig(epochs=2, batch_size=16, seed=3, eval_every=0)
-        mf, _ = bprmf_fit(ring_split, d=4, config=cfg, lr=0.0)
+        params, _ = fit(ring_split, preset("bprmf", d=4, lr=0.0), cfg)
+        # W = [P; Q] draws P, then Q, from the one seeded stream
         rng = np.random.default_rng(3)
-        assert np.array_equal(mf.P, rng.normal(0.0, 0.1, (ring_split.m, 4)))
-        assert np.array_equal(mf.Q, rng.normal(0.0, 0.1, (ring_split.n, 4)))
+        m = ring_split.m
+        assert np.array_equal(params.W[:m], rng.normal(0.0, 0.1, (m, 4)))
+        assert np.array_equal(params.W[m:], rng.normal(0.0, 0.1, (ring_split.n, 4)))
 
     def test_deterministic(self, ring_split):
         cfg = TrainConfig(epochs=3, batch_size=32, seed=1, eval_every=2)
-        a, la = bprmf_fit(ring_split, d=4, config=cfg)
-        b, lb = bprmf_fit(ring_split, d=4, config=cfg)
-        assert np.array_equal(a.P, b.P) and np.array_equal(a.Q, b.Q)
+        a, la = fit(ring_split, preset("bprmf", d=4), cfg)
+        b, lb = fit(ring_split, preset("bprmf", d=4), cfg)
+        assert np.array_equal(a.W, b.W)
         strip = lambda log: [{k: v for k, v in e.items() if k != "wall_ms"} for e in log]
         assert strip(la) == strip(lb)
 
@@ -93,9 +98,10 @@ class TestFit:
                  if (u < 10) == (i < 20)]
         split = split_train_test(RawInteractions(pairs), 0.25, seed=0)
         cfg = TrainConfig(epochs=40, batch_size=64, seed=2, eval_every=10)
-        mf, log = bprmf_fit(split, d=8, config=cfg, lr=5e-3)
-        from dgcf.evaluate import evaluate_model
-        metrics = evaluate_model(np.vstack([mf.P, mf.Q]), split, k=20)
+        hyper = preset("bprmf", d=8, lr=5e-3)
+        params, log = fit(split, hyper, cfg)
+        e_star = forward(params, laplacian_for(split), hyper).E_star
+        metrics = evaluate_model(e_star, split, k=20)
         # random ranking expects recall ~= k / (n - train_deg) ~= 20/10 capped; block
         # structure is only learnable signal, demand a clear margin over 0.5
         assert metrics.recall_at_k > 0.8
@@ -138,15 +144,14 @@ class TestLightgcn:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_reduced_main_model(self, seed):
-        # dual route: main model at alpha=0, beta=0, identity, free embeddings
+        # dual route: the lightgcn preset (alpha=0, beta=0, identity, free embeddings)
         rng = np.random.default_rng(seed)
         m, n, d, L = 5, 7, 3, 4
         pairs = [(int(u), int(i)) for u, i in
                  zip(rng.integers(0, m, 12), rng.integers(0, n, 12))]
         S = laplacian_from_pairs(m, n, pairs)
         W = rng.normal(size=(m + n, d))
-        hyper = Hyperparams(d=d, L=L, alpha=0.0, beta=0.0, activation="identity",
-                            embedding_mode="free")
+        hyper = preset("lightgcn", d=d, L=L)
         params = ModelParams(m, n, W.copy(), [np.zeros((d, d)) for _ in range(L)])
         ours = forward(params, S, hyper).E_star
         ref = lightgcn_forward(W, S, L)

@@ -1,11 +1,17 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from dgcf.cli import entrypoint, main, parse_layer_range
+from dgcf.data import load_split
 from dgcf.errors import ConfigError, DataError
+from dgcf.evaluate import evaluate_model
+from dgcf.model import forward
+from dgcf.modelfile import load_model
 from dgcf.synthetic import bipartite_ring
+from dgcf.train import laplacian_for
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +129,21 @@ class TestEvaluate:
         with pytest.raises(DataError, match="dataset"):
             main(["evaluate", "--model", str(trained_model), "--data", str(other)])
 
+    @pytest.mark.parametrize("model", ["bprmf", "lightgcn", "ours"])
+    def test_matches_forward_of_saved_model(self, model, dataset_dir, tmp_path, capsys):
+        out = tmp_path / f"{model}.bin"
+        main(["train", "--data", str(dataset_dir), "--model", model, "--dim", "8",
+              "--layers", "2", "--epochs", "3", "--batch-size", "32", "--eval-every", "0",
+              "--out", str(out)])
+        capsys.readouterr()
+        main(["evaluate", "--model", str(out), "--data", str(dataset_dir)])
+        got = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        record, split = load_model(out), load_split(dataset_dir)
+        want = evaluate_model(forward(record.params, laplacian_for(split), record.hyper).E_star,
+                              split, k=20)
+        assert record.tag == got["model"] == model
+        assert (got["recall"], got["ndcg"]) == (want.recall_at_k, want.ndcg_at_k)
+
     def test_bad_k(self, trained_model, dataset_dir):
         with pytest.raises(ConfigError, match="--k"):
             main(["evaluate", "--model", str(trained_model), "--data",
@@ -215,7 +236,7 @@ class TestConfigFile:
 class TestDualRoute:
     def test_reduced_ours_matches_lightgcn_end_to_end(self, dataset_dir, tmp_path, capsys):
         """Training 'ours' in its reduction configuration and training the
-        independent reference implementation must give identical metrics."""
+        lightgcn preset must give identical metrics."""
         common = ["--data", str(dataset_dir), "--dim", "8", "--layers", "2",
                   "--epochs", "3", "--batch-size", "32", "--eval-every", "0"]
         main(["train", "--model", "lightgcn", *common, "--out", str(tmp_path / "lg.bin")])
@@ -250,3 +271,22 @@ class TestExitCodes:
     def test_unknown_command_is_one(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["dgcf", "frobnicate"])
         assert entrypoint() == 1
+
+    @pytest.mark.parametrize("name,text", [
+        ("train.txt", "0 1\n0 999\n"),
+        ("train.txt", "0 x\n"),
+        ("stats.json", "{not json"),
+        ("stats.json", '{"m": 30}'),
+        ("user_map.tsv", "u00\tzero\n"),
+        ("item_map.tsv", "i00\t0\n"),
+    ], ids=["index-out-of-range", "non-integer-index", "bad-json", "missing-keys",
+            "non-integer-map-index", "map-misses-indices"])
+    def test_corrupt_dataset_is_one(self, name, text, dataset_dir, tmp_path, monkeypatch,
+                                    capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(dataset_dir, bad)
+        (bad / name).write_text(text, encoding="utf-8")
+        monkeypatch.setattr("sys.argv", ["dgcf", "train", "--data", str(bad), "--epochs", "1",
+                                         "--out", str(tmp_path / "m.bin")])
+        assert entrypoint() == 1
+        assert str(bad / name) in capsys.readouterr().err

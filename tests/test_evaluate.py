@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dgcf.data import RawInteractions, split_train_test
 from dgcf.errors import ConfigError, DataError
-from dgcf.evaluate import diagnostic_hyper, evaluate_model, ndcg_at_k, \
+from dgcf.evaluate import evaluate_model, ndcg_at_k, \
     oversmoothing_report, rank_items, recall_at_k, report_tsv, smoothness
 from helpers import naive_evaluate, naive_ndcg, naive_rank, naive_recall, \
     naive_smoothness, random_interactions

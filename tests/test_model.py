@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dgcf.errors import ConfigError, DivergenceError
 from dgcf.graph import InteractionMatrix
 from dgcf.model import Hyperparams, ModelParams, combine_layers, forward, init_params, \
-    initial_embedding, predict, propagate_layer, score_all_items
+    initial_embedding, predict, preset, propagate_layer, score_all_items
 from helpers import random_interactions
 
 from conftest import laplacian_from_pairs
@@ -26,10 +26,28 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [dict(alpha=-0.1), dict(alpha=1.5), dict(beta=2.0),
                                      dict(d=0), dict(L=-1), dict(activation="tanh"),
                                      dict(embedding_mode="frozen"), dict(lr=-1.0),
-                                     dict(layer_weights=[1.0, 0.0])])
+                                     dict(layer_weights=[1.0, 0.0]), dict(lr=float("nan")),
+                                     dict(reg_lambda=float("nan")), dict(lr=float("inf")),
+                                     dict(alpha=float("nan")),
+                                     dict(layer_weights=[float("nan")] * 5)])
     def test_validation(self, bad):
-        with pytest.raises(ConfigError):
+        (key,) = bad
+        with pytest.raises(ConfigError, match=key):
             Hyperparams(**bad)
+
+    def test_presets_pin_their_fields(self):
+        mf = preset("bprmf", d=4, L=5, alpha=0.3, activation="relu", lr=0.01)
+        assert (mf.d, mf.L, mf.alpha, mf.beta, mf.activation, mf.embedding_mode, mf.lr) == \
+            (4, 0, 0.0, 0.0, "identity", "free", 0.01)
+        assert np.array_equal(mf.layer_weights, [1.0])
+        assert np.array_equal(preset("plain", L=3).layer_weights, [0.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(preset("plain", L=1, layer_weights=[0.5, 0.5]).layer_weights,
+                              [0.5, 0.5])
+        lg = preset("lightgcn", L=2, embedding_mode="sw")
+        assert (lg.alpha, lg.beta, lg.activation, lg.embedding_mode) == \
+            (0.0, 0.0, "identity", "free")
+        with pytest.raises(ConfigError, match="svd"):
+            preset("svd")
 
     def test_endpoints_allowed_for_reduction_modes(self):
         Hyperparams(alpha=0.0, beta=0.0)
@@ -57,25 +75,25 @@ class TestPropagateLayer:
         S = small_S()
         E0 = rng.normal(size=(S.shape[0], 3))
         E_prev = rng.normal(size=E0.shape)
-        Z, E_next = propagate_layer(E_prev, E0, S, 1.0, 0.0, None, "identity")
+        _, Z, E_next = propagate_layer(E_prev, E0, S, 1.0, 0.0, None, "identity")
         assert np.array_equal(E_next, E0)
 
     def test_alpha0_beta0_is_plain_propagation(self, rng):
         S = small_S()
         E_prev = rng.normal(size=(S.shape[0], 3))
-        Z, E_next = propagate_layer(E_prev, np.zeros_like(E_prev), S, 0.0, 0.0, None, "identity")
+        _, Z, E_next = propagate_layer(E_prev, np.zeros_like(E_prev), S, 0.0, 0.0, None, "identity")
         assert np.max(np.abs(E_next - S.toarray() @ E_prev)) < 1e-12
 
     def test_hand_mix(self):
         swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
         E = np.array([[1.0], [2.0]])
-        Z, E_next = propagate_layer(E, E, swap, 0.5, 0.0, None, "identity")
+        _, Z, E_next = propagate_layer(E, E, swap, 0.5, 0.0, None, "identity")
         assert np.array_equal(E_next, [[1.5], [1.5]])  # 0.5*[[2],[1]] + 0.5*[[1],[2]]
 
     def test_relu_clamps(self, rng):
         S = small_S()
         E_prev = rng.normal(size=(S.shape[0], 3))
-        Z, E_next = propagate_layer(E_prev, E_prev, S, 0.2, 0.0, None, "relu")
+        _, Z, E_next = propagate_layer(E_prev, E_prev, S, 0.2, 0.0, None, "relu")
         assert np.array_equal(E_next, np.maximum(Z, 0.0))
         assert (E_next >= 0).all()
 
