@@ -18,10 +18,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dgcf.data import load_split
+from dgcf.data import laplacian_for, load_split
 from dgcf.evaluate import evaluate_model, smoothness
 from dgcf.model import forward, preset
-from dgcf.train import TrainConfig, fit, laplacian_for
+from dgcf.train import TrainConfig, fit
 
 
 def main() -> int:

@@ -15,10 +15,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dgcf.data import load_split
+from dgcf.data import laplacian_for, load_split
 from dgcf.evaluate import evaluate_model
 from dgcf.model import forward, preset
-from dgcf.train import TrainConfig, fit, laplacian_for
+from dgcf.train import TrainConfig, fit
 
 
 def main() -> int:

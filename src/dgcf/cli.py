@@ -19,13 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import FORMATS, k_core_filter, load_split, parse_interactions, save_split, \
-    split_train_test
+from .data import FORMATS, DatasetSplit, k_core_filter, laplacian_for, load_split, \
+    parse_interactions, save_split, split_train_test
 from .errors import ConfigError, DataError, DgcfError
 from .evaluate import evaluate_model, oversmoothing_report, rank_items, report_tsv
 from .model import ACTIVATIONS, EMBEDDING_MODES, PRESETS, forward, preset, score_all_items
-from .modelfile import MODEL_TAGS, ModelRecord, load_model, save_model
-from .train import OPTIMIZERS, TrainConfig, fit, laplacian_for
+from .modelfile import ModelRecord, load_model, save_model
+from .train import OPTIMIZERS, TrainConfig, fit
 from .util import write_atomic_text
 
 PRE, TRAIN, EVAL, REC, DIAG = "preprocess", "train", "evaluate", "recommend", "diagnose"
@@ -172,7 +172,7 @@ def parse_layer_range(text: str) -> int:
     return depth
 
 
-def model_embeddings(record: ModelRecord, split) -> np.ndarray:
+def model_embeddings(record: ModelRecord, split: DatasetSplit) -> np.ndarray:
     """Combined embedding table E* of a saved model, whatever its tag."""
     return forward(record.params, laplacian_for(split), record.hyper).E_star
 
@@ -205,20 +205,25 @@ def cmd_train(cfg: RunConfig) -> None:
                    layer_weights=weights, activation=cfg.activation,
                    embedding_mode=cfg.embedding_mode, reg_lambda=cfg.reg_lambda, lr=cfg.lr)
     params, log = fit(split, hyper, tcfg)
-    tag = cfg.model if cfg.model in MODEL_TAGS else "ours"
-    save_model(cfg.out, tag, params, hyper)
+    save_model(cfg.out, cfg.model, params, hyper)
     log_path = cfg.log or cfg.out + ".log.jsonl"
     write_atomic_text(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
     write_atomic_text(cfg.out + ".config", cfg.echo())
-    print(f"saved {tag} model to {cfg.out} after {len(log)} epochs")
+    print(f"saved {cfg.model} model to {cfg.out} after {len(log)} epochs")
 
 
-def cmd_evaluate(cfg: RunConfig) -> None:
+def load_model_and_split(cfg: RunConfig) -> tuple[ModelRecord, DatasetSplit]:
+    """The --model file and --data split, refused unless their m x n agree."""
     record = load_model(cfg.model_path)
     split = load_split(cfg.data)
     if (record.params.m, record.params.n) != (split.m, split.n):
         raise DataError(f"model is {record.params.m}x{record.params.n} but dataset is "
                         f"{split.m}x{split.n}")
+    return record, split
+
+
+def cmd_evaluate(cfg: RunConfig) -> None:
+    record, split = load_model_and_split(cfg)
     if cfg.k < 1:
         raise ConfigError(f"--k must be >= 1, got {cfg.k}")
     metrics = evaluate_model(model_embeddings(record, split), split, k=cfg.k)
@@ -227,11 +232,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 
 
 def cmd_recommend(cfg: RunConfig) -> None:
-    record = load_model(cfg.model_path)
-    split = load_split(cfg.data)
-    if (record.params.m, record.params.n) != (split.m, split.n):
-        raise DataError(f"model is {record.params.m}x{record.params.n} but dataset is "
-                        f"{split.m}x{split.n}")
+    record, split = load_model_and_split(cfg)
     if cfg.top < 1:
         raise ConfigError(f"--top must be >= 1, got {cfg.top}")
     u = split.user_map.get(cfg.user)

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError, ParseError
-from .graph import InteractionMatrix
+from .graph import InteractionMatrix, build_adjacency, degree_vector, normalize_laplacian
 from .util import write_atomic_text
 
 FORMATS = ("edge-pairs", "adjacency-list")
@@ -25,7 +26,6 @@ class RawInteractions:
     """Deduplicated (user_token, item_token) pairs in first-seen order."""
 
     pairs: list[tuple[str, str]]
-    source_path: str | None = None
 
 
 @dataclass(eq=False)
@@ -88,7 +88,7 @@ def parse_interactions(path: str | Path, fmt: str) -> RawInteractions:
                 pairs.append(p)
     if not pairs:
         raise DataError(f"{path}: no interactions found")
-    return RawInteractions(pairs=pairs, source_path=str(path))
+    return RawInteractions(pairs=pairs)
 
 
 def k_core_filter(raw: RawInteractions, k: int) -> RawInteractions:
@@ -109,10 +109,10 @@ def k_core_filter(raw: RawInteractions, k: int) -> RawInteractions:
         bad_u = {u for u, c in udeg.items() if c < k}
         bad_i = {i for i, c in ideg.items() if c < k}
         if not bad_u and not bad_i:
-            return RawInteractions(pairs=list(pairs), source_path=raw.source_path)
+            return RawInteractions(pairs=list(pairs))
         pairs = [(u, i) for u, i in pairs if u not in bad_u and i not in bad_i]
         if not pairs:
-            return RawInteractions(pairs=[], source_path=raw.source_path)
+            return RawInteractions(pairs=[])
 
 
 def split_train_test(raw: RawInteractions, test_ratio: float, seed: int) -> DatasetSplit:
@@ -152,6 +152,12 @@ def split_train_test(raw: RawInteractions, test_ratio: float, seed: int) -> Data
         train_pairs.extend((u, int(i)) for i in kept)
     train = InteractionMatrix.from_pairs(m, n, train_pairs)
     return DatasetSplit(train=train, test=test, user_map=user_map, item_map=item_map, seed=seed)
+
+
+def laplacian_for(split: DatasetSplit) -> sp.csr_array:
+    """Normalized adjacency S of the split's train graph, the propagation operator."""
+    A = build_adjacency(split.train)
+    return normalize_laplacian(A, degree_vector(A))
 
 
 def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Generator) -> np.ndarray:

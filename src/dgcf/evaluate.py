@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit
+from .data import DatasetSplit, laplacian_for
 from .errors import DataError
 from .model import forward, init_params, preset, score_all_items
-from .train import laplacian_for
 
 
 @dataclass

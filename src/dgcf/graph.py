@@ -41,22 +41,14 @@ class InteractionMatrix:
     @staticmethod
     def from_pairs(m: int, n: int, pairs) -> "InteractionMatrix":
         """Build from (user_index, item_index) pairs; duplicates collapse to one."""
-        pairs = list(pairs)
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError("pairs must be (user, item) tuples")
-            if (arr < 0).any() or (arr[:, 0] >= m).any() or (arr[:, 1] >= n).any():
-                raise ValueError("interaction index out of range")
-            arr = np.unique(arr, axis=0)
-            us, its = arr[:, 0], arr[:, 1]
-        else:
-            us = np.zeros(0, dtype=np.int64)
-            its = np.zeros(0, dtype=np.int64)
-        data = np.ones(len(us), dtype=np.float64)
-        mat = sp.csr_array((data, (us, its)), shape=(m, n))
-        mat.sum_duplicates()
-        mat.sort_indices()
+        arr = np.asarray(list(pairs), dtype=np.int64)
+        if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != 2):  # (0,): no pairs
+            raise ValueError("pairs must be (user, item) tuples")
+        arr = arr.reshape(-1, 2)
+        if (arr < 0).any() or (arr[:, 0] >= m).any() or (arr[:, 1] >= n).any():
+            raise ValueError("interaction index out of range")
+        mat = sp.csr_array((np.ones(len(arr)), (arr[:, 0], arr[:, 1])), shape=(m, n))
+        mat.sum_duplicates()  # canonical form: sorted indices, repeats summed into one entry
         mat.data[:] = 1.0
         return InteractionMatrix(m=m, n=n, rows=mat)
 

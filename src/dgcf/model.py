@@ -110,13 +110,14 @@ class ForwardTrace:
     """All intermediates of one forward pass, kept for backprop and diagnostics.
 
     mixed_layers holds the pre-transform mixes M(l) = (1-a) S E(l-1) + a E(0);
-    preact_layers holds Z(l) = M(l) ((1-b) I + b W(l-1)), so E(l) = act(Z(l)).
+    transforms holds T(l) = (1-b) I + b W(l-1), or None when b = 0, so that
+    E(l) = act(M(l) T(l)).
     """
 
     m: int
     E_layers: list[np.ndarray]  # E(0)..E(L)
     mixed_layers: list[np.ndarray]  # M(1)..M(L)
-    preact_layers: list[np.ndarray]  # Z(1)..Z(L)
+    transforms: list[np.ndarray | None]  # T(1)..T(L)
     E_star: np.ndarray = field(repr=False, default=None)
 
 
@@ -133,9 +134,10 @@ def initial_embedding(S: sp.csr_array, W: np.ndarray) -> np.ndarray:
 
 
 def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One propagation layer; returns (M, Z, E_next), the mix, the transformed
-    mix and its activation. Endpoint alpha and beta skip work and stay exact."""
+                    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """One propagation layer; returns (M, T, E_next), the mix, the transform
+    (None when beta = 0, which skips it) and the activated product M T.
+    Endpoint alpha and beta skip work and stay exact."""
     if E_prev.shape != E0.shape:
         raise ValueError(f"E_prev {E_prev.shape} and E0 {E0.shape} disagree")
     if S.shape[0] != E_prev.shape[0]:
@@ -147,9 +149,9 @@ def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation,
         M = spmm(S, E_prev)
     else:
         M = (1.0 - alpha) * spmm(S, E_prev) + alpha * E0
-    # Z = M ((1-b) I + b W)
+    # Z = M T with T = (1-b) I + b W
     if beta == 0.0:
-        Z = M
+        T, Z = None, M
     elif W_l is None:
         raise ValueError("beta > 0 requires a layer transform matrix")
     else:
@@ -159,9 +161,9 @@ def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation,
     if not np.isfinite(Z).all():
         raise DivergenceError("non-finite values in propagation layer output")
     if activation == "identity":
-        return M, Z, Z
+        return M, T, Z
     if activation == "relu":
-        return M, Z, np.maximum(Z, 0.0)
+        return M, T, np.maximum(Z, 0.0)
     raise ConfigError(f"unknown activation {activation!r}")
 
 
@@ -179,14 +181,14 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams) -> Forward
     else:
         E0 = params.W
     E_layers = [E0]
-    mixed, preact = [], []
+    mixed, transforms = [], []
     for W_l in params.W_layers:
-        M, Z, E = propagate_layer(E_layers[-1], E0, S, hyper.alpha, hyper.beta, W_l,
+        M, T, E = propagate_layer(E_layers[-1], E0, S, hyper.alpha, hyper.beta, W_l,
                                   hyper.activation)
         mixed.append(M)
-        preact.append(Z)
+        transforms.append(T)
         E_layers.append(E)
-    trace = ForwardTrace(m=params.m, E_layers=E_layers, mixed_layers=mixed, preact_layers=preact)
+    trace = ForwardTrace(m=params.m, E_layers=E_layers, mixed_layers=mixed, transforms=transforms)
     trace.E_star = combine_layers(E_layers, hyper.layer_weights)
     return trace
 

@@ -22,7 +22,7 @@ from .util import write_atomic_bytes
 
 MAGIC = b"DGCF"
 VERSION = 1
-MODEL_TAGS = {"ours": 0, "lightgcn": 1, "bprmf": 2}
+MODEL_TAGS = {"ours": 0, "lightgcn": 1, "bprmf": 2, "plain": 3}
 TAG_NAMES = {v: k for k, v in MODEL_TAGS.items()}
 ACT_TAGS = {"identity": 0, "relu": 1}
 ACT_NAMES = {v: k for k, v in ACT_TAGS.items()}

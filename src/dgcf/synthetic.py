@@ -58,7 +58,7 @@ def bipartite_ring(m: int, n: int, extra_per_user: int, seed: int) -> RawInterac
             if key not in seen:
                 seen.add(key)
                 pairs.append((_tok("u", u, uw), _tok("i", int(i), iw)))
-    return RawInteractions(pairs=pairs, source_path=None)
+    return RawInteractions(pairs=pairs)
 
 
 def topic_interactions(n_users: int = 900, n_items: int = 1400, n_topics: int = 12,
@@ -103,7 +103,7 @@ def topic_interactions(n_users: int = 900, n_items: int = 1400, n_topics: int = 
             chosen.add(item)
         utok = _tok("u", u, uw)
         pairs.extend((utok, _tok("i", i, iw)) for i in sorted(chosen))
-    return RawInteractions(pairs=pairs, source_path=None)
+    return RawInteractions(pairs=pairs)
 
 
 def mixed_interactions(n_users: int = 1000, n_items: int = 1400, n_topics: int = 64,
@@ -154,7 +154,7 @@ def mixed_interactions(n_users: int = 1000, n_items: int = 1400, n_topics: int =
                 chosen.add(int(rng.choice(items_by_topic[t], p=probs_by_topic[t])))
         utok = _tok("u", u, uw)
         pairs.extend((utok, _tok("i", i, iw)) for i in sorted(chosen))
-    return RawInteractions(pairs=pairs, source_path=None)
+    return RawInteractions(pairs=pairs)
 
 
 def walk_interactions(n_users: int = 1150, grid_side: int = 24, items_per_cell: int = 3,
@@ -212,7 +212,7 @@ def walk_interactions(n_users: int = 1150, grid_side: int = 24, items_per_cell: 
             chosen.add(item)
         utok = _tok("u", u, uw)
         pairs.extend((utok, _tok("i", i, iw)) for i in sorted(chosen))
-    return RawInteractions(pairs=pairs, source_path=None)
+    return RawInteractions(pairs=pairs)
 
 
 def cooccur_interactions(n_users: int = 1000, n_items: int = 1400, seed: int = 0,
@@ -262,7 +262,7 @@ def cooccur_interactions(n_users: int = 1000, n_items: int = 1400, seed: int = 0
             chosen.add(cur)
         utok = _tok("u", u, uw)
         pairs.extend((utok, _tok("i", i, iw)) for i in sorted(chosen))
-    return RawInteractions(pairs=pairs, source_path=None)
+    return RawInteractions(pairs=pairs)
 
 
 def banded_interactions(n_users: int = 960, n_items: int = 1920, n_topics: int = 96,
@@ -313,4 +313,4 @@ def banded_interactions(n_users: int = 960, n_items: int = 1920, n_topics: int =
         chosen = np.union1d(picked, stray)
         utok = _tok("u", u, uw)
         pairs.extend((utok, _tok("i", int(i), iw)) for i in chosen)
-    return RawInteractions(pairs=pairs, source_path=None)
+    return RawInteractions(pairs=pairs)

@@ -15,12 +15,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .data import DatasetSplit, sample_bpr_triples
+from .data import DatasetSplit, laplacian_for, sample_bpr_triples
 from .errors import ConfigError, DivergenceError
-from .graph import build_adjacency, degree_vector, normalize_laplacian, spmm
+from .evaluate import evaluate_model
+from .graph import spmm
 from .model import ForwardTrace, Hyperparams, ModelParams, forward, init_params
 
 OPTIMIZERS = ("sgd", "adam")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
 
 
 @dataclass
@@ -38,9 +40,6 @@ class TrainConfig:
     batches_per_epoch: int | None = None  # None = ceil(nnz / batch_size)
     seed: int = 0
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     eval_every: int = 10  # 0 disables validation and early stopping
     early_stop_patience: int = 10  # evaluations without improvement
 
@@ -107,8 +106,9 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
              S: sp.csr_array, hyper: Hyperparams) -> GradientSet:
     """Exact gradient of bpr_loss with respect to W and every W(l).
 
-    Reverse pass through E* = sum w_k E(k), E(l) = act(Z(l)),
-    Z(l) = M(l) T(l), M(l) = (1-a) S E(l-1) + a E(0), E(0) = S W (or W).
+    Reverse pass through E* = sum w_k E(k), E(l) = act(M(l) T(l)),
+    M(l) = (1-a) S E(l-1) + a E(0), E(0) = S W (or W). T(l) comes from the
+    trace; the relu mask is E(l) > 0, which equals M(l) T(l) > 0.
     D carries dloss/dE(l); the initial-residual path accumulates into E0_bar.
     """
     batch = np.asarray(batch)
@@ -127,12 +127,11 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
     for l in range(hyper.L, 0, -1):
         Wl = params.W_layers[l - 1]
         if hyper.activation == "relu":
-            Dz = D * (trace.preact_layers[l - 1] > 0.0)
+            Dz = D * (trace.E_layers[l] > 0.0)
         else:
             Dz = D
         if b != 0.0:
-            T = (1.0 - b) * np.eye(hyper.d) + b * Wl
-            M_dot = Dz @ T.T
+            M_dot = Dz @ trace.transforms[l - 1].T
             grad_W_layers[l - 1] = b * (trace.mixed_layers[l - 1].T @ Dz) + 2.0 * lam * Wl
         else:
             M_dot = Dz
@@ -193,21 +192,15 @@ def optimizer_step(arrays: list[np.ndarray], grads: list[np.ndarray], lr: float,
         state.m = [np.zeros_like(p) for p in arrays]
         state.v = [np.zeros_like(p) for p in arrays]
     state.t += 1
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, mom, vel in zip(arrays, grads, state.m, state.v):
-        mom *= b1
-        mom += (1.0 - b1) * g
-        vel *= b2
-        vel += (1.0 - b2) * (g * g)
-        p -= lr * (mom / c1) / (np.sqrt(vel / c2) + eps)
+        mom *= ADAM_BETA1
+        mom += (1.0 - ADAM_BETA1) * g
+        vel *= ADAM_BETA2
+        vel += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (mom / c1) / (np.sqrt(vel / c2) + ADAM_EPS)
     return state
-
-
-def laplacian_for(split: DatasetSplit) -> sp.csr_array:
-    A = build_adjacency(split.train)
-    return normalize_laplacian(A, degree_vector(A))
 
 
 def fit(split: DatasetSplit, hyper: Hyperparams, config: TrainConfig,
@@ -217,8 +210,6 @@ def fit(split: DatasetSplit, hyper: Hyperparams, config: TrainConfig,
     Deterministic for a fixed config.seed. When early stopping fires the
     best-validation parameters are returned; otherwise the final ones.
     """
-    from .evaluate import evaluate_model  # deferred to avoid a module cycle
-
     S = laplacian_for(split)
     rng = np.random.default_rng(config.seed)
     params = init_params(split.m, split.n, hyper, rng)

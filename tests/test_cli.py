@@ -129,7 +129,7 @@ class TestEvaluate:
         with pytest.raises(DataError, match="dataset"):
             main(["evaluate", "--model", str(trained_model), "--data", str(other)])
 
-    @pytest.mark.parametrize("model", ["bprmf", "lightgcn", "ours"])
+    @pytest.mark.parametrize("model", ["bprmf", "lightgcn", "ours", "plain"])
     def test_matches_forward_of_saved_model(self, model, dataset_dir, tmp_path, capsys):
         out = tmp_path / f"{model}.bin"
         main(["train", "--data", str(dataset_dir), "--model", model, "--dim", "8",

@@ -22,6 +22,9 @@ def test_interaction_matrix_basic():
 def test_interaction_matrix_dedups_and_validates():
     R = InteractionMatrix.from_pairs(2, 3, [(0, 1), (0, 1), (1, 2)])
     assert R.nnz == 2
+    R = InteractionMatrix.from_pairs(2, 3, [(1, 2), (0, 2), (1, 0), (0, 2), (1, 2), (0, 0)])
+    assert R.rows.has_canonical_format and R.nnz == 4
+    assert np.array_equal(R.rows.toarray(), [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
         InteractionMatrix.from_pairs(2, 3, [(2, 0)])
     with pytest.raises(ValueError):

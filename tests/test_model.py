@@ -75,26 +75,27 @@ class TestPropagateLayer:
         S = small_S()
         E0 = rng.normal(size=(S.shape[0], 3))
         E_prev = rng.normal(size=E0.shape)
-        _, Z, E_next = propagate_layer(E_prev, E0, S, 1.0, 0.0, None, "identity")
+        _, _, E_next = propagate_layer(E_prev, E0, S, 1.0, 0.0, None, "identity")
         assert np.array_equal(E_next, E0)
 
     def test_alpha0_beta0_is_plain_propagation(self, rng):
         S = small_S()
         E_prev = rng.normal(size=(S.shape[0], 3))
-        _, Z, E_next = propagate_layer(E_prev, np.zeros_like(E_prev), S, 0.0, 0.0, None, "identity")
+        _, _, E_next = propagate_layer(E_prev, np.zeros_like(E_prev), S, 0.0, 0.0, None, "identity")
         assert np.max(np.abs(E_next - S.toarray() @ E_prev)) < 1e-12
 
     def test_hand_mix(self):
         swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
         E = np.array([[1.0], [2.0]])
-        _, Z, E_next = propagate_layer(E, E, swap, 0.5, 0.0, None, "identity")
+        _, _, E_next = propagate_layer(E, E, swap, 0.5, 0.0, None, "identity")
         assert np.array_equal(E_next, [[1.5], [1.5]])  # 0.5*[[2],[1]] + 0.5*[[1],[2]]
 
     def test_relu_clamps(self, rng):
         S = small_S()
         E_prev = rng.normal(size=(S.shape[0], 3))
-        _, Z, E_next = propagate_layer(E_prev, E_prev, S, 0.2, 0.0, None, "relu")
-        assert np.array_equal(E_next, np.maximum(Z, 0.0))
+        M, T, E_next = propagate_layer(E_prev, E_prev, S, 0.2, 0.0, None, "relu")
+        assert T is None
+        assert np.array_equal(E_next, np.maximum(M, 0.0))
         assert (E_next >= 0).all()
 
     def test_shape_mismatch(self, rng):
@@ -154,14 +155,22 @@ class TestForward:
         b = forward(scaled, S, hyper).E_star
         assert np.max(np.abs(b - 2.5 * a)) < 1e-12
 
-    def test_preact_consistency(self, rng):
+    def test_transforms_match_layers(self, rng):
+        # T(l) is None iff beta = 0, else (1-b) I + b W(l); E(l) = act(M(l) T(l)) bitwise
         S = small_S()
-        hyper = Hyperparams(d=3, L=3, alpha=0.2, beta=0.3)
-        params = init_params(7, 8, hyper, rng)
-        params.W_layers = [rng.normal(size=(3, 3)) for _ in range(3)]
-        trace = forward(params, S, hyper)
-        for Z, E in zip(trace.preact_layers, trace.E_layers[1:]):
-            assert np.array_equal(E, np.maximum(Z, 0.0))
+        for beta in (0.0, 0.3):
+            hyper = Hyperparams(d=3, L=3, alpha=0.2, beta=beta)
+            params = init_params(7, 8, hyper, rng)
+            params.W_layers = [rng.normal(size=(3, 3)) for _ in range(3)]
+            trace = forward(params, S, hyper)
+            for M, T, W_l, E in zip(trace.mixed_layers, trace.transforms, params.W_layers,
+                                    trace.E_layers[1:]):
+                if beta == 0.0:
+                    assert T is None
+                    assert np.array_equal(E, np.maximum(M, 0.0))
+                else:
+                    assert np.array_equal(T, (1 - beta) * np.eye(3) + beta * W_l)
+                    assert np.array_equal(E, np.maximum(M @ T, 0.0))
 
     def test_estar_recombination_exact(self, rng):
         S = small_S()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dgcf.errors import ModelFileError
-from dgcf.model import Hyperparams, ModelParams, init_params
-from dgcf.modelfile import load_model, save_model
+from dgcf.model import PRESETS, Hyperparams, ModelParams, init_params
+from dgcf.modelfile import MODEL_TAGS, load_model, save_model
 from dgcf.util import write_atomic_bytes
 
 
@@ -43,6 +43,9 @@ class TestRoundTrip:
         assert rec.hyper.activation == "identity"
         assert rec.hyper.embedding_mode == "free"
         assert list(rec.hyper.layer_weights) == [0.5, 0.25, 0.25]
+
+    def test_every_preset_has_a_tag(self):
+        assert set(MODEL_TAGS) == set(PRESETS)
 
     def test_rejects_unknown_tag(self, tmp_path):
         params, hyper = sample_record()

@@ -7,7 +7,7 @@ from dgcf.data import RawInteractions, split_train_test
 from dgcf.errors import ConfigError
 from dgcf.graph import InteractionMatrix
 from dgcf.model import Hyperparams, ModelParams, forward, init_params
-from dgcf.train import GradientSet, OptimizerState, TrainConfig, backward, bpr_loss, \
+from dgcf.train import ADAM_EPS, GradientSet, OptimizerState, TrainConfig, backward, bpr_loss, \
     finite_diff_grad, fit, laplacian_for, optimizer_step
 from helpers import random_interactions, rel_err
 
@@ -34,7 +34,7 @@ class TestBprLoss:
         E = np.tile(rng.normal(size=(1, 3)), (6, 1))
         params = ModelParams(2, 4, np.zeros((6, 3)), [])
         from dgcf.model import ForwardTrace
-        trace = ForwardTrace(m=2, E_layers=[E], mixed_layers=[], preact_layers=[], E_star=E)
+        trace = ForwardTrace(m=2, E_layers=[E], mixed_layers=[], transforms=[], E_star=E)
         batch = np.array([[0, 0, 1], [1, 2, 3]])
         assert bpr_loss(trace, batch, 0.0, params) == pytest.approx(math.log(2), abs=1e-12)
 
@@ -45,7 +45,7 @@ class TestBprLoss:
         E[0, 0] = 1.0
         E[1, 0] = math.log(3.0)  # item 0
         E[2, 0] = 0.0  # item 1
-        trace = ForwardTrace(m=1, E_layers=[E], mixed_layers=[], preact_layers=[], E_star=E)
+        trace = ForwardTrace(m=1, E_layers=[E], mixed_layers=[], transforms=[], E_star=E)
         params = ModelParams(1, 2, np.zeros((3, 1)), [])
         loss = bpr_loss(trace, np.array([[0, 0, 1]]), 0.0, params)
         assert loss == pytest.approx(-math.log(0.75), abs=1e-12)
@@ -60,7 +60,7 @@ class TestBprLoss:
             E = np.zeros((3, 1))
             E[0, 0] = 1.0
             E[1, 0] = margin
-            trace = ForwardTrace(m=1, E_layers=[E], mixed_layers=[], preact_layers=[], E_star=E)
+            trace = ForwardTrace(m=1, E_layers=[E], mixed_layers=[], transforms=[], E_star=E)
             losses.append(bpr_loss(trace, np.array([[0, 0, 1]]), reg, params))
         assert all(a > b for a, b in zip(losses, losses[1:]))
         assert losses[-1] == pytest.approx(reg_term, abs=1e-10)
@@ -164,7 +164,7 @@ class TestOptimizer:
         cfg = TrainConfig(optimizer="adam")
         lr = 0.01
         optimizer_step(theta, [np.ones(3)], lr, cfg, OptimizerState())
-        expected = -lr / (1.0 + cfg.adam_eps)
+        expected = -lr / (1.0 + ADAM_EPS)
         assert np.allclose(theta[0], expected, rtol=1e-12)
 
     def test_shape_mismatch(self):
