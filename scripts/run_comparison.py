@@ -11,6 +11,7 @@ Example:
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -37,15 +38,16 @@ def main() -> int:
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
                       eval_every=10, early_stop_patience=6)
 
-    hypers = {
-        "bprmf": preset("bprmf", d=args.dim),
-        "lightgcn": preset("lightgcn", d=args.dim, L=args.layers),
-        "ours": preset("ours", d=args.dim, L=args.layers, activation="identity", lr=3e-4),
+    runs = {
+        "bprmf": (preset("bprmf", d=args.dim), cfg),
+        "lightgcn": (preset("lightgcn", d=args.dim, L=args.layers), cfg),
+        "ours": (preset("ours", d=args.dim, L=args.layers, activation="identity"),
+                 replace(cfg, lr=3e-4)),
     }
     rows = []
-    for name, hyper in hypers.items():
+    for name, (hyper, run_cfg) in runs.items():
         t0 = time.time()
-        params, log = fit(split, hyper, cfg)
+        params, log = fit(split, hyper, run_cfg)
         wall = time.time() - t0
         metrics = evaluate_model(forward(params, S, hyper).E_star, split, k=args.k)
         rows.append((name, metrics.recall_at_k, metrics.ndcg_at_k, len(log), wall))

@@ -25,8 +25,8 @@ from .errors import ConfigError, DataError, DgcfError
 from .evaluate import evaluate_model, oversmoothing_report, rank_items, report_tsv
 from .model import ACTIVATIONS, EMBEDDING_MODES, PRESETS, forward, preset, score_all_items
 from .modelfile import ModelRecord, load_model, save_model
-from .train import OPTIMIZERS, TrainConfig, fit
-from .util import write_atomic_text
+from .train import TrainConfig, fit
+from .util import read_text, write_atomic_text
 
 PRE, TRAIN, EVAL, REC, DIAG = "preprocess", "train", "evaluate", "recommend", "diagnose"
 
@@ -70,7 +70,6 @@ OPTIONS = [
     Option("epochs", "--epochs", (TRAIN,), int, 200),
     Option("batch_size", "--batch-size", (TRAIN,), int, 1024),
     Option("batches_per_epoch", "--batches-per-epoch", (TRAIN,), int),
-    Option("optimizer", "--optimizer", (TRAIN,), default="adam", choices=OPTIMIZERS),
     Option("eval_every", "--eval-every", (TRAIN,), int, 10),
     Option("patience", "--patience", (TRAIN,), int, 10),
     Option("k", "--k", (EVAL,), int, 20),
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
@@ -148,16 +147,13 @@ def resolve_config(ns: argparse.Namespace, file_cfg: dict[str, str]) -> RunConfi
     return RunConfig(command=ns.command, **values)
 
 
-def _parse_layer_weights(text: str | None, L: int):
+def _parse_layer_weights(text: str | None) -> list[float] | None:
     if text is None:
         return None
     try:
-        weights = np.array([float(tok) for tok in text.split(",")])
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad layer weights {text!r}: {exc}") from exc
-    if len(weights) != L + 1:
-        raise ConfigError(f"layer weights need {L + 1} entries for {L} layers, got {len(weights)}")
-    return weights
 
 
 def parse_layer_range(text: str) -> int:
@@ -194,16 +190,13 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     split = load_split(cfg.data)
-    tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                       batches_per_epoch=cfg.batches_per_epoch, seed=cfg.seed,
-                       optimizer=cfg.optimizer, eval_every=cfg.eval_every,
+    tcfg = TrainConfig(lr=cfg.lr, reg_lambda=cfg.reg_lambda, epochs=cfg.epochs,
+                       batch_size=cfg.batch_size, batches_per_epoch=cfg.batches_per_epoch,
+                       seed=cfg.seed, eval_every=cfg.eval_every,
                        early_stop_patience=cfg.patience)
-    weights = None  # a tag that pins layer_weights ignores --layer-weights, as with --layers
-    if "layer_weights" not in PRESETS[cfg.model]:
-        weights = _parse_layer_weights(cfg.layer_weights, cfg.layers)
     hyper = preset(cfg.model, d=cfg.dim, L=cfg.layers, alpha=cfg.alpha, beta=cfg.beta,
-                   layer_weights=weights, activation=cfg.activation,
-                   embedding_mode=cfg.embedding_mode, reg_lambda=cfg.reg_lambda, lr=cfg.lr)
+                   layer_weights=_parse_layer_weights(cfg.layer_weights),
+                   activation=cfg.activation, embedding_mode=cfg.embedding_mode)
     params, log = fit(split, hyper, tcfg)
     save_model(cfg.out, cfg.model, params, hyper)
     log_path = cfg.log or cfg.out + ".log.jsonl"

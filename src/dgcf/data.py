@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, ParseError
 from .graph import InteractionMatrix, build_adjacency, degree_vector, normalize_laplacian
-from .util import write_atomic_text
+from .util import read_text, write_atomic_text
 
 FORMATS = ("edge-pairs", "adjacency-list")
 
@@ -65,8 +65,7 @@ def parse_interactions(path: str | Path, fmt: str) -> RawInteractions:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -220,9 +219,9 @@ def load_split(data_dir: str | Path) -> DatasetSplit:
         raise DataError(f"dataset directory not found: {d}")
     stats_path = d / "stats.json"
     try:
-        stats = json.loads(stats_path.read_text(encoding="utf-8"))
+        stats = json.loads(read_text(stats_path))
         m, n, seed = int(stats["m"]), int(stats["n"]), int(stats["seed"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"{stats_path}: expected JSON with integer m, n, seed ({exc!r})") from None
     user_map = _read_map(d / "user_map.tsv", m)
     item_map = _read_map(d / "item_map.tsv", n)
@@ -241,7 +240,7 @@ def load_split(data_dir: str | Path) -> DatasetSplit:
 def _read_map(path: Path, size: int) -> dict[str, int]:
     """'token<TAB>index' lines whose indices are exactly 0..size-1 (size from stats.json)."""
     mapping: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -249,7 +248,7 @@ def _read_map(path: Path, size: int) -> dict[str, int]:
             mapping[token] = int(index)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: expected 'token<TAB>index', got {line!r}") from None
-    if sorted(mapping.values()) != list(range(size)):
+    if len(mapping) != size or sorted(mapping.values()) != list(range(size)):
         raise DataError(f"{path}: indices are not 0..{size - 1} as stats.json says")
     return mapping
 
@@ -257,7 +256,7 @@ def _read_map(path: Path, size: int) -> dict[str, int]:
 def _read_adjacency(path: Path, m: int, n: int) -> dict[int, list[int]]:
     """'user item1 item2 ...' lines of indices into the m x n interaction matrix."""
     out: dict[int, list[int]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -35,9 +35,6 @@ class InteractionMatrix:
         r = self.rows
         return r.indices[r.indptr[u]:r.indptr[u + 1]]
 
-    def user_degrees(self) -> np.ndarray:
-        return np.diff(self.rows.indptr)
-
     @staticmethod
     def from_pairs(m: int, n: int, pairs) -> "InteractionMatrix":
         """Build from (user_index, item_index) pairs; duplicates collapse to one."""

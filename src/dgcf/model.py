@@ -32,6 +32,8 @@ EMBEDDING_MODES = ("sw", "free")
 
 @dataclass
 class Hyperparams:
+    """The model's settings, which a model file stores; a training run's are a TrainConfig."""
+
     d: int = 64
     L: int = 4
     alpha: float = 0.1
@@ -39,8 +41,6 @@ class Hyperparams:
     layer_weights: np.ndarray | None = None  # length L+1; None = uniform
     activation: str = "relu"
     embedding_mode: str = "sw"
-    reg_lambda: float = 1e-4
-    lr: float = 1e-3
 
     def __post_init__(self):
         if self.d < 1:
@@ -55,10 +55,6 @@ class Hyperparams:
         if self.embedding_mode not in EMBEDDING_MODES:
             raise ConfigError(
                 f"embedding_mode must be one of {EMBEDDING_MODES}, got {self.embedding_mode!r}")
-        for key in ("reg_lambda", "lr"):
-            value = getattr(self, key)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if self.layer_weights is None:
             self.layer_weights = np.full(self.L + 1, 1.0 / (self.L + 1))
         else:
@@ -128,11 +124,6 @@ def init_params(m: int, n: int, hyper: Hyperparams, rng: np.random.Generator) ->
     return ModelParams(m=m, n=n, W=W, W_layers=W_layers)
 
 
-def initial_embedding(S: sp.csr_array, W: np.ndarray) -> np.ndarray:
-    # E(0) = S W
-    return spmm(S, W)
-
-
 def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation,
                     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """One propagation layer; returns (M, T, E_next), the mix, the transform
@@ -177,7 +168,7 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams) -> Forward
     if len(params.W_layers) != hyper.L:
         raise ValueError(f"expected {hyper.L} layer transforms, got {len(params.W_layers)}")
     if hyper.embedding_mode == "sw":
-        E0 = initial_embedding(S, params.W)
+        E0 = spmm(S, params.W)
     else:
         E0 = params.W
     E_layers = [E0]

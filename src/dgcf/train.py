@@ -1,8 +1,9 @@
-"""BPR training with exact hand-written backpropagation.
+"""BPR training with exact hand-written backpropagation and Adam.
 
 backward() is reverse-mode differentiation of the forward pass written out
-by hand, layer by layer. finite_diff_grad() is the independent oracle the
-test suite uses to certify it.
+by hand, layer by layer; the test suite certifies it against central finite
+differences. TrainConfig holds everything about a training run, including
+the learning rate and the L2 weight; Hyperparams holds the model.
 """
 
 from __future__ import annotations
@@ -21,35 +22,31 @@ from .evaluate import evaluate_model
 from .graph import spmm
 from .model import ForwardTrace, Hyperparams, ModelParams, forward, init_params
 
-OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
 
 
 @dataclass
-class GradientSet:
-    """Gradient of the loss, with the same shapes as ModelParams."""
-
-    grad_W: np.ndarray
-    grad_W_layers: list[np.ndarray]
-
-
-@dataclass
 class TrainConfig:
+    """One training run: Adam's step size, bpr_loss's L2 weight, batches and early stopping."""
+
+    lr: float = 1e-3
+    reg_lambda: float = 1e-4
     epochs: int = 200
     batch_size: int = 1024
     batches_per_epoch: int | None = None  # None = ceil(nnz / batch_size)
     seed: int = 0
-    optimizer: str = "adam"
     eval_every: int = 10  # 0 disables validation and early stopping
     early_stop_patience: int = 10  # evaluations without improvement
 
     def __post_init__(self):
+        for key in ("lr", "reg_lambda"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
             raise ConfigError("batches_per_epoch must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.eval_every < 0 or self.early_stop_patience < 1:
             raise ConfigError("eval_every must be >= 0 and early_stop_patience >= 1")
 
@@ -103,8 +100,9 @@ def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
 
 
 def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
-             S: sp.csr_array, hyper: Hyperparams) -> GradientSet:
-    """Exact gradient of bpr_loss with respect to W and every W(l).
+             S: sp.csr_array, hyper: Hyperparams, reg_lambda: float) -> ModelParams:
+    """Exact gradient of bpr_loss(trace, batch, reg_lambda, params) with respect
+    to W and every W(l), returned in the shape of params.
 
     Reverse pass through E* = sum w_k E(k), E(l) = act(M(l) T(l)),
     M(l) = (1-a) S E(l-1) + a E(0), E(0) = S W (or W). T(l) comes from the
@@ -118,7 +116,6 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
         raise ValueError("trace does not match hyper.L")
     a, b = hyper.alpha, hyper.beta
     w = hyper.layer_weights
-    lam = hyper.reg_lambda
     G = _loss_grad_wrt_estar(trace, batch)
 
     grad_W_layers: list[np.ndarray] = [None] * hyper.L
@@ -132,10 +129,10 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
             Dz = D
         if b != 0.0:
             M_dot = Dz @ trace.transforms[l - 1].T
-            grad_W_layers[l - 1] = b * (trace.mixed_layers[l - 1].T @ Dz) + 2.0 * lam * Wl
+            grad_W_layers[l - 1] = b * (trace.mixed_layers[l - 1].T @ Dz) + 2.0 * reg_lambda * Wl
         else:
             M_dot = Dz
-            grad_W_layers[l - 1] = 2.0 * lam * Wl
+            grad_W_layers[l - 1] = 2.0 * reg_lambda * Wl
         if a != 0.0:
             E0_bar += a * M_dot
         if a != 1.0:
@@ -147,47 +144,18 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
         grad_W = spmm(S, grad_E0)  # dE0/dW chain: multiply by S^T = S
     else:
         grad_W = grad_E0.copy()
-    grad_W += 2.0 * lam * params.W
-    return GradientSet(grad_W=grad_W, grad_W_layers=grad_W_layers)
-
-
-def finite_diff_grad(params: ModelParams, loss_closure, step: float = 1e-6) -> GradientSet:
-    """Central-difference gradient estimate, one closure call pair per entry.
-
-    Only for small instances; cost is 2 * (number of parameters) losses.
-    """
-    work = params.copy()
-
-    def diff_entries(arr: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(arr)
-        for ix in np.ndindex(arr.shape):
-            orig = arr[ix]
-            arr[ix] = orig + step
-            up = loss_closure(work)
-            arr[ix] = orig - step
-            down = loss_closure(work)
-            arr[ix] = orig
-            g[ix] = (up - down) / (2.0 * step)
-        return g
-
-    grad_W = diff_entries(work.W)
-    grad_layers = [diff_entries(Wl) for Wl in work.W_layers]
-    return GradientSet(grad_W=grad_W, grad_W_layers=grad_layers)
+    grad_W += 2.0 * reg_lambda * params.W
+    return ModelParams(params.m, params.n, grad_W, grad_W_layers)
 
 
 def optimizer_step(arrays: list[np.ndarray], grads: list[np.ndarray], lr: float,
-                   config: TrainConfig, state: OptimizerState) -> OptimizerState:
-    """Update parameter arrays in place; returns the advanced optimizer state."""
+                   state: OptimizerState) -> OptimizerState:
+    """One Adam step of size lr on the arrays, in place; returns the advanced state."""
     if len(arrays) != len(grads):
         raise ValueError("parameter/gradient count mismatch")
     for p, g in zip(arrays, grads):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-    if config.optimizer == "sgd":
-        for p, g in zip(arrays, grads):
-            p -= lr * g
-        state.t += 1
-        return state
     if state.m is None:
         state.m = [np.zeros_like(p) for p in arrays]
         state.v = [np.zeros_like(p) for p in arrays]
@@ -225,13 +193,12 @@ def fit(split: DatasetSplit, hyper: Hyperparams, config: TrainConfig,
         for _ in range(bpe):
             batch = sample_bpr_triples(split, config.batch_size, rng)
             trace = forward(params, S, hyper)
-            loss = bpr_loss(trace, batch, hyper.reg_lambda, params)
+            loss = bpr_loss(trace, batch, config.reg_lambda, params)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads = backward(trace, batch, params, S, hyper)
-            optimizer_step([params.W] + params.W_layers,
-                           [grads.grad_W] + grads.grad_W_layers,
-                           hyper.lr, config, state)
+            grads = backward(trace, batch, params, S, hyper, config.reg_lambda)
+            optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers,
+                           config.lr, state)
             total += loss
         entry = {"epoch": epoch, "loss": total / bpe}
         stop = False

@@ -6,6 +6,16 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import ParseError
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 raise ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
 
 def write_atomic_bytes(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the same directory, then os.replace.

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from dgcf.model import ModelParams
+
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
@@ -131,3 +133,26 @@ def random_interactions(rng: np.random.Generator, m: int, n: int,
         for i in items[1:]:
             pairs.add((u, int(i)))
     return sorted(pairs)
+
+
+def finite_diff_grad(params: ModelParams, loss_closure, step: float = 1e-6) -> ModelParams:
+    """Central-difference gradient estimate, one closure call pair per entry.
+
+    Only for small instances; cost is 2 * (number of parameters) losses.
+    """
+    work = params.copy()
+
+    def diff_entries(arr: np.ndarray) -> np.ndarray:
+        g = np.zeros_like(arr)
+        for ix in np.ndindex(arr.shape):
+            orig = arr[ix]
+            arr[ix] = orig + step
+            up = loss_closure(work)
+            arr[ix] = orig - step
+            down = loss_closure(work)
+            arr[ix] = orig
+            g[ix] = (up - down) / (2.0 * step)
+        return g
+
+    return ModelParams(params.m, params.n, diff_entries(work.W),
+                       [diff_entries(Wl) for Wl in work.W_layers])

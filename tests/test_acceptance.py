@@ -8,6 +8,7 @@ minutes; everything else is seconds.
 
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from dgcf.data import RawInteractions, k_core_filter, split_train_test
 from dgcf.evaluate import evaluate_model, ndcg_at_k, oversmoothing_report
 from dgcf.model import Hyperparams, forward, init_params, preset
 from dgcf.synthetic import bipartite_ring, walk_interactions
-from dgcf.train import TrainConfig, backward, bpr_loss, finite_diff_grad, fit, laplacian_for
+from dgcf.train import TrainConfig, backward, bpr_loss, fit, laplacian_for
 
 from conftest import laplacian_from_pairs
-from helpers import brute_force_k_core, naive_evaluate, random_interactions, rel_err
+from helpers import brute_force_k_core, finite_diff_grad, naive_evaluate, \
+    random_interactions, rel_err
 
 # Frozen accuracy-comparison setup (checks 6 and 7). The corpus puts items on
 # a 2-D topic torus and lets each user sample along a restarting random walk,
@@ -51,7 +53,7 @@ def accuracy_hyper(tag: str) -> Hyperparams:
     kind, _, depth = tag.partition("_L")
     fields = dict(d=DIM, L=int(depth or 3), activation="identity")
     if kind == "ours":
-        fields.update(alpha=0.1, beta=0.1, lr=OURS_LR)
+        fields.update(alpha=0.1, beta=0.1)
     return preset(kind, **fields)
 
 
@@ -66,14 +68,16 @@ def trained(accuracy_split):
     """Lazy memoized trainer: tag -> (recall@20, wall seconds)."""
     split = accuracy_split
     S = laplacian_for(split)
+    config = TrainConfig(**TRAIN_CFG)
     cache: dict = {}
 
     def get(tag: str):
         if tag in cache:
             return cache[tag]
         hyper = accuracy_hyper(tag)
+        tag_config = replace(config, lr=OURS_LR) if tag.startswith("ours_") else config
         t0 = time.monotonic()
-        params, _ = fit(split, hyper, TrainConfig(**TRAIN_CFG))
+        params, _ = fit(split, hyper, tag_config)
         recall = evaluate_model(forward(params, S, hyper).E_star, split, k=20).recall_at_k
         cache[tag] = (recall, time.monotonic() - t0)
         return cache[tag]
@@ -91,21 +95,19 @@ def test_1_gradients_match_finite_differences(capfd):
                     rng = np.random.default_rng(seed)
                     S = laplacian_from_pairs(m, n, random_interactions(rng, m, n, 3))
                     hyper = Hyperparams(d=d, L=L, alpha=0.3, beta=0.4,
-                                        activation=activation, embedding_mode=mode,
-                                        reg_lambda=0.01)
+                                        activation=activation, embedding_mode=mode)
+                    reg = 0.01
                     params = init_params(m, n, hyper, rng)
                     params.W_layers = [rng.normal(0, 0.3, (d, d)) for _ in range(L)]
                     B = 6
                     batch = np.stack([rng.integers(0, m, B), rng.integers(0, n, B),
                                       rng.integers(0, n, B)], axis=1)
-                    got = backward(forward(params, S, hyper), batch, params, S, hyper)
+                    got = backward(forward(params, S, hyper), batch, params, S, hyper, reg)
                     want = finite_diff_grad(
-                        params,
-                        lambda p: bpr_loss(forward(p, S, hyper), batch,
-                                           hyper.reg_lambda, p),
+                        params, lambda p: bpr_loss(forward(p, S, hyper), batch, reg, p),
                         step=1e-6)
-                    worst = max(worst, rel_err(got.grad_W, want.grad_W))
-                    for g, w in zip(got.grad_W_layers, want.grad_W_layers):
+                    worst = max(worst, rel_err(got.W, want.W))
+                    for g, w in zip(got.W_layers, want.W_layers):
                         worst = max(worst, rel_err(g, w))
     wall = time.monotonic() - t0
     ok = worst <= 1e-4 and wall < 10.0

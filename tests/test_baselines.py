@@ -10,22 +10,22 @@ from dgcf.baselines import lightgcn_forward
 from dgcf.data import RawInteractions, split_train_test
 from dgcf.evaluate import evaluate_model
 from dgcf.model import ModelParams, forward, predict, preset
-from dgcf.train import TrainConfig, backward, bpr_loss, finite_diff_grad, fit, laplacian_for
-from helpers import rel_err
+from dgcf.train import TrainConfig, backward, bpr_loss, fit, laplacian_for
+from helpers import finite_diff_grad, rel_err
 
 from conftest import laplacian_from_pairs
 
 
-def bprmf_instance(P, Q, reg=0.0):
+def bprmf_instance(P, Q):
     """(params, S, hyper) of BPRMF with user factors P and item factors Q."""
     m, n = len(P), len(Q)
     params = ModelParams(m, n, np.vstack([P, Q]), [])
     # L=0 in free mode makes no graph product; S only has to have the right shape
-    return params, sp.csr_array((m + n, m + n)), preset("bprmf", d=P.shape[1], reg_lambda=reg)
+    return params, sp.csr_array((m + n, m + n)), preset("bprmf", d=P.shape[1])
 
 
-def bprmf_loss(params, S, hyper, batch):
-    return bpr_loss(forward(params, S, hyper), batch, hyper.reg_lambda, params)
+def bprmf_loss(params, S, hyper, batch, reg=0.0):
+    return bpr_loss(forward(params, S, hyper), batch, reg, params)
 
 
 class TestPredict:
@@ -53,19 +53,19 @@ class TestGrads:
         P, Q = rng.normal(0, 0.5, (4, 3)), rng.normal(0, 0.5, (6, 3))
         batch = np.stack([rng.integers(0, 4, 8), rng.integers(0, 6, 8),
                           rng.integers(0, 6, 8)], axis=1)
-        params, S, hyper = bprmf_instance(P, Q, reg=0.02)
-        got = backward(forward(params, S, hyper), batch, params, S, hyper)
-        want = finite_diff_grad(params, lambda p: bprmf_loss(p, S, hyper, batch), step=1e-6)
-        assert got.grad_W_layers == []
-        assert rel_err(got.grad_W, want.grad_W) <= 1e-6
+        params, S, hyper = bprmf_instance(P, Q)
+        got = backward(forward(params, S, hyper), batch, params, S, hyper, 0.02)
+        want = finite_diff_grad(params, lambda p: bprmf_loss(p, S, hyper, batch, 0.02),
+                                step=1e-6)
+        assert got.W_layers == []
+        assert rel_err(got.W, want.W) <= 1e-6
 
     def test_identical_pos_neg_leaves_only_reg(self):
         rng = np.random.default_rng(0)
-        params, S, hyper = bprmf_instance(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)),
-                                          reg=0.5)
+        params, S, hyper = bprmf_instance(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
         batch = np.array([[0, 2, 2], [1, 3, 3]])
-        grads = backward(forward(params, S, hyper), batch, params, S, hyper)
-        assert np.allclose(grads.grad_W, params.W, atol=1e-15)  # 2 * 0.5 * W
+        grads = backward(forward(params, S, hyper), batch, params, S, hyper, 0.5)
+        assert np.allclose(grads.W, params.W, atol=1e-15)  # 2 * 0.5 * W
 
     def test_loss_at_zero_margin(self):
         params, S, hyper = bprmf_instance(np.zeros((2, 3)), np.zeros((5, 3)))
@@ -75,8 +75,8 @@ class TestGrads:
 
 class TestFit:
     def test_lr_zero_is_identity(self, ring_split):
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=3, eval_every=0)
-        params, _ = fit(ring_split, preset("bprmf", d=4, lr=0.0), cfg)
+        cfg = TrainConfig(lr=0.0, epochs=2, batch_size=16, seed=3, eval_every=0)
+        params, _ = fit(ring_split, preset("bprmf", d=4), cfg)
         # W = [P; Q] draws P, then Q, from the one seeded stream
         rng = np.random.default_rng(3)
         m = ring_split.m
@@ -97,8 +97,8 @@ class TestFit:
                  for u in range(20) for i in range(40)
                  if (u < 10) == (i < 20)]
         split = split_train_test(RawInteractions(pairs), 0.25, seed=0)
-        cfg = TrainConfig(epochs=40, batch_size=64, seed=2, eval_every=10)
-        hyper = preset("bprmf", d=8, lr=5e-3)
+        cfg = TrainConfig(lr=5e-3, epochs=40, batch_size=64, seed=2, eval_every=10)
+        hyper = preset("bprmf", d=8)
         params, log = fit(split, hyper, cfg)
         e_star = forward(params, laplacian_for(split), hyper).E_star
         metrics = evaluate_model(e_star, split, k=20)

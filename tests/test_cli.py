@@ -1,8 +1,12 @@
 import json
 import shutil
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgcf.cli import entrypoint, main, parse_layer_range
 from dgcf.data import load_split
@@ -93,7 +97,7 @@ class TestTrain:
         assert np.array_equal(rec.params.W, fresh)
 
     def test_bad_layer_weights_length(self, dataset_dir, tmp_path):
-        with pytest.raises(ConfigError, match="layer weights"):
+        with pytest.raises(ConfigError, match="layer_weights"):
             main(["train", "--data", str(dataset_dir), "--layers", "2",
                   "--layer-weights", "0.5,0.5", "--epochs", "1",
                   "--out", str(tmp_path / "m.bin")])
@@ -277,10 +281,11 @@ class TestExitCodes:
         ("train.txt", "0 x\n"),
         ("stats.json", "{not json"),
         ("stats.json", '{"m": 30}'),
+        ("stats.json", '{"m": 1e400, "n": 30, "seed": 3}'),
         ("user_map.tsv", "u00\tzero\n"),
         ("item_map.tsv", "i00\t0\n"),
     ], ids=["index-out-of-range", "non-integer-index", "bad-json", "missing-keys",
-            "non-integer-map-index", "map-misses-indices"])
+            "infinite-size", "non-integer-map-index", "map-misses-indices"])
     def test_corrupt_dataset_is_one(self, name, text, dataset_dir, tmp_path, monkeypatch,
                                     capsys):
         bad = tmp_path / "bad"
@@ -290,3 +295,54 @@ class TestExitCodes:
                                          "--out", str(tmp_path / "m.bin")])
         assert entrypoint() == 1
         assert str(bad / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["parse_interactions", "_read_map", "_read_adjacency",
+                                        "read_config_file"])
+    def test_non_utf8_file_is_one(self, reader, raw_file, dataset_dir, tmp_path, monkeypatch,
+                                  capsys):
+        data, raw, cfg = tmp_path / "data", tmp_path / "raw.tsv", tmp_path / "train.cfg"
+        shutil.copytree(dataset_dir, data)
+        shutil.copyfile(raw_file, raw)
+        cfg.write_text("epochs=1\n")
+        train = ["train", "--data", str(data), "--epochs", "1"]
+        bad, argv = {
+            "parse_interactions": (raw, ["preprocess", "--input", str(raw), "--k-core", "2"]),
+            "_read_map": (data / "user_map.tsv", train),
+            "_read_adjacency": (data / "train.txt", train),
+            "read_config_file": (cfg, [*train, "--config", str(cfg)]),
+        }[reader]
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\xff\n", 1))
+        monkeypatch.setattr("sys.argv", ["dgcf", *argv, "--out", str(tmp_path / "out")])
+        assert entrypoint() == 1
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+
+EDITABLE = ["train.txt", "test.txt", "user_map.tsv", "item_map.tsv", "stats.json", "model.bin"]
+EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                 st.integers(min_value=0), st.integers(0, 255))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(target=st.sampled_from(EDITABLE), edits=st.lists(EDIT, min_size=1, max_size=3))
+def test_corrupted_file_never_exits_two(trained_model, dataset_dir, target, edits):
+    """1-3 random byte edits to one dataset file or the model file: evaluate and
+    recommend end in success or a reported error (exit 0 or 1), never exit 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = Path(tmp) / "data", Path(tmp) / "model.bin"
+        shutil.copytree(dataset_dir, data)
+        shutil.copyfile(trained_model, model)
+        path = model if target == "model.bin" else data / target
+        blob = bytearray(path.read_bytes())
+        for kind, pos, byte in edits:
+            pos %= len(blob) + (kind == "insert")
+            if kind == "insert":
+                blob.insert(pos, byte)
+            elif kind == "delete" and len(blob) > 1:
+                del blob[pos]
+            else:
+                blob[pos] = byte
+        path.write_bytes(bytes(blob))
+        common = ["--model", str(model), "--data", str(data)]
+        for argv in (["evaluate", *common], ["recommend", *common, "--user", "u00"]):
+            with mock.patch("sys.argv", ["dgcf", *argv]):
+                assert entrypoint() in (0, 1), (target, edits, argv)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dgcf.errors import ConfigError, DivergenceError
 from dgcf.graph import InteractionMatrix
 from dgcf.model import Hyperparams, ModelParams, combine_layers, forward, init_params, \
-    initial_embedding, predict, preset, propagate_layer, score_all_items
+    predict, preset, propagate_layer, score_all_items
 from helpers import random_interactions
 
 from conftest import laplacian_from_pairs
@@ -25,20 +25,21 @@ class TestHyperparams:
 
     @pytest.mark.parametrize("bad", [dict(alpha=-0.1), dict(alpha=1.5), dict(beta=2.0),
                                      dict(d=0), dict(L=-1), dict(activation="tanh"),
-                                     dict(embedding_mode="frozen"), dict(lr=-1.0),
-                                     dict(layer_weights=[1.0, 0.0]), dict(lr=float("nan")),
-                                     dict(reg_lambda=float("nan")), dict(lr=float("inf")),
-                                     dict(alpha=float("nan")),
-                                     dict(layer_weights=[float("nan")] * 5)])
+                                     dict(embedding_mode="frozen"),
+                                     dict(layer_weights=[1.0, 0.0]), dict(alpha=float("nan")),
+                                     dict(layer_weights=[float("nan")] * 5),
+                                     dict(beta=-0.1), dict(beta=float("nan")),
+                                     dict(layer_weights=[[0.2] * 5]),
+                                     dict(layer_weights=[1.0, 1.0, float("inf"), 1.0, 1.0])])
     def test_validation(self, bad):
         (key,) = bad
         with pytest.raises(ConfigError, match=key):
             Hyperparams(**bad)
 
     def test_presets_pin_their_fields(self):
-        mf = preset("bprmf", d=4, L=5, alpha=0.3, activation="relu", lr=0.01)
-        assert (mf.d, mf.L, mf.alpha, mf.beta, mf.activation, mf.embedding_mode, mf.lr) == \
-            (4, 0, 0.0, 0.0, "identity", "free", 0.01)
+        mf = preset("bprmf", d=4, L=5, alpha=0.3, activation="relu")
+        assert (mf.d, mf.L, mf.alpha, mf.beta, mf.activation, mf.embedding_mode) == \
+            (4, 0, 0.0, 0.0, "identity", "free")
         assert np.array_equal(mf.layer_weights, [1.0])
         assert np.array_equal(preset("plain", L=3).layer_weights, [0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(preset("plain", L=1, layer_weights=[0.5, 0.5]).layer_weights,
@@ -54,20 +55,26 @@ class TestHyperparams:
         Hyperparams(alpha=1.0, beta=1.0)
 
 
+def e0(S, W, m):
+    """E(0) of the sw-mode forward pass over the graph S with m users."""
+    params = ModelParams(m, S.shape[0] - m, W, [])
+    return forward(params, S, Hyperparams(d=W.shape[1], L=0)).E_layers[0]
+
+
 class TestInitialEmbedding:
     def test_zero_w(self):
         S = small_S()
-        assert not initial_embedding(S, np.zeros((S.shape[0], 4))).any()
+        assert not e0(S, np.zeros((S.shape[0], 4)), 7).any()
 
     def test_swap_permutation(self):
         swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = initial_embedding(swap, np.array([[1.0], [2.0]]))
+        out = e0(swap, np.array([[1.0], [2.0]]), 1)
         assert np.array_equal(out, [[2.0], [1.0]])
 
     def test_matches_dense_product(self, rng):
         S = small_S(3, 5, 5)
         W = rng.normal(size=(10, 4))
-        assert np.max(np.abs(initial_embedding(S, W) - S.toarray() @ W)) < 1e-12
+        assert np.max(np.abs(e0(S, W, 5) - S.toarray() @ W)) < 1e-12
 
 
 class TestPropagateLayer:

@@ -1,10 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from dgcf.errors import ModelFileError
-from dgcf.model import PRESETS, Hyperparams, ModelParams, init_params
+from dgcf.model import PRESETS, Hyperparams, ModelParams, init_params, preset
 from dgcf.modelfile import MODEL_TAGS, load_model, save_model
 from dgcf.util import write_atomic_bytes
 
@@ -43,6 +44,16 @@ class TestRoundTrip:
         assert rec.hyper.activation == "identity"
         assert rec.hyper.embedding_mode == "free"
         assert list(rec.hyper.layer_weights) == [0.5, 0.25, 0.25]
+
+    @pytest.mark.parametrize("tag", sorted(PRESETS))
+    def test_every_field_of_every_preset_survives(self, tmp_path, tag):
+        hyper = preset(tag, d=3, L=2, alpha=0.25, beta=0.75, activation="identity",
+                       embedding_mode="free", layer_weights=[0.5, 0.25, 0.25])
+        params = init_params(4, 6, hyper, np.random.default_rng(0))
+        save_model(tmp_path / "m.bin", tag, params, hyper)
+        loaded = load_model(tmp_path / "m.bin").hyper
+        for f in dataclasses.fields(Hyperparams):
+            assert np.array_equal(getattr(loaded, f.name), getattr(hyper, f.name)), f.name
 
     def test_every_preset_has_a_tag(self):
         assert set(MODEL_TAGS) == set(PRESETS)

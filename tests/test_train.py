@@ -7,19 +7,22 @@ from dgcf.data import RawInteractions, split_train_test
 from dgcf.errors import ConfigError
 from dgcf.graph import InteractionMatrix
 from dgcf.model import Hyperparams, ModelParams, forward, init_params
-from dgcf.train import ADAM_EPS, GradientSet, OptimizerState, TrainConfig, backward, bpr_loss, \
-    finite_diff_grad, fit, laplacian_for, optimizer_step
-from helpers import random_interactions, rel_err
+from dgcf.train import ADAM_EPS, OptimizerState, TrainConfig, backward, bpr_loss, fit, \
+    laplacian_for, optimizer_step
+from helpers import finite_diff_grad, random_interactions, rel_err
 
 from conftest import laplacian_from_pairs
 
 
+REG = 0.01  # L2 weight of the tests that do not set their own
+
+
 def tiny_instance(seed, m=3, n=4, d=2, L=2, activation="relu", mode="sw",
-                  alpha=0.3, beta=0.4, reg=0.01):
+                  alpha=0.3, beta=0.4):
     rng = np.random.default_rng(seed)
     S = laplacian_from_pairs(m, n, random_interactions(rng, m, n, 3))
     hyper = Hyperparams(d=d, L=L, alpha=alpha, beta=beta, activation=activation,
-                        embedding_mode=mode, reg_lambda=reg)
+                        embedding_mode=mode)
     params = init_params(m, n, hyper, rng)
     params.W_layers = [rng.normal(0, 0.3, (d, d)) for _ in range(L)]
     B = 6
@@ -76,22 +79,22 @@ class TestBprLoss:
 
 class TestBackward:
     def test_symmetric_pos_neg_cancels(self, rng):
-        S, hyper, params, _ = tiny_instance(0, activation="identity", reg=0.0)
+        S, hyper, params, _ = tiny_instance(0, activation="identity")
         batch = np.array([[0, 1, 1], [2, 3, 3]])  # i == j in every triple
         trace = forward(params, S, hyper)
-        grads = backward(trace, batch, params, S, hyper)
-        assert np.max(np.abs(grads.grad_W)) == 0.0
-        for g in grads.grad_W_layers:
+        grads = backward(trace, batch, params, S, hyper, 0.0)
+        assert np.max(np.abs(grads.W)) == 0.0
+        for g in grads.W_layers:
             assert np.max(np.abs(g)) == 0.0
 
     def test_pure_l2_when_ranking_flat(self):
-        S, hyper, params, _ = tiny_instance(1, activation="identity", reg=0.05)
+        S, hyper, params, _ = tiny_instance(1, activation="identity")
         params.W[:] = 0.0  # all scores 0, expit(0) scatter still cancels i==j
         batch = np.array([[0, 0, 0], [1, 2, 2]])
         trace = forward(params, S, hyper)
-        grads = backward(trace, batch, params, S, hyper)
-        assert np.allclose(grads.grad_W, 2 * 0.05 * params.W, atol=1e-15)
-        for g, Wl in zip(grads.grad_W_layers, params.W_layers):
+        grads = backward(trace, batch, params, S, hyper, 0.05)
+        assert np.allclose(grads.W, 2 * 0.05 * params.W, atol=1e-15)
+        for g, Wl in zip(grads.W_layers, params.W_layers):
             assert np.allclose(g, 2 * 0.05 * Wl, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -102,14 +105,14 @@ class TestBackward:
         m, n, d, L = shape
         S, hyper, params, batch = tiny_instance(seed, m, n, d, L, activation, mode)
         trace = forward(params, S, hyper)
-        got = backward(trace, batch, params, S, hyper)
+        got = backward(trace, batch, params, S, hyper, REG)
 
         def closure(p):
-            return bpr_loss(forward(p, S, hyper), batch, hyper.reg_lambda, p)
+            return bpr_loss(forward(p, S, hyper), batch, REG, p)
 
         want = finite_diff_grad(params, closure, step=1e-6)
-        assert rel_err(got.grad_W, want.grad_W) <= 1e-4
-        for g, w in zip(got.grad_W_layers, want.grad_W_layers):
+        assert rel_err(got.W, want.W) <= 1e-4
+        for g, w in zip(got.W_layers, want.W_layers):
             assert rel_err(g, w) <= 1e-4
 
     def test_loss_invariant_under_relabeling(self, rng):
@@ -126,8 +129,8 @@ class TestBackward:
         inv_i = np.argsort(pi)
         params2 = ModelParams(m, n, params.W[perm], params.W_layers)
         batch2 = np.stack([inv_u[batch[:, 0]], inv_i[batch[:, 1]], inv_i[batch[:, 2]]], axis=1)
-        l1 = bpr_loss(forward(params, S, hyper), batch, hyper.reg_lambda, params)
-        l2 = bpr_loss(forward(params2, S2, hyper), batch2, hyper.reg_lambda, params2)
+        l1 = bpr_loss(forward(params, S, hyper), batch, REG, params)
+        l2 = bpr_loss(forward(params2, S2, hyper), batch2, REG, params2)
         assert l2 == pytest.approx(l1, rel=1e-12)
 
 
@@ -135,56 +138,45 @@ class TestFiniteDiff:
     def test_quadratic(self):
         params = ModelParams(1, 1, np.array([[1.0, 2.0]]), [])
         grads = finite_diff_grad(params, lambda p: float(np.sum(p.W ** 2)), step=1e-6)
-        assert np.allclose(grads.grad_W, [[2.0, 4.0]], atol=1e-8)
+        assert np.allclose(grads.W, [[2.0, 4.0]], atol=1e-8)
 
     def test_constant(self):
         params = ModelParams(1, 1, np.array([[1.0, 2.0]]), [np.eye(2)])
         grads = finite_diff_grad(params, lambda p: 7.5, step=1e-6)
-        assert np.allclose(grads.grad_W, 0.0, atol=1e-10)
-        assert np.allclose(grads.grad_W_layers[0], 0.0, atol=1e-10)
+        assert np.allclose(grads.W, 0.0, atol=1e-10)
+        assert np.allclose(grads.W_layers[0], 0.0, atol=1e-10)
 
 
 class TestOptimizer:
-    def test_sgd_step(self):
-        theta = [np.array([1.0])]
-        cfg = TrainConfig(optimizer="sgd")
-        optimizer_step(theta, [np.array([2.0])], 0.1, cfg, OptimizerState())
-        assert theta[0][0] == pytest.approx(0.8, abs=1e-15)
-
     def test_zero_grad_fixed_point(self):
-        for opt in ("sgd", "adam"):
-            theta = [np.array([1.5, -2.0])]
-            cfg = TrainConfig(optimizer=opt)
-            optimizer_step(theta, [np.zeros(2)], 0.1, cfg, OptimizerState())
-            assert np.array_equal(theta[0], [1.5, -2.0])
+        theta = [np.array([1.5, -2.0])]
+        optimizer_step(theta, [np.zeros(2)], 0.1, OptimizerState())
+        assert np.array_equal(theta[0], [1.5, -2.0])
 
     def test_adam_first_step_magnitude(self):
         # t=1, g=1: mhat=1, vhat=1, update = lr / (1 + eps)
         theta = [np.zeros(3)]
-        cfg = TrainConfig(optimizer="adam")
         lr = 0.01
-        optimizer_step(theta, [np.ones(3)], lr, cfg, OptimizerState())
+        optimizer_step(theta, [np.ones(3)], lr, OptimizerState())
         expected = -lr / (1.0 + ADAM_EPS)
         assert np.allclose(theta[0], expected, rtol=1e-12)
 
     def test_shape_mismatch(self):
-        cfg = TrainConfig()
         with pytest.raises(ValueError):
-            optimizer_step([np.zeros(2)], [np.zeros(3)], 0.1, cfg, OptimizerState())
+            optimizer_step([np.zeros(2)], [np.zeros(3)], 0.1, OptimizerState())
 
     def test_state_advances(self):
-        cfg = TrainConfig(optimizer="adam")
         state = OptimizerState()
         theta = [np.ones(2)]
         for t in range(1, 4):
-            state = optimizer_step(theta, [np.ones(2)], 0.01, cfg, state)
+            state = optimizer_step(theta, [np.ones(2)], 0.01, state)
             assert state.t == t
 
 
 class TestFit:
     def test_lr_zero_is_identity(self, ring_split):
-        hyper = Hyperparams(d=4, L=2, lr=0.0)
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=5, eval_every=0)
+        hyper = Hyperparams(d=4, L=2)
+        cfg = TrainConfig(lr=0.0, epochs=2, batch_size=16, seed=5, eval_every=0)
         params, _ = fit(ring_split, hyper, cfg)
         fresh = init_params(ring_split.m, ring_split.n, hyper, np.random.default_rng(5))
         assert np.array_equal(params.W, fresh.W)
@@ -216,8 +208,8 @@ class TestFit:
                  for u in range(20) for i in range(20)
                  if (u < 10) == (i < 10)]
         split = split_train_test(RawInteractions(pairs), 0.2, seed=0)
-        hyper = Hyperparams(d=8, L=2, lr=5e-3)
-        cfg = TrainConfig(epochs=50, batch_size=64, seed=1, eval_every=0)
+        hyper = Hyperparams(d=8, L=2)
+        cfg = TrainConfig(lr=5e-3, epochs=50, batch_size=64, seed=1, eval_every=0)
         _, log = fit(split, hyper, cfg)
         assert log[-1]["loss"] < log[0]["loss"]
 
@@ -226,16 +218,14 @@ class TestFit:
         pairs = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)]
         S = laplacian_from_pairs(3, 4, pairs)
         for seed in range(4):
-            _, hyper, params, _ = tiny_instance(seed, reg=0.0)
-            hyper.lr = 1e-4
+            _, hyper, params, _ = tiny_instance(seed)
+            lr = 1e-4
             batch = np.array([[0, 1, 2]])
             trace = forward(params, S, hyper)
             before = bpr_loss(trace, batch, 0.0, params)
-            grads = backward(trace, batch, params, S, hyper)
-            cfg = TrainConfig(optimizer="sgd")
-            optimizer_step([params.W] + params.W_layers,
-                           [grads.grad_W] + grads.grad_W_layers, hyper.lr, cfg,
-                           OptimizerState())
+            grads = backward(trace, batch, params, S, hyper, 0.0)
+            for p, g in zip([params.W] + params.W_layers, [grads.W] + grads.W_layers):
+                p -= lr * g
             after = bpr_loss(forward(params, S, hyper), batch, 0.0, params)
             assert after < before
 
@@ -250,8 +240,11 @@ class TestFit:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("bad", [dict(epochs=-1), dict(batch_size=0),
-                                     dict(batches_per_epoch=0), dict(optimizer="rmsprop"),
-                                     dict(eval_every=-2), dict(early_stop_patience=0)])
+                                     dict(batches_per_epoch=0), dict(eval_every=-2),
+                                     dict(early_stop_patience=0), dict(lr=-1.0),
+                                     dict(lr=float("nan")), dict(reg_lambda=float("nan")),
+                                     dict(lr=float("inf"))])
     def test_rejects(self, bad):
-        with pytest.raises(ConfigError):
+        (key,) = bad
+        with pytest.raises(ConfigError, match=key):
             TrainConfig(**bad)
