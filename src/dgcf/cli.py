@@ -10,6 +10,7 @@ error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -93,6 +94,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="dgcf", description="Graph collaborative filtering pipeline")
     sub = p.add_subparsers(dest="command", required=True)
@@ -201,7 +203,12 @@ def cmd_train(cfg: RunConfig) -> None:
     save_model(cfg.out, cfg.model, params, hyper)
     log_path = cfg.log or cfg.out + ".log.jsonl"
     write_atomic_text(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
-    write_atomic_text(cfg.out + ".config", cfg.echo())
+    # the echo states the saved model, whose preset may have overridden options
+    saved = RunConfig(**{**vars(cfg), "dim": hyper.d, "layers": hyper.L, "alpha": hyper.alpha,
+                         "beta": hyper.beta, "activation": hyper.activation,
+                         "embedding_mode": hyper.embedding_mode,
+                         "layer_weights": ",".join(map(str, hyper.layer_weights.tolist()))})
+    write_atomic_text(cfg.out + ".config", saved.echo())
     print(f"saved {cfg.model} model to {cfg.out} after {len(log)} epochs")
 
 

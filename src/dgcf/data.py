@@ -225,15 +225,14 @@ def load_split(data_dir: str | Path) -> DatasetSplit:
         raise ParseError(f"{stats_path}: expected JSON with integer m, n, seed ({exc!r})") from None
     user_map = _read_map(d / "user_map.tsv", m)
     item_map = _read_map(d / "item_map.tsv", n)
-    train_pairs: list[tuple[int, int]] = []
-    for u, items in _read_adjacency(d / "train.txt", m, n).items():
-        train_pairs.extend((u, i) for i in items)
+    train = InteractionMatrix.from_pairs(m, n, _read_adjacency(d / "train.txt", m, n))
     test: list[list[int]] = [[] for _ in range(m)]
     test_path = d / "test.txt"
     if test_path.exists() and test_path.stat().st_size:
-        for u, items in _read_adjacency(test_path, m, n).items():
-            test[u] = sorted(set(items))
-    train = InteractionMatrix.from_pairs(m, n, train_pairs)
+        # the rows of a canonical matrix are each user's items, ascending and without repeats
+        held = InteractionMatrix.from_pairs(m, n, _read_adjacency(test_path, m, n)).rows
+        items, bounds = held.indices.tolist(), held.indptr.tolist()
+        test = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     return DatasetSplit(train=train, test=test, user_map=user_map, item_map=item_map, seed=seed)
 
 
@@ -253,20 +252,27 @@ def _read_map(path: Path, size: int) -> dict[str, int]:
     return mapping
 
 
-def _read_adjacency(path: Path, m: int, n: int) -> dict[int, list[int]]:
-    """'user item1 item2 ...' lines of indices into the m x n interaction matrix."""
-    out: dict[int, list[int]] = {}
+def _read_adjacency(path: Path, m: int, n: int) -> np.ndarray:
+    """'user item1 item2 ...' lines of indices into the m x n interaction matrix,
+    as a (k, 2) int64 array of (user, item) rows, one per listed item, in file order."""
+    users: list[int] = []
+    counts: list[int] = []
+    items: list[int] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
+        tokens = line.split()
+        if not tokens:
             continue
         try:
-            u, *items = (int(tok) for tok in line.split())
+            u, *row = map(int, tokens)
         except ValueError:
-            u, items = -1, []
-        if not items or not 0 <= u < m or not all(0 <= i < n for i in items):
+            u, row = -1, []
+        if not row or not 0 <= u < m or min(row) < 0 or max(row) >= n:
             raise ParseError(f"{path}:{lineno}: expected 'user item1 item2 ...' with user "
                              f"index < {m} and item indices < {n}, got {line!r}")
-        out.setdefault(u, []).extend(items)
-    if not out:
+        users.append(u)
+        counts.append(len(row))
+        items.extend(row)
+    if not users:
         raise DataError(f"{path}: no interactions found")
-    return out
+    return np.column_stack((np.repeat(np.array(users, dtype=np.int64), counts),
+                            np.array(items, dtype=np.int64)))

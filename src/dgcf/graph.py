@@ -37,8 +37,9 @@ class InteractionMatrix:
 
     @staticmethod
     def from_pairs(m: int, n: int, pairs) -> "InteractionMatrix":
-        """Build from (user_index, item_index) pairs; duplicates collapse to one."""
-        arr = np.asarray(list(pairs), dtype=np.int64)
+        """Build from (user_index, item_index) pairs, an iterable of tuples or a
+        (k, 2) integer array; duplicates collapse to one."""
+        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
         if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != 2):  # (0,): no pairs
             raise ValueError("pairs must be (user, item) tuples")
         arr = arr.reshape(-1, 2)

@@ -101,13 +101,31 @@ class ModelParams:
         return ModelParams(self.m, self.n, self.W.copy(), [w.copy() for w in self.W_layers])
 
 
+class Workspace:
+    """Float64 buffers kept between calls, one per name; a name's buffer is
+    reallocated when the requested shape changes. Contents are scratch."""
+
+    def __init__(self):
+        self._buffers: dict[object, np.ndarray] = {}
+
+    def get(self, name, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape)
+        return buf
+
+
 @dataclass
 class ForwardTrace:
     """All intermediates of one forward pass, kept for backprop and diagnostics.
 
     mixed_layers holds the pre-transform mixes M(l) = (1-a) S E(l-1) + a E(0);
     transforms holds T(l) = (1-b) I + b W(l-1), or None when b = 0, so that
-    E(l) = act(M(l) T(l)).
+    E(l) = act(M(l) T(l)). Arrays may alias where the model makes them equal:
+    E(0) is params.W in free mode, M(l) is E(0) when a = 1, and E(l) is M(l)
+    under identity with b = 0. workspace owns the buffers behind E(l) and E*
+    and the scratch of forward and backward; passing the trace back to
+    forward as `out` overwrites all of them.
     """
 
     m: int
@@ -115,6 +133,7 @@ class ForwardTrace:
     mixed_layers: list[np.ndarray]  # M(1)..M(L)
     transforms: list[np.ndarray | None]  # T(1)..T(L)
     E_star: np.ndarray = field(repr=False, default=None)
+    workspace: Workspace = field(repr=False, default_factory=Workspace)
 
 
 def init_params(m: int, n: int, hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
@@ -124,22 +143,26 @@ def init_params(m: int, n: int, hyper: Hyperparams, rng: np.random.Generator) ->
     return ModelParams(m=m, n=n, W=W, W_layers=W_layers)
 
 
-def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation,
+def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation, aE0=None, out=None,
                     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """One propagation layer; returns (M, T, E_next), the mix, the transform
     (None when beta = 0, which skips it) and the activated product M T.
-    Endpoint alpha and beta skip work and stay exact."""
+    Endpoint alpha and beta skip work and stay exact. aE0 is alpha * E0 when
+    the caller has it; out is a buffer for E_next, used unless E_next is M."""
     if E_prev.shape != E0.shape:
         raise ValueError(f"E_prev {E_prev.shape} and E0 {E0.shape} disagree")
     if S.shape[0] != E_prev.shape[0]:
         raise ValueError(f"S {S.shape} does not match embeddings {E_prev.shape}")
-    # M = (1-a) S E_prev + a E0
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {activation!r}")
+    # M = (1-a) S E_prev + a E0, in place on the fresh product
     if alpha == 1.0:
         M = E0
-    elif alpha == 0.0:
-        M = spmm(S, E_prev)
     else:
-        M = (1.0 - alpha) * spmm(S, E_prev) + alpha * E0
+        M = spmm(S, E_prev)
+        if alpha != 0.0:
+            M *= 1.0 - alpha
+            M += alpha * E0 if aE0 is None else aE0
     # Z = M T with T = (1-b) I + b W
     if beta == 0.0:
         T, Z = None, M
@@ -148,18 +171,22 @@ def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation,
     else:
         T = (1.0 - beta) * np.eye(M.shape[1])
         T += beta * W_l
-        Z = M @ T
+        Z = np.matmul(M, T, out=out)
     if not np.isfinite(Z).all():
         raise DivergenceError("non-finite values in propagation layer output")
-    if activation == "identity":
-        return M, T, Z
-    if activation == "relu":
-        return M, T, np.maximum(Z, 0.0)
-    raise ConfigError(f"unknown activation {activation!r}")
+    if activation == "relu":  # in place, except that M stays as it is
+        return M, T, np.maximum(Z, 0.0, out=out if Z is M else Z)
+    return M, T, Z
 
 
-def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams) -> ForwardTrace:
-    """Full forward pass: E(0), L propagation layers, layer combination."""
+def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
+            out: ForwardTrace | None = None) -> ForwardTrace:
+    """Full forward pass: E(0), L propagation layers, layer combination.
+
+    Given `out`, a trace from an earlier call, forward writes this pass into
+    it and its workspace buffers and returns it: every array out held before
+    is overwritten or released. Results are bitwise those of a fresh call.
+    """
     N = params.m + params.n
     if S.shape != (N, N):
         raise ValueError(f"S {S.shape} does not match m+n={N}")
@@ -167,31 +194,38 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams) -> Forward
         raise ValueError(f"W {params.W.shape}, expected {(N, hyper.d)}")
     if len(params.W_layers) != hyper.L:
         raise ValueError(f"expected {hyper.L} layer transforms, got {len(params.W_layers)}")
-    if hyper.embedding_mode == "sw":
-        E0 = spmm(S, params.W)
-    else:
-        E0 = params.W
-    E_layers = [E0]
-    mixed, transforms = [], []
-    for W_l in params.W_layers:
-        M, T, E = propagate_layer(E_layers[-1], E0, S, hyper.alpha, hyper.beta, W_l,
-                                  hyper.activation)
-        mixed.append(M)
-        transforms.append(T)
-        E_layers.append(E)
-    trace = ForwardTrace(m=params.m, E_layers=E_layers, mixed_layers=mixed, transforms=transforms)
-    trace.E_star = combine_layers(E_layers, hyper.layer_weights)
-    return trace
+    if out is None:
+        out = ForwardTrace(m=params.m, E_layers=[], mixed_layers=[], transforms=[])
+    # drop the previous pass's arrays first, so that their memory is free for this one
+    out.m, out.E_layers, out.mixed_layers, out.transforms, out.E_star = params.m, [], [], [], None
+    ws, shape = out.workspace, params.W.shape
+    E0 = spmm(S, params.W) if hyper.embedding_mode == "sw" else params.W
+    a = hyper.alpha
+    # a E(0) sits in "tmp" during the layers; combine_layers reuses that buffer after them
+    aE0 = np.multiply(a, E0, out=ws.get("tmp", shape)) if 0.0 < a < 1.0 and hyper.L else None
+    own_E = hyper.beta != 0.0 or hyper.activation == "relu"  # else E(l) is M(l)
+    out.E_layers.append(E0)
+    for l, W_l in enumerate(params.W_layers, start=1):
+        M, T, E = propagate_layer(out.E_layers[-1], E0, S, a, hyper.beta, W_l,
+                                  hyper.activation, aE0,
+                                  ws.get(("E", l), shape) if own_E else None)
+        out.mixed_layers.append(M)
+        out.transforms.append(T)
+        out.E_layers.append(E)
+    out.E_star = combine_layers(out.E_layers, hyper.layer_weights, ws.get("E_star", shape),
+                                ws.get("tmp", shape))
+    return out
 
 
-def combine_layers(E_layers: list[np.ndarray], layer_weights) -> np.ndarray:
-    # E* = sum_k w_k E(k), accumulated in layer order for reproducibility
+def combine_layers(E_layers: list[np.ndarray], layer_weights, out=None, tmp=None) -> np.ndarray:
+    """E* = sum_k w_k E(k), accumulated in layer order for reproducibility;
+    out receives E* and tmp holds each w_k E(k) when given."""
     w = np.asarray(layer_weights, dtype=np.float64)
     if len(E_layers) != len(w):
         raise ValueError(f"{len(E_layers)} layers but {len(w)} weights")
-    E_star = w[0] * E_layers[0]
+    E_star = np.multiply(w[0], E_layers[0], out=out)
     for k in range(1, len(w)):
-        E_star += w[k] * E_layers[k]
+        E_star += np.multiply(w[k], E_layers[k], out=tmp)
     return E_star
 
 

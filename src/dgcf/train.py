@@ -56,12 +56,17 @@ class OptimizerState:
     t: int = 0
     m: list[np.ndarray] | None = field(default=None, repr=False)
     v: list[np.ndarray] | None = field(default=None, repr=False)
+    scratch: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
 
 def _margins(E_star: np.ndarray, m: int, batch: np.ndarray) -> np.ndarray:
     # x_t = <e_u, e_i> - <e_u, e_j> per triple, as one vectorized pass
+    # in place on the gathered rows: two (B, d) temporaries live at a time, not four
     u, i, j = batch[:, 0], batch[:, 1], batch[:, 2]
-    return np.sum(E_star[u] * (E_star[m + i] - E_star[m + j]), axis=1)
+    rows = E_star[m + i]
+    rows -= E_star[m + j]
+    rows *= E_star[u]
+    return np.sum(rows, axis=1)
 
 
 def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
@@ -95,7 +100,14 @@ def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
     x = _margins(E, m, batch)
     c = (-expit(-x) / len(batch))[:, None]  # dloss/dx_t
     idx = np.concatenate([u, m + i, m + j])
-    vals = np.concatenate([c * (E[m + i] - E[m + j]), c * E[u], -c * E[u]])
+    # rows c (e_i - e_j), c e_u and -c e_u, each block written in place
+    B = len(batch)
+    vals = np.empty((3 * B, E.shape[1]))
+    np.subtract(E[m + i], E[m + j], out=vals[:B])
+    vals[:B] *= c
+    E_u = E[u]
+    np.multiply(c, E_u, out=vals[B:2 * B])
+    np.multiply(-c, E_u, out=vals[2 * B:])
     return _scatter_rows(E.shape[0], idx, vals)
 
 
@@ -108,6 +120,8 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
     M(l) = (1-a) S E(l-1) + a E(0), E(0) = S W (or W). T(l) comes from the
     trace; the relu mask is E(l) > 0, which equals M(l) T(l) > 0.
     D carries dloss/dE(l); the initial-residual path accumulates into E0_bar.
+    The (N, d) temporaries are buffers of trace.workspace; the returned
+    gradients are fresh arrays.
     """
     batch = np.asarray(batch)
     if batch.size == 0:
@@ -117,34 +131,34 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
     a, b = hyper.alpha, hyper.beta
     w = hyper.layer_weights
     G = _loss_grad_wrt_estar(trace, batch)
+    ws = trace.workspace
+    D, E0_bar, tmp = (ws.get(name, G.shape) for name in ("D", "E0_bar", "tmp"))
+    M_dot = ws.get("M_dot", G.shape) if b != 0.0 else D
 
     grad_W_layers: list[np.ndarray] = [None] * hyper.L
-    E0_bar = np.zeros_like(G)
-    D = w[hyper.L] * G
+    E0_bar.fill(0.0)
+    np.multiply(w[hyper.L], G, out=D)
     for l in range(hyper.L, 0, -1):
         Wl = params.W_layers[l - 1]
         if hyper.activation == "relu":
-            Dz = D * (trace.E_layers[l] > 0.0)
-        else:
-            Dz = D
+            D *= trace.E_layers[l] > 0.0  # D now holds dloss/dZ(l)
         if b != 0.0:
-            M_dot = Dz @ trace.transforms[l - 1].T
-            grad_W_layers[l - 1] = b * (trace.mixed_layers[l - 1].T @ Dz) + 2.0 * reg_lambda * Wl
+            np.matmul(D, trace.transforms[l - 1].T, out=M_dot)
+            grad_W_layers[l - 1] = b * (trace.mixed_layers[l - 1].T @ D) + 2.0 * reg_lambda * Wl
         else:
-            M_dot = Dz
             grad_W_layers[l - 1] = 2.0 * reg_lambda * Wl
         if a != 0.0:
-            E0_bar += a * M_dot
+            E0_bar += np.multiply(a, M_dot, out=tmp)
         if a != 1.0:
-            D = w[l - 1] * G + (1.0 - a) * spmm(S, M_dot)  # S is symmetric
+            P = spmm(S, M_dot)  # S is symmetric
+            P *= 1.0 - a
+            np.multiply(w[l - 1], G, out=D)
+            D += P
         else:
-            D = w[l - 1] * G
-    grad_E0 = D + E0_bar
-    if hyper.embedding_mode == "sw":
-        grad_W = spmm(S, grad_E0)  # dE0/dW chain: multiply by S^T = S
-    else:
-        grad_W = grad_E0.copy()
-    grad_W += 2.0 * reg_lambda * params.W
+            np.multiply(w[l - 1], G, out=D)
+    D += E0_bar  # dloss/dE(0)
+    grad_W = spmm(S, D) if hyper.embedding_mode == "sw" else D.copy()  # dE0/dW: S^T = S, or I
+    grad_W += np.multiply(2.0 * reg_lambda, params.W, out=tmp)
     return ModelParams(params.m, params.n, grad_W, grad_W_layers)
 
 
@@ -159,15 +173,26 @@ def optimizer_step(arrays: list[np.ndarray], grads: list[np.ndarray], lr: float,
     if state.m is None:
         state.m = [np.zeros_like(p) for p in arrays]
         state.v = [np.zeros_like(p) for p in arrays]
+    if state.scratch is None:
+        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in arrays]
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, mom, vel in zip(arrays, grads, state.m, state.v):
+    for p, g, mom, vel, (t1, t2) in zip(arrays, grads, state.m, state.v, state.scratch):
         mom *= ADAM_BETA1
-        mom += (1.0 - ADAM_BETA1) * g
+        mom += np.multiply(1.0 - ADAM_BETA1, g, out=t1)
         vel *= ADAM_BETA2
-        vel += (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (mom / c1) / (np.sqrt(vel / c2) + ADAM_EPS)
+        np.multiply(g, g, out=t2)
+        t2 *= 1.0 - ADAM_BETA2
+        vel += t2
+        # p -= lr * (mom / c1) / (sqrt(vel / c2) + eps), one temporary at a time
+        np.divide(mom, c1, out=t1)
+        t1 *= lr
+        np.divide(vel, c2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += ADAM_EPS
+        t1 /= t2
+        p -= t1
     return state
 
 
@@ -187,12 +212,13 @@ def fit(split: DatasetSplit, hyper: Hyperparams, config: TrainConfig,
     best_params = None
     best_recall = -1.0
     stale_evals = 0
+    trace = None  # each forward reuses the previous trace's buffers
     for epoch in range(1, config.epochs + 1):
         t0 = time.monotonic()
         total = 0.0
         for _ in range(bpe):
             batch = sample_bpr_triples(split, config.batch_size, rng)
-            trace = forward(params, S, hyper)
+            trace = forward(params, S, hyper, out=trace)
             loss = bpr_loss(trace, batch, config.reg_lambda, params)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
@@ -203,7 +229,7 @@ def fit(split: DatasetSplit, hyper: Hyperparams, config: TrainConfig,
         entry = {"epoch": epoch, "loss": total / bpe}
         stop = False
         if config.eval_every and epoch % config.eval_every == 0:
-            trace = forward(params, S, hyper)
+            trace = forward(params, S, hyper, out=trace)
             metrics = evaluate_model(trace.E_star, split, k=20)
             entry["recall@20"] = metrics.recall_at_k
             entry["ndcg@20"] = metrics.ndcg_at_k

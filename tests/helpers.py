@@ -8,10 +8,14 @@ package's vectorized code is meaningful evidence.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
+from dgcf.errors import DataError, ParseError
 from dgcf.model import ModelParams
+from dgcf.util import read_text
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -156,3 +160,38 @@ def finite_diff_grad(params: ModelParams, loss_closure, step: float = 1e-6) -> M
 
     return ModelParams(params.m, params.n, diff_entries(work.W),
                        [diff_entries(Wl) for Wl in work.W_layers])
+
+
+def naive_read_adjacency(path: Path, m: int, n: int) -> dict[int, list[int]]:
+    """'user item1 item2 ...' lines read one line and one int() per token at a
+    time, with the package's error messages; items per user in file order."""
+    out: dict[int, list[int]] = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            u, *items = (int(tok) for tok in line.split())
+        except ValueError:
+            u, items = -1, []
+        if not items or not 0 <= u < m or not all(0 <= i < n for i in items):
+            raise ParseError(f"{path}:{lineno}: expected 'user item1 item2 ...' with user "
+                             f"index < {m} and item indices < {n}, got {line!r}")
+        out.setdefault(u, []).extend(items)
+    if not out:
+        raise DataError(f"{path}: no interactions found")
+    return out
+
+
+def naive_train_and_test(data_dir: Path, m: int, n: int) -> tuple[sp.csr_array, list[list[int]]]:
+    """Train matrix and per-user test lists of a save_split directory, through
+    naive_read_adjacency: a canonical 0/1 CSR array and sorted item sets."""
+    pairs = [(u, i) for u, items in naive_read_adjacency(data_dir / "train.txt", m, n).items()
+             for i in items]
+    rows = sp.csr_array((np.ones(len(pairs)), tuple(np.array(pairs).T)), shape=(m, n))
+    rows.sum_duplicates()
+    rows.data[:] = 1.0
+    test: list[list[int]] = [[] for _ in range(m)]
+    if (data_dir / "test.txt").stat().st_size:
+        for u, items in naive_read_adjacency(data_dir / "test.txt", m, n).items():
+            test[u] = sorted(set(items))
+    return rows, test

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgcf.cli import entrypoint, main, parse_layer_range
+from dgcf import cli
+from dgcf.cli import build_parser, entrypoint, main, parse_layer_range
 from dgcf.data import load_split
 from dgcf.errors import ConfigError, DataError
 from dgcf.evaluate import evaluate_model
@@ -113,6 +114,45 @@ class TestTrain:
         main(args(tmp_path / "a.bin"))
         main(args(tmp_path / "b.bin"))
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+class TestTrainEcho:
+    @pytest.mark.parametrize("model", ["ours", "plain", "lightgcn", "bprmf"])
+    def test_config_states_saved_hyperparams(self, model, dataset_dir, tmp_path):
+        # flags that every preset but ours overrides in part
+        out = tmp_path / f"{model}.bin"
+        main(["train", "--data", str(dataset_dir), "--model", model, "--dim", "4",
+              "--layers", "3", "--alpha", "0.3", "--beta", "0.2", "--activation", "relu",
+              "--embedding-mode", "sw", "--epochs", "1", "--batch-size", "32",
+              "--eval-every", "0", "--out", str(out)])
+        echo = dict(line.split("=", 1) for line in
+                    (tmp_path / f"{model}.bin.config").read_text().splitlines())
+        saved = load_model(out).hyper
+        assert echo["model"] == model
+        assert (int(echo["dim"]), int(echo["layers"]), float(echo["alpha"]),
+                float(echo["beta"]), echo["activation"], echo["embedding_mode"]) == \
+            (saved.d, saved.L, saved.alpha, saved.beta, saved.activation, saved.embedding_mode)
+        weights = np.array([float(w) for w in echo["layer_weights"].split(",")])
+        assert np.array_equal(weights, saved.layer_weights)
+
+
+class TestParserReuse:
+    def test_consecutive_calls_resolve_independently(self, monkeypatch):
+        seen = []
+        for command, (_, help_text) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, command, (seen.append, help_text))
+        main(["train", "--data", "d", "--out", "o", "--layers", "2", "--seed", "5",
+              "--model", "plain"])
+        main(["diagnose", "--data", "d2"])
+        main(["evaluate", "--model", "m", "--data", "d", "--k", "5"])
+        main(["evaluate", "--model", "m", "--data", "d"])
+        train, diagnose, evaluate_k5, evaluate = (vars(cfg) for cfg in seen)
+        assert (train["layers"], train["seed"], train["model"]) == (2, 5, "plain")
+        assert diagnose["layer_range"] == "1..8" and diagnose["seed"] == 0
+        assert diagnose["data"] == "d2" and "layers" not in diagnose and "model" not in diagnose
+        assert evaluate_k5["k"] == 5 and evaluate["k"] == 20
+        assert evaluate["model_path"] == "m" and "model" not in evaluate
+        assert build_parser() is build_parser()
 
 
 class TestEvaluate:

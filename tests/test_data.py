@@ -1,4 +1,6 @@
+import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dgcf.data import RawInteractions, k_core_filter, load_split, parse_interactions, \
     sample_bpr_triples, save_split, split_train_test
 from dgcf.errors import DataError, ParseError
-from helpers import brute_force_k_core
+from helpers import brute_force_k_core, naive_read_adjacency, naive_train_and_test
 
 
 def write(tmp_path, text, name="inter.txt"):
@@ -216,3 +218,82 @@ class TestRoundTrip:
     def test_missing_dir(self, tmp_path):
         with pytest.raises(DataError):
             load_split(tmp_path / "nope")
+
+
+def csr_state(rows):
+    """Shape and the dtype and bytes of indptr, indices and data."""
+    return [rows.shape] + [(a.dtype.str, a.tobytes()) for a in (rows.indptr, rows.indices,
+                                                                 rows.data)]
+
+
+def tiny_dataset(root: Path, train: str, test: str = "") -> Path:
+    """A 3-user, 5-item dataset directory with the given train.txt and test.txt."""
+    root.mkdir()
+    (root / "stats.json").write_text(json.dumps({"m": 3, "n": 5, "seed": 0, "nnz": 0, "k": 1}))
+    (root / "user_map.tsv").write_text("".join(f"u{u}\t{u}\n" for u in range(3)))
+    (root / "item_map.tsv").write_text("".join(f"i{i}\t{i}\n" for i in range(5)))
+    (root / "train.txt").write_text(train)
+    (root / "test.txt").write_text(test)
+    return root
+
+
+class TestLoadSplitMatchesOracle:
+    """load_split against the original split and the line-by-line oracle reader."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([0.1, 0.3, 0.5]))
+    def test_random_round_trip(self, seed, ratio):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 12)), int(rng.integers(2, 12))
+        pairs = sorted({(f"u{rng.integers(m)}", f"i{rng.integers(n)}")
+                        for _ in range(int(rng.integers(1, 80)))})
+        split = split_train_test(RawInteractions(pairs), ratio, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_split(split, tmp, k_core=1)
+            loaded = load_split(tmp)
+            rows, test = naive_train_and_test(Path(tmp), split.m, split.n)
+        assert csr_state(loaded.train.rows) == csr_state(split.train.rows) == csr_state(rows)
+        assert loaded.test == split.test == test
+        assert all(type(i) is int for items in loaded.test for i in items)
+        assert loaded.user_map == split.user_map and loaded.item_map == split.item_map
+        assert loaded.seed == split.seed
+
+    @pytest.mark.parametrize("train,test,items,held", [
+        ("0\t1  2\n1 \t 3\t\t4\n2   0\n", "0\t4\n", [[1, 2], [3, 4], [0]], [[4], [], []]),
+        ("\n0 1\n\n   \n1 2\n\n2 3\n\n", "\n\n2 4\n", [[1], [2], [3]], [[], [], [4]]),
+        ("0 3\n1 1\n0 1\n2 2\n", "1 4\n1 0\n", [[1, 3], [1], [2]], [[], [0, 4], []]),
+        ("0 1 1 2\n1 4 4\n2 0 0\n", "0 4 4 3\n0 3\n", [[1, 2], [4], [0]], [[3, 4], [], []]),
+    ], ids=["tabs-and-spaces", "blank-lines", "user-on-two-lines", "repeated-items"])
+    def test_hand_written(self, tmp_path, train, test, items, held):
+        d = tiny_dataset(tmp_path / "ds", train, test)
+        loaded = load_split(d)
+        rows, oracle_test = naive_train_and_test(d, 3, 5)
+        assert csr_state(loaded.train.rows) == csr_state(rows)
+        assert [loaded.train.user_items(u).tolist() for u in range(3)] == items
+        assert loaded.test == oracle_test == held
+
+    @pytest.mark.parametrize("name,text,lineno", [
+        ("train.txt", "0 1\n0 5\n", 2),
+        ("train.txt", "0 1\n\n1 x\n", 3),
+        ("train.txt", "0 1\n3 1\n", 2),
+        ("train.txt", "0 1\n1\n", 2),
+        ("train.txt", "-1 2\n", 1),
+        ("train.txt", "0 1\n1 2 -2\n", 2),
+        ("train.txt", "0 1\n1 99999999999999999999999\n", 2),
+        ("test.txt", "0 1\n\n\n0 2 7\n", 4),
+    ], ids=["item-range", "non-integer", "user-range", "no-items", "negative-user",
+            "negative-item", "huge-item", "test-file"])
+    def test_malformed_line_message(self, tmp_path, name, text, lineno):
+        files = {"train.txt": "0 1\n", "test.txt": "", name: text}
+        d = tiny_dataset(tmp_path / "ds", files["train.txt"], files["test.txt"])
+        with pytest.raises(ParseError) as got:
+            load_split(d)
+        with pytest.raises(ParseError) as want:
+            naive_read_adjacency(d / name, 3, 5)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{d / name}:{lineno}: expected 'user item1 item2 ...'")
+
+    def test_blank_train_file(self, tmp_path):
+        d = tiny_dataset(tmp_path / "ds", "\n  \n")
+        with pytest.raises(DataError, match="no interactions found"):
+            load_split(d)

@@ -1,0 +1,194 @@
+"""Buffer reuse: forward(out=trace), the backward workspace and the fused Adam
+step give bitwise the results of fresh arrays, and allocate less."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dgcf.data import laplacian_for, sample_bpr_triples
+from dgcf.model import ModelParams, forward, init_params, preset
+from dgcf.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState, TrainConfig, \
+    backward, bpr_loss, fit, optimizer_step
+from helpers import random_interactions
+
+from conftest import laplacian_from_pairs
+
+# every preset in both embedding modes (lightgcn and bprmf pin free), and the
+# endpoints where arrays alias: a = 1 (M is E(0)), b = 0 (Z is M), free (E(0) is W)
+CASES = {
+    "ours-sw": ("ours", {}),
+    "ours-free": ("ours", dict(embedding_mode="free")),
+    "plain-sw": ("plain", {}),
+    "plain-free": ("plain", dict(embedding_mode="free")),
+    "lightgcn": ("lightgcn", {}),
+    "bprmf": ("bprmf", {}),
+    "alpha0": ("ours", dict(alpha=0.0)),
+    "alpha1-sw": ("ours", dict(alpha=1.0)),
+    "alpha1-free": ("ours", dict(alpha=1.0, embedding_mode="free")),
+    "beta0-relu": ("ours", dict(beta=0.0)),
+    "beta0-identity-free": ("ours", dict(beta=0.0, activation="identity",
+                                         embedding_mode="free")),
+    "alpha1-beta0-identity-free": ("ours", dict(alpha=1.0, beta=0.0, activation="identity",
+                                                embedding_mode="free")),
+}
+
+
+def hyper_of(case, d=4, L=3):
+    tag, fields = CASES[case]
+    return preset(tag, d=d, L=L, **fields)
+
+
+def random_params(m, n, hyper, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(m, n, hyper, rng)
+    params.W_layers = [rng.normal(0, 0.3, (hyper.d, hyper.d)) for _ in range(hyper.L)]
+    return params
+
+
+def assert_same_trace(got, want):
+    assert len(got.E_layers) == len(want.E_layers)
+    for a, b in zip(got.E_layers + got.mixed_layers + [got.E_star],
+                    want.E_layers + want.mixed_layers + [want.E_star]):
+        # bytes also tell 0.0 from -0.0
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    for a, b in zip(got.transforms, want.transforms):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+def assert_follows_definition(trace, params, S, hyper):
+    """Every array of the trace recomputed from the definitions, layer by
+    layer from the trace's own E(l-1), with fresh arrays throughout."""
+    a, b, w = hyper.alpha, hyper.beta, hyper.layer_weights
+    E0 = S @ params.W if hyper.embedding_mode == "sw" else params.W
+    want = [E0]
+    for l, W_l in enumerate(params.W_layers, start=1):
+        P = S @ trace.E_layers[l - 1]
+        M = E0 if a == 1.0 else P if a == 0.0 else (1.0 - a) * P + a * E0
+        Z = M if b == 0.0 else M @ ((1.0 - b) * np.eye(hyper.d) + b * W_l)
+        assert trace.mixed_layers[l - 1].tobytes() == M.tobytes()
+        want.append(np.maximum(Z, 0.0) if hyper.activation == "relu" else Z)
+    E_star = w[0] * want[0]
+    for k in range(1, len(want)):
+        E_star = E_star + w[k] * want[k]
+    for got, expected in zip(trace.E_layers + [trace.E_star], want + [E_star]):
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_forward_into_previous_trace_is_bitwise_fresh(case):
+    S = laplacian_from_pairs(7, 8, random_interactions(np.random.default_rng(1), 7, 8, 3))
+    hyper = hyper_of(case)
+    prev = forward(random_params(7, 8, hyper, 2), S, hyper)
+    params = random_params(7, 8, hyper, 3)
+    W = params.W.copy()
+    got = forward(params, S, hyper, out=prev)
+    assert got is prev
+    assert np.array_equal(params.W, W)
+    assert_same_trace(got, forward(params, S, hyper))
+    assert_follows_definition(got, params, S, hyper)
+    if hyper.embedding_mode == "free":
+        assert got.E_layers[0] is params.W
+    if hyper.alpha == 1.0:
+        assert all(M is got.E_layers[0] for M in got.mixed_layers)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_forward_into_trace_of_other_model(case):
+    # the workspace holds buffers by role, so a trace whose arrays alias W
+    # (free, a = 1, b = 0, identity) can take any model's pass, and back
+    S = laplacian_from_pairs(7, 8, random_interactions(np.random.default_rng(1), 7, 8, 3))
+    aliasing = hyper_of("alpha1-beta0-identity-free")
+    hyper = hyper_of(case)
+    other = random_params(7, 8, aliasing, 4)
+    params = random_params(7, 8, hyper, 5)
+    W, other_W = params.W.copy(), other.W.copy()
+    trace = forward(params, S, hyper, out=forward(other, S, aliasing))
+    assert_same_trace(trace, forward(params, S, hyper))
+    assert_follows_definition(trace, params, S, hyper)
+    assert_same_trace(forward(other, S, aliasing, out=trace), forward(other, S, aliasing))
+    assert np.array_equal(params.W, W) and np.array_equal(other.W, other_W)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fit_steps_equal_hand_run_fresh_steps(case, ring_split):
+    hyper = hyper_of(case)
+    config = TrainConfig(lr=0.01, reg_lambda=1e-3, epochs=1, batches_per_epoch=3,
+                         batch_size=16, seed=4, eval_every=0)
+    fitted, log = fit(ring_split, hyper, config)
+
+    S = laplacian_for(ring_split)
+    rng = np.random.default_rng(config.seed)
+    params = init_params(ring_split.m, ring_split.n, hyper, rng)
+    state = OptimizerState()
+    total = 0.0
+    for _ in range(3):
+        batch = sample_bpr_triples(ring_split, config.batch_size, rng)
+        trace = forward(params, S, hyper)
+        total += bpr_loss(trace, batch, config.reg_lambda, params)
+        grads = backward(trace, batch, params, S, hyper, config.reg_lambda)
+        optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers, config.lr,
+                       state)
+    assert log[0]["loss"] == total / 3
+    for a, b in zip([fitted.W] + fitted.W_layers, [params.W] + params.W_layers):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_backward_leaves_earlier_gradients_alone(ring_split):
+    # the workspace is scratch: returned gradients are fresh arrays
+    hyper = hyper_of("ours-free")
+    S = laplacian_for(ring_split)
+    params = random_params(ring_split.m, ring_split.n, hyper, 6)
+    trace = forward(params, S, hyper)
+    rng = np.random.default_rng(7)
+    first = backward(trace, sample_bpr_triples(ring_split, 16, rng), params, S, hyper, 0.01)
+    kept = ModelParams(first.m, first.n, first.W.copy(), [g.copy() for g in first.W_layers])
+    backward(trace, sample_bpr_triples(ring_split, 16, rng), params, S, hyper, 0.01)
+    for a, b in zip([first.W] + first.W_layers, [kept.W] + kept.W_layers):
+        assert np.array_equal(a, b)
+
+
+def test_fused_adam_matches_textbook_expression():
+    rng = np.random.default_rng(8)
+    shapes = [(5, 3), (3, 3)]
+    fused = [rng.normal(size=s) for s in shapes]
+    plain = [p.copy() for p in fused]
+    mom = [np.zeros(s) for s in shapes]
+    vel = [np.zeros(s) for s in shapes]
+    state = OptimizerState()
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        optimizer_step(fused, grads, 0.05, state)
+        c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+        for p, g, mo, ve in zip(plain, grads, mom, vel):
+            mo *= ADAM_BETA1
+            mo += (1.0 - ADAM_BETA1) * g
+            ve *= ADAM_BETA2
+            ve += (1.0 - ADAM_BETA2) * (g * g)
+            p -= 0.05 * (mo / c1) / (np.sqrt(ve / c2) + ADAM_EPS)
+        for a, b in zip(fused, plain):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_reused_forward_allocates_a_fraction_of_fresh():
+    """tracemalloc peak of an L=8 forward: into a previous trace vs fresh. It
+    counts bytes, so the bound holds on any machine."""
+    m, n = 200, 300
+    S = laplacian_from_pairs(m, n, random_interactions(np.random.default_rng(9), m, n, 6))
+    hyper = preset("ours", d=64, L=8)
+    params = random_params(m, n, hyper, 10)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = forward(params, S, hyper)
+        fresh = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        forward(params, S, hyper, out=trace)
+        reused = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    buffer = (m + n) * hyper.d * 8
+    assert fresh > 10 * buffer
+    assert reused < 0.25 * fresh, (reused / buffer, fresh / buffer)
