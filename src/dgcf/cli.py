@@ -25,8 +25,7 @@ from .data import FORMATS, DatasetSplit, k_core_filter, laplacian_for, load_spli
 from .errors import ConfigError, DataError, DgcfError
 from .evaluate import evaluate_model, oversmoothing_report, rank_items, report_tsv
 from .model import ACTIVATIONS, EMBEDDING_MODES, PRESETS, forward, preset, score_all_items
-from .modelfile import ModelRecord, load_model, save_model
-from .train import TrainConfig, fit
+from .modelfile import ModelRecord, graph_sha256, load_model, save_model
 from .util import read_text, write_atomic_text
 
 PRE, TRAIN, EVAL, REC, DIAG = "preprocess", "train", "evaluate", "recommend", "diagnose"
@@ -171,7 +170,10 @@ def parse_layer_range(text: str) -> int:
 
 
 def model_embeddings(record: ModelRecord, split: DatasetSplit) -> np.ndarray:
-    """Combined embedding table E* of a saved model, whatever its tag."""
+    """Combined embedding table E* of a saved model, whatever its tag: the
+    stored one, or for a file without it, forward on the split's graph."""
+    if record.e_star is not None:
+        return record.e_star
     return forward(record.params, laplacian_for(split), record.hyper).E_star
 
 
@@ -191,6 +193,8 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
+    from .train import TrainConfig, fit  # here, so serving commands never import training
+
     split = load_split(cfg.data)
     tcfg = TrainConfig(lr=cfg.lr, reg_lambda=cfg.reg_lambda, epochs=cfg.epochs,
                        batch_size=cfg.batch_size, batches_per_epoch=cfg.batches_per_epoch,
@@ -200,7 +204,7 @@ def cmd_train(cfg: RunConfig) -> None:
                    layer_weights=_parse_layer_weights(cfg.layer_weights),
                    activation=cfg.activation, embedding_mode=cfg.embedding_mode)
     params, log = fit(split, hyper, tcfg)
-    save_model(cfg.out, cfg.model, params, hyper)
+    save_model(cfg.out, cfg.model, params, hyper, split)
     log_path = cfg.log or cfg.out + ".log.jsonl"
     write_atomic_text(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
     # the echo states the saved model, whose preset may have overridden options
@@ -213,12 +217,20 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def load_model_and_split(cfg: RunConfig) -> tuple[ModelRecord, DatasetSplit]:
-    """The --model file and --data split, refused unless their m x n agree."""
+    """The --model file and --data split, refused unless their m x n agree and
+    the model's training graph, when the file records it, is the split's."""
     record = load_model(cfg.model_path)
     split = load_split(cfg.data)
     if (record.params.m, record.params.n) != (split.m, split.n):
         raise DataError(f"model is {record.params.m}x{record.params.n} but dataset is "
                         f"{split.m}x{split.n}")
+    train_path = Path(cfg.data) / "train.txt"
+    if record.graph_sha256 is None:
+        print(f"note: {cfg.model_path} records no training graph, so it was not checked "
+              f"against {train_path}", file=sys.stderr)
+    elif record.graph_sha256 != (data_sha := graph_sha256(split)):
+        raise DataError(f"{cfg.model_path} was trained on another graph than {train_path} "
+                        f"(sha256 {record.graph_sha256[:16]}... against {data_sha[:16]}...)")
     return record, split
 
 

@@ -125,7 +125,9 @@ class ForwardTrace:
     E(0) is params.W in free mode, M(l) is E(0) when a = 1, and E(l) is M(l)
     under identity with b = 0. workspace owns the buffers behind E(l) and E*
     and the scratch of forward and backward; passing the trace back to
-    forward as `out` overwrites all of them.
+    forward as `out` overwrites all of them. margins is (batch, x), the BPR
+    margins of the last batch scored on E*, which the loss and the backward
+    pass of one step share; forward clears it.
     """
 
     m: int
@@ -134,6 +136,7 @@ class ForwardTrace:
     transforms: list[np.ndarray | None]  # T(1)..T(L)
     E_star: np.ndarray = field(repr=False, default=None)
     workspace: Workspace = field(repr=False, default_factory=Workspace)
+    margins: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 
 
 def init_params(m: int, n: int, hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
@@ -197,7 +200,8 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
     if out is None:
         out = ForwardTrace(m=params.m, E_layers=[], mixed_layers=[], transforms=[])
     # drop the previous pass's arrays first, so that their memory is free for this one
-    out.m, out.E_layers, out.mixed_layers, out.transforms, out.E_star = params.m, [], [], [], None
+    out.m, out.E_layers, out.mixed_layers, out.transforms = params.m, [], [], []
+    out.E_star = out.margins = None
     ws, shape = out.workspace, params.W.shape
     E0 = spmm(S, params.W) if hyper.embedding_mode == "sw" else params.W
     a = hyper.alpha

@@ -59,14 +59,20 @@ class OptimizerState:
     scratch: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
 
-def _margins(E_star: np.ndarray, m: int, batch: np.ndarray) -> np.ndarray:
-    # x_t = <e_u, e_i> - <e_u, e_j> per triple, as one vectorized pass
-    # in place on the gathered rows: two (B, d) temporaries live at a time, not four
+def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
+    """x_t = <e_u, e_i> - <e_u, e_j> per triple on trace.E_star, computed once
+    per forward pass and batch: bpr_loss and backward of a step share it."""
+    if trace.margins is not None and np.array_equal(trace.margins[0], batch):
+        return trace.margins[1]
+    # one vectorized pass in place on the gathered rows: two (B, d) temporaries, not four
+    E_star, m = trace.E_star, trace.m
     u, i, j = batch[:, 0], batch[:, 1], batch[:, 2]
     rows = E_star[m + i]
     rows -= E_star[m + j]
     rows *= E_star[u]
-    return np.sum(rows, axis=1)
+    x = np.sum(rows, axis=1)
+    trace.margins = (batch.copy(), x)  # a copy, so an edit of batch in place misses
+    return x
 
 
 def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
@@ -75,7 +81,7 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
     batch = np.asarray(batch)
     if batch.size == 0:
         raise ValueError("empty batch")
-    x = _margins(trace.E_star, trace.m, batch)
+    x = _margins(trace, batch)
     # -ln sigmoid(x) = softplus(-x) = logaddexp(0, -x), stable for any x
     rank_term = float(np.mean(np.logaddexp(0.0, -x)))
     reg = float(np.sum(params.W * params.W))
@@ -97,7 +103,7 @@ def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
     m = trace.m
     E = trace.E_star
     u, i, j = batch[:, 0], batch[:, 1], batch[:, 2]
-    x = _margins(E, m, batch)
+    x = _margins(trace, batch)
     c = (-expit(-x) / len(batch))[:, None]  # dloss/dx_t
     idx = np.concatenate([u, m + i, m + j])
     # rows c (e_i - e_j), c e_u and -c e_u, each block written in place

@@ -8,6 +8,8 @@ package's vectorized code is meaningful evidence.
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -195,3 +197,15 @@ def naive_train_and_test(data_dir: Path, m: int, n: int) -> tuple[sp.csr_array, 
         for u, items in naive_read_adjacency(data_dir / "test.txt", m, n).items():
             test[u] = sorted(set(items))
     return rows, test
+
+
+def write_v1_model(src: Path, dst: Path) -> None:
+    """Rewrite the version-2 model file src as the version-1 file dst: the same
+    header and parameters, without the graph section, with version byte 1 and
+    a fresh CRC. Offsets come straight from the documented layout."""
+    blob = Path(src).read_bytes()
+    assert blob[:4] == b"DGCF" and blob[4] == 2, "expected a version-2 model file"
+    m, n, d, _, _, _ = struct.unpack_from("<QQQQdd", blob, 8)
+    body = bytearray(blob[:-4 - 32 - 8 * (m + n) * d])
+    body[4] = 1
+    Path(dst).write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,6 +20,7 @@ from dgcf.model import forward
 from dgcf.modelfile import load_model
 from dgcf.synthetic import bipartite_ring
 from dgcf.train import laplacian_for
+from helpers import write_v1_model
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +218,90 @@ class TestRecommend:
                   str(dataset_dir), "--user", "nobody"])
 
 
+def run_cli(argv, monkeypatch, capsys) -> tuple[int, str, str]:
+    """entrypoint() on argv: (exit code, stdout, stderr)."""
+    capsys.readouterr()
+    monkeypatch.setattr("sys.argv", ["dgcf", *argv])
+    code = entrypoint()
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def serving_argv(command, model, data):
+    extra = ["--user", "u00"] if command == "recommend" else []
+    return [command, "--model", str(model), "--data", str(data), *extra]
+
+
+@pytest.fixture(scope="module")
+def seed_splits(raw_file, tmp_path_factory):
+    """Seed-0 and seed-5 splits of one corpus, and a model trained on the seed-0 split."""
+    root = tmp_path_factory.mktemp("seeds")
+    for seed in (0, 5):
+        assert main(["preprocess", "--input", str(raw_file), "--k-core", "2",
+                     "--seed", str(seed), "--out", str(root / f"seed{seed}")]) == 0
+    assert main(["train", "--data", str(root / "seed0"), "--dim", "4", "--layers", "2",
+                 "--epochs", "1", "--batch-size", "32", "--eval-every", "0",
+                 "--out", str(root / "seed0.bin")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend"])
+class TestTrainingGraph:
+    def test_model_of_another_split_refused(self, command, seed_splits, monkeypatch, capsys):
+        model, data = seed_splits / "seed0.bin", seed_splits / "seed5"
+        assert load_split(data).m == load_split(seed_splits / "seed0").m  # same m x n
+        code, out, err = run_cli(serving_argv(command, model, data), monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert str(model) in err and str(data / "train.txt") in err
+
+    def test_edited_train_file_refused(self, command, trained_model, dataset_dir, tmp_path,
+                                       monkeypatch, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / "train.txt").read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if len(line.split()) > 2)
+        lines[k] = lines[k].rsplit(" ", 1)[0]  # one interaction fewer, still well-formed
+        (data / "train.txt").write_text("\n".join(lines) + "\n")
+        load_split(data)
+        code, out, err = run_cli(serving_argv(command, trained_model, data), monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert str(trained_model) in err and str(data / "train.txt") in err
+
+    def test_v1_file_gives_same_output_and_one_note(self, command, trained_model, dataset_dir,
+                                                    tmp_path, monkeypatch, capsys):
+        v1 = tmp_path / "v1.bin"
+        write_v1_model(trained_model, v1)
+        code, want, err = run_cli(serving_argv(command, trained_model, dataset_dir),
+                                  monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        code, got, err = run_cli(serving_argv(command, v1, dataset_dir), monkeypatch, capsys)
+        assert (code, got) == (0, want)
+        assert len(err.splitlines()) == 1
+        assert "not checked" in err and str(v1) in err and str(dataset_dir / "train.txt") in err
+
+    def test_stored_e_star_is_served_without_forward(self, command, trained_model, dataset_dir,
+                                                     monkeypatch, capsys):
+        argv = serving_argv(command, trained_model, dataset_dir)
+        code, want, _ = run_cli(argv, monkeypatch, capsys)
+        assert code == 0
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("the stored E* was recomputed")
+
+        monkeypatch.setattr(cli, "forward", recompute)
+        monkeypatch.setattr(cli, "laplacian_for", recompute)
+        assert run_cli(argv, monkeypatch, capsys) == (0, want, "")
+
+
+def test_import_leaves_training_unloaded():
+    probe = ("import sys, dgcf.cli; "
+             "print(sorted({'dgcf.train', 'scipy.special'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
 class TestDiagnose:
     def test_tsv_shape(self, dataset_dir, capsys):
         main(["diagnose", "--data", str(dataset_dir), "--models", "plain",
@@ -357,7 +445,8 @@ class TestExitCodes:
         assert f"{bad}: not UTF-8" in capsys.readouterr().err
 
 
-EDITABLE = ["train.txt", "test.txt", "user_map.tsv", "item_map.tsv", "stats.json", "model.bin"]
+EDITABLE = ["train.txt", "test.txt", "user_map.tsv", "item_map.tsv", "stats.json", "model.bin",
+            "model-v1.bin"]
 EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
                  st.integers(min_value=0), st.integers(0, 255))
 
@@ -365,13 +454,17 @@ EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(target=st.sampled_from(EDITABLE), edits=st.lists(EDIT, min_size=1, max_size=3))
 def test_corrupted_file_never_exits_two(trained_model, dataset_dir, target, edits):
-    """1-3 random byte edits to one dataset file or the model file: evaluate and
-    recommend end in success or a reported error (exit 0 or 1), never exit 2."""
+    """1-3 random byte edits to one dataset file or the model file, a version-2
+    file as train writes it or its version-1 form: evaluate and recommend end in
+    success or a reported error (exit 0 or 1), never exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
         data, model = Path(tmp) / "data", Path(tmp) / "model.bin"
         shutil.copytree(dataset_dir, data)
-        shutil.copyfile(trained_model, model)
-        path = model if target == "model.bin" else data / target
+        if target == "model-v1.bin":
+            write_v1_model(trained_model, model)
+        else:
+            shutil.copyfile(trained_model, model)
+        path = model if target.startswith("model") else data / target
         blob = bytearray(path.read_bytes())
         for kind, pos, byte in edits:
             pos %= len(blob) + (kind == "insert")

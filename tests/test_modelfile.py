@@ -1,13 +1,19 @@
 import dataclasses
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dgcf.data import DatasetSplit, laplacian_for
 from dgcf.errors import ModelFileError
-from dgcf.model import PRESETS, Hyperparams, ModelParams, init_params, preset
-from dgcf.modelfile import MODEL_TAGS, load_model, save_model
+from dgcf.graph import InteractionMatrix
+from dgcf.model import PRESETS, Hyperparams, ModelParams, forward, init_params, preset
+from dgcf.modelfile import MODEL_TAGS, graph_sha256, load_model, save_model
 from dgcf.util import write_atomic_bytes
+from helpers import write_v1_model
 
 
 def sample_record(seed=0, m=4, n=6, d=3, L=2, **hyper_kw):
@@ -69,6 +75,98 @@ class TestRoundTrip:
         save_model(path, "ours", params, hyper)
         rec = load_model(path)
         rec.params.W[0, 0] = 123.0  # must not raise (frombuffer views are read-only)
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def split_with_rows(split: DatasetSplit, rows: sp.csr_array) -> DatasetSplit:
+    train = InteractionMatrix(m=split.m, n=split.n, rows=rows)
+    return DatasetSplit(train=train, test=split.test, user_map=split.user_map,
+                        item_map=split.item_map, seed=split.seed)
+
+
+class TestGraphSection:
+    def trained_like(self, split, tag, L=2):
+        hyper = preset(tag, d=4, L=L)
+        params = init_params(split.m, split.n, hyper, np.random.default_rng(1))
+        params.W_layers = [np.random.default_rng(2 + l).normal(0, 0.3, (4, 4))
+                           for l in range(hyper.L)]
+        return params, hyper
+
+    @pytest.mark.parametrize("tag", sorted(PRESETS))
+    def test_stored_e_star_is_forward(self, tmp_path, ring_split, tag):
+        params, hyper = self.trained_like(ring_split, tag)
+        save_model(tmp_path / "m.bin", tag, params, hyper, ring_split)
+        rec = load_model(tmp_path / "m.bin")
+        want = forward(params, laplacian_for(ring_split), hyper).E_star
+        assert rec.e_star.tobytes() == want.tobytes()
+        assert rec.graph_sha256 == graph_sha256(ring_split)
+        assert rec.params.W.tobytes() == params.W.tobytes()
+
+    def test_four_argument_save_is_version_one(self, tmp_path, ring_split):
+        params, hyper = self.trained_like(ring_split, "ours")
+        save_model(tmp_path / "v1.bin", "ours", params, hyper)
+        rec = load_model(tmp_path / "v1.bin")
+        assert rec.graph_sha256 is None and rec.e_star is None
+        assert rec.params.W.tobytes() == params.W.tobytes()
+        # the graph section is all that a split adds, apart from version byte and CRC
+        save_model(tmp_path / "v2.bin", "ours", params, hyper, ring_split)
+        write_v1_model(tmp_path / "v2.bin", tmp_path / "stripped.bin")
+        assert (tmp_path / "stripped.bin").read_bytes() == (tmp_path / "v1.bin").read_bytes()
+
+    def test_v1_file_loads(self, tmp_path, ring_split):
+        params, hyper = self.trained_like(ring_split, "ours")
+        save_model(tmp_path / "v2.bin", "ours", params, hyper, ring_split)
+        write_v1_model(tmp_path / "v2.bin", tmp_path / "v1.bin")
+        rec = load_model(tmp_path / "v1.bin")
+        assert rec.e_star is None and rec.graph_sha256 is None
+        assert rec.params.W.tobytes() == params.W.tobytes()
+
+    def test_non_finite_e_star_refused(self, tmp_path, ring_split):
+        params, hyper = self.trained_like(ring_split, "ours")
+        save_model(tmp_path / "m.bin", "ours", params, hyper, ring_split)
+        body = bytearray((tmp_path / "m.bin").read_bytes()[:-4])
+        body[-8:] = struct.pack("<d", float("nan"))  # the last entry of E*
+        (tmp_path / "m.bin").write_bytes(with_crc(bytes(body)))
+        with pytest.raises(ModelFileError, match="non-finite"):
+            load_model(tmp_path / "m.bin")
+
+    @pytest.mark.parametrize("cut", [8, 32 + 8])
+    def test_short_graph_section_refused(self, tmp_path, ring_split, cut):
+        params, hyper = self.trained_like(ring_split, "ours")
+        save_model(tmp_path / "m.bin", "ours", params, hyper, ring_split)
+        body = (tmp_path / "m.bin").read_bytes()[:-4 - cut]
+        (tmp_path / "m.bin").write_bytes(with_crc(body))
+        with pytest.raises(ModelFileError, match="size"):
+            load_model(tmp_path / "m.bin")
+
+    def test_trailing_bytes_refused(self, tmp_path, ring_split):
+        params, hyper = self.trained_like(ring_split, "ours")
+        save_model(tmp_path / "m.bin", "ours", params, hyper, ring_split)
+        body = (tmp_path / "m.bin").read_bytes()[:-4] + b"\0" * 8
+        (tmp_path / "m.bin").write_bytes(with_crc(body))
+        with pytest.raises(ModelFileError, match="size"):
+            load_model(tmp_path / "m.bin")
+
+    def test_fingerprint_ignores_index_dtype(self, ring_split):
+        rows = ring_split.train.rows
+        fingerprints = set()
+        for dtype in (np.int32, np.int64):
+            cast = sp.csr_array((rows.data, rows.indices.astype(dtype),
+                                 rows.indptr.astype(dtype)), shape=rows.shape)
+            assert cast.indices.dtype == dtype
+            fingerprints.add(graph_sha256(split_with_rows(ring_split, cast)))
+        assert fingerprints == {graph_sha256(ring_split)}
+
+    def test_fingerprint_sees_one_edge(self, ring_split):
+        R = ring_split.train.rows.tolil()
+        u = 0
+        free = next(i for i in range(ring_split.n) if R[u, i] == 0)
+        R[u, free] = 1.0
+        edited = split_with_rows(ring_split, R.tocsr())
+        assert graph_sha256(edited) != graph_sha256(ring_split)
 
 
 class TestCorruption:

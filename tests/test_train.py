@@ -77,6 +77,39 @@ class TestBprLoss:
             bpr_loss(trace, np.empty((0, 3), dtype=int), 0.0, params)
 
 
+class TestSharedMargins:
+    def test_loss_and_backward_of_a_step_share_one_margin_pass(self):
+        S, hyper, params, batch = tiny_instance(3)
+        trace = forward(params, S, hyper)
+        loss = bpr_loss(trace, batch, REG, params)
+        shared = trace.margins[1]
+        grads = backward(trace, batch, params, S, hyper, REG)
+        assert trace.margins[1] is shared
+        fresh = forward(params, S, hyper)
+        assert loss == bpr_loss(fresh, batch, REG, params)
+        want = backward(forward(params, S, hyper), batch, params, S, hyper, REG)
+        for a, b in zip([grads.W] + grads.W_layers, [want.W] + want.W_layers):
+            assert a.tobytes() == b.tobytes()
+
+    def test_batch_edited_in_place_is_scored_afresh(self):
+        S, hyper, params, batch = tiny_instance(4)
+        trace = forward(params, S, hyper)
+        bpr_loss(trace, batch, REG, params)
+        batch[:, 2] = (batch[:, 2] + 1) % 4
+        got = backward(trace, batch, params, S, hyper, REG)
+        want = backward(forward(params, S, hyper), batch, params, S, hyper, REG)
+        assert got.W.tobytes() == want.W.tobytes()
+
+    def test_forward_clears_the_margins(self):
+        S, hyper, params, batch = tiny_instance(5)
+        trace = forward(params, S, hyper)
+        bpr_loss(trace, batch, REG, params)
+        params.W += 0.5
+        assert forward(params, S, hyper, out=trace).margins is None
+        assert bpr_loss(trace, batch, REG, params) == \
+            bpr_loss(forward(params, S, hyper), batch, REG, params)
+
+
 class TestBackward:
     def test_symmetric_pos_neg_cancels(self, rng):
         S, hyper, params, _ = tiny_instance(0, activation="identity")
