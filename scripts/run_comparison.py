@@ -32,6 +32,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--k", type=int, default=20)
     args = ap.parse_args()
+    if args.k < 1:
+        ap.error(f"--k must be >= 1, got {args.k}")
 
     split = load_split(args.data)
     S = laplacian_for(split)

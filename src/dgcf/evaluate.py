@@ -3,6 +3,10 @@ embedding smoothness diagnostic used to measure over-smoothing versus depth."""
 
 from __future__ import annotations
 
+import functools
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,56 +32,110 @@ class SmoothnessReport:
     item_sim: float
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+@functools.lru_cache(maxsize=8)
+def _discounts(size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Rank discounts 1/log2(r + 2) for r < size, and the ideal DCG of j hits,
+    idcg[j], summed left to right from the first j discounts. Each entry is
+    computed by the scalar expression and in the order a per-user sum uses, so
+    a table lookup is bitwise that sum."""
+    discount = tuple(float(1.0 / np.log2(r + 2)) for r in range(size))
+    idcg = [0.0]
+    for x in discount:
+        idcg.append(idcg[-1] + x)
+    return discount, tuple(idcg)
+
+
 def recall_at_k(ranked_items, test_items: set, k: int) -> float:
+    _check_k(k)
     if not test_items:
         raise ValueError("empty test set; caller must skip this user")
-    top = list(ranked_items)[:k]
+    top = itertools.islice(ranked_items, k)
     return sum(1 for item in top if item in test_items) / len(test_items)
 
 
 def ndcg_at_k(ranked_items, test_items: set, k: int) -> float:
     """Binary relevance; ideal DCG truncated at min(|test|, k)."""
+    _check_k(k)
     if not test_items:
         raise ValueError("empty test set; caller must skip this user")
-    top = list(ranked_items)[:k]
-    dcg = sum(1.0 / np.log2(r + 2) for r, item in enumerate(top) if item in test_items)
-    idcg = sum(1.0 / np.log2(r + 2) for r in range(min(len(test_items), k)))
-    return float(dcg / idcg)
+    top = list(itertools.islice(ranked_items, k))
+    ideal = min(len(test_items), k)
+    # tables come in power-of-two sizes, so a whole evaluation shares one
+    discount, idcg = _discounts(1 << (max(len(top), ideal) - 1).bit_length())
+    dcg = sum(discount[r] for r, item in enumerate(top) if item in test_items)
+    return float(dcg / idcg[ideal])
 
 
 def rank_items(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
-    """Top-k item indices by descending score, ties broken by ascending index;
-    excluded items are pushed below everything rankable."""
-    s = scores.astype(np.float64, copy=True)
-    s[exclude] = -np.inf
-    n = len(s)
-    order = np.lexsort((np.arange(n), -s))  # primary: score desc; secondary: index asc
-    top = order[: min(k, n)]
-    return top[np.isfinite(s[top])]
+    """The k rankable items with the highest scores, by descending score and
+    then ascending index.
+
+    Excluded items and items with a non-finite score are not rankable and are
+    never returned; the list is shorter than k only when fewer than k items
+    are rankable. The result is exactly the first k of a full sort, but only
+    the candidates at or above the k-th key are sorted, ties at the boundary
+    included.
+    """
+    _check_k(k)
+    key = -np.asarray(scores, dtype=np.float64)  # ascending key: score desc
+    key[exclude] = np.inf
+    key[~np.isfinite(key)] = np.inf
+    n = len(key)
+    if k < n:
+        cand = np.flatnonzero(key <= np.partition(key, k - 1)[k - 1])
+    else:
+        cand = np.arange(n)
+    top = cand[np.lexsort((cand, key[cand]))[:k]]
+    return top[key[top] < np.inf]
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> RankingMetrics:
     """Mean Recall@k / NDCG@k over users with non-empty test sets.
 
     Scores come from e_star row dot products; each user's train items are
-    excluded from the ranking before the cutoff is applied.
+    excluded from the ranking before the cutoff is applied (see rank_items).
+    Users are split into contiguous chunks, one per usable core, which worker
+    threads score and rank; numpy releases the GIL inside both. The per-user
+    values are gathered in user order, so the means are bitwise the same
+    whatever the number of cores.
     """
+    _check_k(k)
     m, n = split.m, split.n
     if e_star.shape[0] != m + n:
         raise DataError(f"embedding rows {e_star.shape[0]} do not match m+n={m + n}")
-    recalls: list[float] = []
-    ndcgs: list[float] = []
-    for u in range(m):
-        test = split.test[u]
-        if not test:
-            continue
-        scores = score_all_items(e_star, m, u)
-        top = rank_items(scores, split.train.user_items(u), k)
-        tset = set(test)
-        recalls.append(recall_at_k(top, tset, k))
-        ndcgs.append(ndcg_at_k(top, tset, k))
-    if not recalls:
+    users = [u for u in range(m) if split.test[u]]
+    if not users:
         raise DataError("no users with test interactions to evaluate")
+
+    def user_metrics(chunk: list[int]) -> list[tuple[float, float]]:
+        out = []
+        for u in chunk:
+            top = rank_items(score_all_items(e_star, m, u), split.train.user_items(u), k).tolist()
+            tset = set(split.test[u])
+            out.append((recall_at_k(top, tset, k), ndcg_at_k(top, tset, k)))
+        return out
+
+    workers = min(_usable_cores(), len(users))
+    if workers == 1:
+        parts = [user_metrics(users)]
+    else:
+        bounds = [len(users) * w // workers for w in range(workers + 1)]
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(user_metrics, [users[a:b] for a, b in zip(bounds, bounds[1:])]))
+    recalls, ndcgs = zip(*itertools.chain.from_iterable(parts))
     return RankingMetrics(recall_at_k=float(np.mean(recalls)), ndcg_at_k=float(np.mean(ndcgs)),
                           k=k, users_evaluated=len(recalls))
 

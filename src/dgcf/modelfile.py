@@ -51,7 +51,7 @@ class ModelRecord:
     params: ModelParams
     hyper: Hyperparams
     graph_sha256: str | None = None  # hex; None for a file without the graph section
-    e_star: np.ndarray | None = None  # E* on that graph, likewise
+    e_star: np.ndarray | None = None  # E* on that graph, likewise; read-only
 
 
 def graph_sha256(split: DatasetSplit) -> str:
@@ -93,7 +93,7 @@ def load_model(path: str | Path) -> ModelRecord:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     if len(blob) < _HEAD.size + _DIMS.size + _CRC.size:
         raise ModelFileError(f"{path}: truncated model file")
-    body, crc_bytes = blob[:-_CRC.size], blob[-_CRC.size:]
+    body, crc_bytes = memoryview(blob)[:-_CRC.size], blob[-_CRC.size:]
     if zlib.crc32(body) != _CRC.unpack(crc_bytes)[0]:
         raise ModelFileError(f"{path}: checksum mismatch, file is corrupt")
     magic, version, type_b, act_b, mode_b = _HEAD.unpack_from(body, 0)
@@ -111,11 +111,12 @@ def load_model(path: str | Path) -> ModelRecord:
     if len(body) != expected:
         raise ModelFileError(f"{path}: size {len(body)} does not match header (want {expected})")
 
-    def take(count: int, shape) -> np.ndarray:
+    def take(count: int, shape, copy: bool = True) -> np.ndarray:
         nonlocal off
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=off)
         off += 8 * count
-        return arr.reshape(shape).astype(np.float64)
+        # without a copy, a read-only view of the file's bytes where <f8 is native
+        return arr.reshape(shape).astype(np.float64, copy=copy)
 
     weights = take(L + 1, (L + 1,))
     W = take((m + n) * d, (m + n, d))
@@ -124,7 +125,7 @@ def load_model(path: str | Path) -> ModelRecord:
     if version == GRAPH_VERSION:
         sha = body[off:off + _SHA].hex()
         off += _SHA
-        e_star = take((m + n) * d, (m + n, d))
+        e_star = take((m + n) * d, (m + n, d), copy=False)
     if not all(np.isfinite(a).all() for a in (W, *W_layers, e_star) if a is not None):
         raise ModelFileError(f"{path}: non-finite parameter or embedding values")
     try:

@@ -93,9 +93,10 @@ def naive_ndcg(ranked, test_items, k) -> float:
 
 
 def naive_rank(scores: np.ndarray, exclude, k: int) -> list[int]:
-    """Full sort by (-score, index) after dropping excluded items."""
+    """Full sort by (-score, index) after dropping excluded items and items
+    whose score is not finite."""
     banned = set(int(i) for i in exclude)
-    order = sorted((i for i in range(len(scores)) if i not in banned),
+    order = sorted((i for i in range(len(scores)) if i not in banned and math.isfinite(scores[i])),
                    key=lambda i: (-scores[i], i))
     return order[:k]
 

@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line (visible even under output capture) and
 asserts the same condition, so the suite summary and the printed report agree.
 Checks 6 and 7 train real models on a fixed synthetic corpus and take a few
-minutes; everything else is seconds.
+minutes; they carry the `slow` marker, so `pytest -m "not slow"` skips them.
+Everything else is seconds.
 """
 
 import hashlib
@@ -215,6 +216,7 @@ def test_5_metrics_match_naive_reimplementation(capfd):
            capfd)
 
 
+@pytest.mark.slow
 def test_6_propagation_beats_factorization(trained, capfd):
     ours, t_ours = trained("ours_L4")
     bpr, t_bpr = trained("bprmf")
@@ -226,6 +228,7 @@ def test_6_propagation_beats_factorization(trained, capfd):
                   f"(need >= {0.95 * lg:.4f}); {wall:.0f}s (budget 1800s)", capfd)
 
 
+@pytest.mark.slow
 def test_7_depth_helps_ours_hurts_plain(trained, capfd):
     ours2, t1 = trained("ours_L2")
     ours8, t2 = trained("ours_L8")

@@ -1,14 +1,18 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgcf import evaluate
 from dgcf.data import RawInteractions, split_train_test
 from dgcf.errors import ConfigError, DataError
 from dgcf.evaluate import evaluate_model, ndcg_at_k, \
     oversmoothing_report, rank_items, recall_at_k, report_tsv, smoothness
+from dgcf.model import score_all_items
 from helpers import naive_evaluate, naive_ndcg, naive_rank, naive_recall, \
     naive_smoothness, random_interactions
 
@@ -53,6 +57,13 @@ class TestNdcg:
     def test_empty_test_rejected(self):
         with pytest.raises(ValueError):
             ndcg_at_k([1], set(), 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ndcg_at_k([1, 2], {1}, k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            recall_at_k([1, 2], {1}, k)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=100, deadline=None)
@@ -102,6 +113,35 @@ class TestRankItems:
         k = int(rng.integers(1, 30))
         assert list(rank_items(scores, exclude, k)) == naive_rank(scores, exclude, k)
 
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_on_long_vectors(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 301))
+        # a few levels give heavy ties at the k-th score; -0.0 ties 0.0
+        levels = [-0.0, 0.0, 0.5, 0.5, -1.0, 1.0, np.inf, -np.inf, np.nan]
+        scores = rng.choice(rng.choice(levels, size=int(rng.integers(1, 5))), size=n)
+        spread = rng.random(n) < rng.random()
+        scores[spread] = rng.normal(size=int(spread.sum()))
+        n_ex = n if rng.random() < 0.05 else int(rng.integers(0, n + 1))
+        exclude = rng.choice(n, size=n_ex, replace=False)
+        k = int(rng.integers(1, 31)) if rng.random() < 0.8 else int(rng.integers(n, n + 4))
+        assert list(rank_items(scores, exclude, k)) == naive_rank(scores, exclude, k)
+
+    def test_non_finite_scores_are_excluded(self):
+        scores = np.array([np.inf, 0.3, np.nan, -np.inf, 0.1, 0.2])
+        assert list(rank_items(scores, np.array([5]), 2)) == [1, 4]
+        assert list(rank_items(scores, np.array([], dtype=int), 9)) == [1, 5, 4]
+
+    def test_negative_zero_ties_zero(self):
+        top = rank_items(np.array([0.0, -1.0, -0.0, 0.0]), np.array([], dtype=int), 2)
+        assert list(top) == [0, 2]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rank_items(np.array([0.5, 0.2]), np.array([], dtype=int), k)
+
 
 class TestEvaluateModel:
     def test_matches_naive_loops(self, ring_split):
@@ -150,6 +190,37 @@ class TestEvaluateModel:
     def test_row_count_mismatch(self, ring_split):
         with pytest.raises(DataError):
             evaluate_model(np.zeros((5, 2)), ring_split, k=3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, ring_split, k):
+        e_star = np.ones((ring_split.m + ring_split.n, 2))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate_model(e_star, ring_split, k=k)
+
+    @pytest.mark.parametrize("k", [1, 5, 20, 100])
+    def test_same_metrics_whatever_the_core_count(self, ring_split, monkeypatch, k):
+        # rounded embeddings force score ties
+        e_star = np.round(np.random.default_rng(k).normal(size=(ring_split.m + ring_split.n, 4)), 1)
+        scorers: set[int] = set()
+
+        def score(*args):
+            scorers.add(threading.get_ident())
+            return score_all_items(*args)
+
+        monkeypatch.setattr(evaluate, "score_all_items", score)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many thread switches inside each user
+        try:
+            for cores in (1, 2, 3, 64):  # 64 is more workers than users
+                monkeypatch.setattr(evaluate, "_usable_cores", lambda c=cores: c)
+                scorers.clear()
+                results[cores] = evaluate_model(e_star, ring_split, k=k)
+                on_main = scorers == {threading.get_ident()}
+                assert on_main if cores == 1 else threading.get_ident() not in scorers
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == results[1] for r in results.values())
 
 
 class TestSmoothness:

@@ -105,6 +105,18 @@ class TestGraphSection:
         assert rec.graph_sha256 == graph_sha256(ring_split)
         assert rec.params.W.tobytes() == params.W.tobytes()
 
+    def test_stored_e_star_is_read_only(self, tmp_path, ring_split):
+        params, hyper = self.trained_like(ring_split, "ours")
+        save_model(tmp_path / "m.bin", "ours", params, hyper, ring_split)
+        rec = load_model(tmp_path / "m.bin")
+        assert rec.e_star.dtype == np.float64 and not rec.e_star.flags.writeable
+        with pytest.raises(ValueError):
+            rec.e_star[0, 0] = 1.0
+        want = forward(params, laplacian_for(ring_split), hyper).E_star
+        assert rec.e_star.tobytes() == want.tobytes()
+        rec.params.W[0, 0] = 1.0  # parameters stay writable copies
+        rec.params.W_layers[0][0, 0] = 1.0
+
     def test_four_argument_save_is_version_one(self, tmp_path, ring_split):
         params, hyper = self.trained_like(ring_split, "ours")
         save_model(tmp_path / "v1.bin", "ours", params, hyper)

@@ -43,3 +43,13 @@ def test_depth_study(ring_dataset):
     assert out[0].split() == ["model", "L", "recall@20", "ndcg@20", "user_sim", "wall_s"]
     assert [line.split()[:2] for line in out[1:]] == \
         [["ours", "1"], ["ours", "2"], ["plain", "1"], ["plain", "2"]]
+
+
+@pytest.mark.parametrize("script", ["scripts/run_comparison.py", "scripts/depth_study.py"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_k_below_one_rejected(script, k):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, script, "--data", "unused", "--k", k], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert f"--k must be >= 1, got {k}" in done.stderr
