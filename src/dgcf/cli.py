@@ -119,8 +119,10 @@ def read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in s:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {s!r}")
-        key, val = s.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in s.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is repeated")
+        out[key] = val
     return out
 
 

@@ -244,9 +244,12 @@ def _read_map(path: Path, size: int) -> dict[str, int]:
             continue
         try:
             token, index = line.split("\t")
-            mapping[token] = int(index)
+            index = int(index)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: expected 'token<TAB>index', got {line!r}") from None
+        if token in mapping:
+            raise ParseError(f"{path}:{lineno}: token {token!r} is listed twice")
+        mapping[token] = index
     if len(mapping) != size or sorted(mapping.values()) != list(range(size)):
         raise DataError(f"{path}: indices are not 0..{size - 1} as stats.json says")
     return mapping

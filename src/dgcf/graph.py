@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+try:
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:  # private scipy API: add_product falls back to S @ E
+    _csr_matvecs = None
+
 
 @dataclass(frozen=True)
 class InteractionMatrix:
@@ -85,9 +90,40 @@ def normalize_laplacian(A: sp.csr_array, d: np.ndarray) -> sp.csr_array:
     return sp.csr_array((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
 
 
-def spmm(S: sp.csr_array, E: np.ndarray) -> np.ndarray:
-    """Sparse x dense product in float64; the kernel behind every propagation step."""
+def spmm(S: sp.csr_array, E: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sparse x dense product in float64; the kernel behind every propagation step.
+
+    Without out, returns a fresh S @ E. With out, adds S @ E into out in place
+    and returns it (see add_product).
+    """
+    if out is not None:
+        return add_product(S, E, out)
     E = np.asarray(E, dtype=np.float64)
     if S.shape[1] != E.shape[0]:
         raise ValueError(f"dimension mismatch: {S.shape} @ {E.shape}")
     return S @ E
+
+
+def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out += S @ E in place, for a C-contiguous float64 out; returns out.
+
+    A CSR S runs scipy's csr_matvecs, the kernel that S @ E runs after
+    np.zeros: each output row adds its entries' products in stored order, so
+    a zero-filled out receives exactly S @ E. The kernel is private scipy API,
+    the package's one use of it; without it (or for another format) this
+    falls back to out += S @ E, which rounds the sum before adding it.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    if E.ndim not in (1, 2) or S.shape[1] != E.shape[0]:
+        raise ValueError(f"dimension mismatch: {S.shape} @ {E.shape}")
+    want = (S.shape[0],) + E.shape[1:]
+    if not (isinstance(out, np.ndarray) and out.shape == want and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {want}")
+    if _csr_matvecs is None or S.format != "csr" or S.dtype != np.float64:
+        out += S @ E
+    else:
+        n_vecs = E.shape[1] if E.ndim == 2 else 1
+        _csr_matvecs(S.shape[0], S.shape[1], n_vecs, S.indptr, S.indices, S.data,
+                     np.ascontiguousarray(E).ravel(), out.ravel())
+    return out

@@ -102,16 +102,16 @@ class ModelParams:
 
 
 class Workspace:
-    """Float64 buffers kept between calls, one per name; a name's buffer is
-    reallocated when the requested shape changes. Contents are scratch."""
+    """Buffers kept between calls, one per name; a name's buffer is
+    reallocated when the requested shape or dtype changes. Contents are scratch."""
 
     def __init__(self):
         self._buffers: dict[object, np.ndarray] = {}
 
-    def get(self, name, shape: tuple[int, ...]) -> np.ndarray:
+    def get(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[name] = np.empty(shape)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(shape, dtype)
         return buf
 
 
@@ -119,12 +119,15 @@ class Workspace:
 class ForwardTrace:
     """All intermediates of one forward pass, kept for backprop and diagnostics.
 
-    mixed_layers holds the pre-transform mixes M(l) = (1-a) S E(l-1) + a E(0);
-    transforms holds T(l) = (1-b) I + b W(l-1), or None when b = 0, so that
-    E(l) = act(M(l) T(l)). Arrays may alias where the model makes them equal:
-    E(0) is params.W in free mode, M(l) is E(0) when a = 1, and E(l) is M(l)
-    under identity with b = 0. workspace owns the buffers behind E(l) and E*
-    and the scratch of forward and backward; passing the trace back to
+    mixed_layers holds the pre-transform mixes M(l) = a E(0) + S_mix E(l-1),
+    where S_mix = (1-a) S is the scaled operator of mix_operator; transforms
+    holds T(l) = (1-b) I + b W(l-1), or None when b = 0, so that
+    E(l) = act(M(l) T(l)). E_layers are the rows of one (L+1, N, d) stack in
+    workspace, so E(0) is a copy of params.W in free mode, and E* is that
+    stack times the layer weights. Arrays alias where the model makes them
+    equal: M(l) is E(0) when a = 1, and M(l) is E(l) under identity with
+    b = 0. workspace owns the buffers behind the stack, M(l), E*, S_mix's
+    values and the scratch of forward and backward; passing the trace back to
     forward as `out` overwrites all of them. margins is (batch, x), the BPR
     margins of the last batch scored on E*, which the loss and the backward
     pass of one step share; forward clears it.
@@ -135,6 +138,7 @@ class ForwardTrace:
     mixed_layers: list[np.ndarray]  # M(1)..M(L)
     transforms: list[np.ndarray | None]  # T(1)..T(L)
     E_star: np.ndarray = field(repr=False, default=None)
+    S_mix: sp.csr_array | None = field(repr=False, default=None)
     workspace: Workspace = field(repr=False, default_factory=Workspace)
     margins: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 
@@ -146,26 +150,42 @@ def init_params(m: int, n: int, hyper: Hyperparams, rng: np.random.Generator) ->
     return ModelParams(m=m, n=n, W=W, W_layers=W_layers)
 
 
-def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation, aE0=None, out=None,
-                    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """One propagation layer; returns (M, T, E_next), the mix, the transform
-    (None when beta = 0, which skips it) and the activated product M T.
-    Endpoint alpha and beta skip work and stay exact. aE0 is alpha * E0 when
-    the caller has it; out is a buffer for E_next, used unless E_next is M."""
+def mix_operator(S: sp.csr_array, alpha: float, data: np.ndarray | None = None,
+                 ) -> sp.csr_array:
+    """S_mix = (1-alpha) S: S itself when alpha = 0, else S's index arrays with
+    scaled values, written into data when given (a buffer of S.nnz floats)."""
+    if alpha == 0.0:
+        return S
+    data = np.multiply(1.0 - alpha, S.data, out=data)
+    return sp.csr_array((data, S.indices, S.indptr), shape=S.shape)
+
+
+def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation, S_mix=None, M=None,
+                    out=None, mask=None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """One propagation layer; returns (M, T, E_next): the mix
+    M = alpha E0 + S_mix E_prev, the transform T (None when beta = 0, which
+    skips it) and E_next = act(M T). The product accumulates onto alpha E0 in
+    place; alpha = 1 skips it, so M is E0, and alpha = 0 starts it from zero.
+    S_mix is mix_operator(S, alpha) when the caller has it. M and out are
+    float64 buffers for the mix and for E_next, and mask a bool buffer for the
+    finiteness check; each is allocated when None. E_next is out when out is
+    given; otherwise, under identity with beta = 0, it is M. A caller that
+    passes the same buffer as M and out must use identity with beta = 0."""
     if E_prev.shape != E0.shape:
         raise ValueError(f"E_prev {E_prev.shape} and E0 {E0.shape} disagree")
     if S.shape[0] != E_prev.shape[0]:
         raise ValueError(f"S {S.shape} does not match embeddings {E_prev.shape}")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {activation!r}")
-    # M = (1-a) S E_prev + a E0, in place on the fresh product
     if alpha == 1.0:
         M = E0
     else:
-        M = spmm(S, E_prev)
-        if alpha != 0.0:
-            M *= 1.0 - alpha
-            M += alpha * E0 if aE0 is None else aE0
+        M = np.empty(E_prev.shape) if M is None else M
+        if alpha == 0.0:
+            M.fill(0.0)
+        else:
+            np.multiply(alpha, E0, out=M)
+        spmm(mix_operator(S, alpha) if S_mix is None else S_mix, E_prev, out=M)
     # Z = M T with T = (1-b) I + b W
     if beta == 0.0:
         T, Z = None, M
@@ -175,10 +195,13 @@ def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation, aE0=None, out=N
         T = (1.0 - beta) * np.eye(M.shape[1])
         T += beta * W_l
         Z = np.matmul(M, T, out=out)
-    if not np.isfinite(Z).all():
+    if not np.isfinite(Z, out=mask).all():
         raise DivergenceError("non-finite values in propagation layer output")
     if activation == "relu":  # in place, except that M stays as it is
         return M, T, np.maximum(Z, 0.0, out=out if Z is M else Z)
+    if out is not None and Z is not out:  # alpha = 1 with beta = 0: E_next equals E0
+        np.copyto(out, Z)
+        Z = out
     return M, T, Z
 
 
@@ -199,38 +222,50 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
         raise ValueError(f"expected {hyper.L} layer transforms, got {len(params.W_layers)}")
     if out is None:
         out = ForwardTrace(m=params.m, E_layers=[], mixed_layers=[], transforms=[])
-    # drop the previous pass's arrays first, so that their memory is free for this one
-    out.m, out.E_layers, out.mixed_layers, out.transforms = params.m, [], [], []
-    out.E_star = out.margins = None
-    ws, shape = out.workspace, params.W.shape
-    E0 = spmm(S, params.W) if hyper.embedding_mode == "sw" else params.W
-    a = hyper.alpha
-    # a E(0) sits in "tmp" during the layers; combine_layers reuses that buffer after them
-    aE0 = np.multiply(a, E0, out=ws.get("tmp", shape)) if 0.0 < a < 1.0 and hyper.L else None
-    own_E = hyper.beta != 0.0 or hyper.activation == "relu"  # else E(l) is M(l)
-    out.E_layers.append(E0)
+    ws, shape, a = out.workspace, params.W.shape, hyper.alpha
+    stack = ws.get("E", (hyper.L + 1,) + shape)
+    E0 = stack[0]
+    if hyper.embedding_mode == "sw":
+        E0.fill(0.0)
+        spmm(S, params.W, out=E0)
+    else:
+        np.copyto(E0, params.W)
+    S_mix = mix_operator(S, a, ws.get("S_mix", S.data.shape))
+    mask = ws.get("mask", shape, bool)
+    own_M = a != 1.0 and (hyper.beta != 0.0 or hyper.activation == "relu")  # else M(l) is E(l)
+    out.m, out.E_layers, out.mixed_layers, out.transforms = params.m, [E0], [], []
+    out.S_mix, out.margins = S_mix, None
     for l, W_l in enumerate(params.W_layers, start=1):
+        E = stack[l]
         M, T, E = propagate_layer(out.E_layers[-1], E0, S, a, hyper.beta, W_l,
-                                  hyper.activation, aE0,
-                                  ws.get(("E", l), shape) if own_E else None)
+                                  hyper.activation, S_mix,
+                                  ws.get(("M", l), shape) if own_M else E, E, mask)
         out.mixed_layers.append(M)
         out.transforms.append(T)
         out.E_layers.append(E)
-    out.E_star = combine_layers(out.E_layers, hyper.layer_weights, ws.get("E_star", shape),
-                                ws.get("tmp", shape))
+    out.E_star = combine_layers(stack, hyper.layer_weights, ws.get("E_star", shape))
     return out
 
 
-def combine_layers(E_layers: list[np.ndarray], layer_weights, out=None, tmp=None) -> np.ndarray:
-    """E* = sum_k w_k E(k), accumulated in layer order for reproducibility;
-    out receives E* and tmp holds each w_k E(k) when given."""
+def combine_layers(E_layers, layer_weights, out=None) -> np.ndarray:
+    """E* = sum_k w_k E(k) as one BLAS product of the weights with the layers
+    stacked as rows (an (L+1, N, d) array, or a list that is stacked first);
+    out, a C-contiguous float64 buffer, receives E* when given. One layer is
+    a plain scaling: it wakes no BLAS threads, whose spinning after a call
+    slows the next multithreaded work (evaluate_model after BPRMF's fit)."""
     w = np.asarray(layer_weights, dtype=np.float64)
-    if len(E_layers) != len(w):
-        raise ValueError(f"{len(E_layers)} layers but {len(w)} weights")
-    E_star = np.multiply(w[0], E_layers[0], out=out)
-    for k in range(1, len(w)):
-        E_star += np.multiply(w[k], E_layers[k], out=tmp)
-    return E_star
+    stack = np.asarray(E_layers, dtype=np.float64)
+    if len(stack) != len(w):
+        raise ValueError(f"{len(stack)} layers but {len(w)} weights")
+    if len(w) == 1:
+        return np.multiply(w[0], stack[0], out=out)
+    flat = stack.reshape(len(w), -1)
+    if out is None:
+        return np.dot(w, flat).reshape(stack.shape[1:])
+    if not out.flags.c_contiguous:  # reshape would hand np.dot a copy
+        raise ValueError("out must be C-contiguous")
+    np.dot(w, flat, out=out.reshape(-1))
+    return out
 
 
 def predict(E_star: np.ndarray, m: int, u: int, i: int) -> float:

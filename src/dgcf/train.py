@@ -19,7 +19,7 @@ from scipy.special import expit
 from .data import DatasetSplit, laplacian_for, sample_bpr_triples
 from .errors import ConfigError, DivergenceError
 from .evaluate import evaluate_model
-from .graph import spmm
+from .graph import add_product, spmm
 from .model import ForwardTrace, Hyperparams, ModelParams, forward, init_params
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
@@ -84,22 +84,25 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
     x = _margins(trace, batch)
     # -ln sigmoid(x) = softplus(-x) = logaddexp(0, -x), stable for any x
     rank_term = float(np.mean(np.logaddexp(0.0, -x)))
-    reg = float(np.sum(params.W * params.W))
+    W_sq = np.multiply(params.W, params.W, out=trace.workspace.get("W_sq", params.W.shape))
+    reg = float(np.sum(W_sq))
     for Wl in params.W_layers:
         reg += float(np.sum(Wl * Wl))
     return rank_term + reg_lambda * reg
 
 
-def _scatter_rows(N: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Sum the rows of vals into an (N, d) zero matrix at positions idx, as one
+def _scatter_rows(idx: np.ndarray, vals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum the rows of vals into out, zeroed first, at positions idx: one
     incidence-matrix product whose output rows add their entries in idx order."""
     k = len(idx)
-    incidence = sp.csr_array((np.ones(k), (idx, np.arange(k))), shape=(N, k))
-    return incidence @ vals
+    incidence = sp.csr_array((np.ones(k), (idx, np.arange(k))), shape=(out.shape[0], k))
+    out.fill(0.0)
+    return add_product(incidence, vals, out)
 
 
 def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
-    """d(mean softplus term)/d(E_star): three scatter-adds per triple."""
+    """d(mean softplus term)/d(E_star): three scatter-adds per triple, into
+    the workspace buffer "G"."""
     m = trace.m
     E = trace.E_star
     u, i, j = batch[:, 0], batch[:, 1], batch[:, 2]
@@ -108,13 +111,14 @@ def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
     idx = np.concatenate([u, m + i, m + j])
     # rows c (e_i - e_j), c e_u and -c e_u, each block written in place
     B = len(batch)
-    vals = np.empty((3 * B, E.shape[1]))
+    ws = trace.workspace
+    vals = ws.get("vals", (3 * B, E.shape[1]))
     np.subtract(E[m + i], E[m + j], out=vals[:B])
     vals[:B] *= c
     E_u = E[u]
     np.multiply(c, E_u, out=vals[B:2 * B])
     np.multiply(-c, E_u, out=vals[2 * B:])
-    return _scatter_rows(E.shape[0], idx, vals)
+    return _scatter_rows(idx, vals, ws.get("G", E.shape))
 
 
 def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
@@ -123,11 +127,14 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
     to W and every W(l), returned in the shape of params.
 
     Reverse pass through E* = sum w_k E(k), E(l) = act(M(l) T(l)),
-    M(l) = (1-a) S E(l-1) + a E(0), E(0) = S W (or W). T(l) comes from the
-    trace; the relu mask is E(l) > 0, which equals M(l) T(l) > 0.
-    D carries dloss/dE(l); the initial-residual path accumulates into E0_bar.
-    The (N, d) temporaries are buffers of trace.workspace; the returned
-    gradients are fresh arrays.
+    M(l) = a E(0) + S_mix E(l-1), E(0) = S W (or W). T(l) and S_mix = (1-a) S
+    come from the trace, which forward built from the same S; the relu mask
+    is E(l) > 0, which equals M(l) T(l) > 0. D carries dloss/dE(l). Each layer
+    sets D = w(l-1) G and adds S_mix M_dot into it in place, S_mix being
+    symmetric; the initial-residual path sums the M_dot unscaled in E0_bar
+    and scales by a once. Under b = 0, M_dot is dloss/dZ(l) itself, so D and
+    M_dot swap buffers. Every (N, d) temporary is a buffer of trace.workspace;
+    the returned gradients are fresh arrays.
     """
     batch = np.asarray(batch)
     if batch.size == 0:
@@ -138,33 +145,38 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
     w = hyper.layer_weights
     G = _loss_grad_wrt_estar(trace, batch)
     ws = trace.workspace
-    D, E0_bar, tmp = (ws.get(name, G.shape) for name in ("D", "E0_bar", "tmp"))
-    M_dot = ws.get("M_dot", G.shape) if b != 0.0 else D
+    D, M_dot, E0_bar = (ws.get(name, G.shape) for name in ("D", "M_dot", "E0_bar"))
+    mask = ws.get("mask", G.shape, bool)
 
     grad_W_layers: list[np.ndarray] = [None] * hyper.L
-    E0_bar.fill(0.0)
     np.multiply(w[hyper.L], G, out=D)
     for l in range(hyper.L, 0, -1):
         Wl = params.W_layers[l - 1]
         if hyper.activation == "relu":
-            D *= trace.E_layers[l] > 0.0  # D now holds dloss/dZ(l)
+            D *= np.greater(trace.E_layers[l], 0.0, out=mask)  # D now holds dloss/dZ(l)
         if b != 0.0:
             np.matmul(D, trace.transforms[l - 1].T, out=M_dot)
             grad_W_layers[l - 1] = b * (trace.mixed_layers[l - 1].T @ D) + 2.0 * reg_lambda * Wl
         else:
             grad_W_layers[l - 1] = 2.0 * reg_lambda * Wl
-        if a != 0.0:
-            E0_bar += np.multiply(a, M_dot, out=tmp)
+            D, M_dot = M_dot, D
+        if a != 0.0:  # the top layer starts the sum, saving a zero fill
+            if l == hyper.L:
+                np.copyto(E0_bar, M_dot)
+            else:
+                E0_bar += M_dot
+        np.multiply(w[l - 1], G, out=D)
         if a != 1.0:
-            P = spmm(S, M_dot)  # S is symmetric
-            P *= 1.0 - a
-            np.multiply(w[l - 1], G, out=D)
-            D += P
-        else:
-            np.multiply(w[l - 1], G, out=D)
-    D += E0_bar  # dloss/dE(0)
-    grad_W = spmm(S, D) if hyper.embedding_mode == "sw" else D.copy()  # dE0/dW: S^T = S, or I
-    grad_W += np.multiply(2.0 * reg_lambda, params.W, out=tmp)
+            spmm(trace.S_mix, M_dot, out=D)
+    if a != 0.0 and hyper.L:
+        E0_bar *= a
+        D += E0_bar  # dloss/dE(0)
+    reg = np.multiply(2.0 * reg_lambda, params.W, out=M_dot)
+    if hyper.embedding_mode == "sw":  # dE0/dW: S^T = S
+        grad_W = spmm(S, D)
+        grad_W += reg
+    else:  # or I
+        grad_W = D + reg
     return ModelParams(params.m, params.n, grad_W, grad_W_layers)
 
 

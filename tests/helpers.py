@@ -25,6 +25,17 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
+def row_order_spmm_add(S, E: np.ndarray, out0: np.ndarray) -> np.ndarray:
+    """out0 + S @ E for a CSR S, each output row adding its entries' products
+    one at a time in stored order: the sequence of an in-place CSR kernel."""
+    out = np.array(out0, dtype=np.float64)
+    E = np.asarray(E, dtype=np.float64)
+    for r in range(S.shape[0]):
+        for jj in range(S.indptr[r], S.indptr[r + 1]):
+            out[r] += S.data[jj] * E[S.indices[jj]]
+    return out
+
+
 def dense_normalized_adjacency(m: int, n: int, pairs) -> np.ndarray:
     """D^(-1/2) A D^(-1/2) built with dense arithmetic and explicit loops."""
     N = m + n

@@ -359,6 +359,15 @@ class TestConfigFile:
             main(["train", "--data", str(dataset_dir), "--config", str(cfg),
                   "--out", str(tmp_path / "m.bin")])
 
+    def test_repeated_key_rejected(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("epochs=5\n# later edit\n epochs = 7\n")
+        code, _, err = run_cli(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                                "--out", str(tmp_path / "m.bin")], monkeypatch, capsys)
+        assert code == 1
+        assert f"{cfg}:3: key 'epochs' is repeated" in err
+        assert not (tmp_path / "m.bin").exists()
+
     def test_missing_config_file(self, dataset_dir, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             main(["train", "--data", str(dataset_dir), "--config",

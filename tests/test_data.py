@@ -293,6 +293,18 @@ class TestLoadSplitMatchesOracle:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{d / name}:{lineno}: expected 'user item1 item2 ...'")
 
+    @pytest.mark.parametrize("name,text", [
+        ("user_map.tsv", "u0\t0\nu1\t1\nu0\t2\n"),
+        ("item_map.tsv", "i0\t0\ni1\t1\n\ni2\t2\ni3\t3\ni1\t4\n"),
+    ], ids=["user", "item"])
+    def test_repeated_map_token(self, tmp_path, name, text):
+        # every index is present; the repeat, not the index range, is the fault
+        d = tiny_dataset(tmp_path / "ds", "0 1\n")
+        (d / name).write_text(text)
+        lineno, token = (3, "u0") if name == "user_map.tsv" else (6, "i1")
+        with pytest.raises(ParseError, match=f"{name}:{lineno}: token '{token}' is listed twice"):
+            load_split(d)
+
     def test_blank_train_file(self, tmp_path):
         d = tiny_dataset(tmp_path / "ds", "\n  \n")
         with pytest.raises(DataError, match="no interactions found"):

@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dgcf import graph
 from dgcf.graph import InteractionMatrix, build_adjacency, degree_vector, normalize_laplacian, \
     spmm
-from helpers import dense_normalized_adjacency, random_interactions
+from helpers import dense_normalized_adjacency, random_interactions, rel_err, row_order_spmm_add
 
 from conftest import laplacian_from_pairs
 
@@ -146,6 +147,70 @@ def test_spmm_matches_dense_oracle(rng):
 def test_spmm_dimension_mismatch():
     with pytest.raises(ValueError):
         spmm(sp.csr_array((3, 3)), np.ones((4, 2)))
+
+
+def spmm_out_cases():
+    """(S, E) pairs: random square and rectangular shapes, an empty matrix, a
+    non-contiguous E, a one-column E and a zero-row S."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for rows, cols, d in ((6, 6, 3), (15, 15, 4), (9, 4, 5), (4, 9, 2), (1, 7, 3)):
+        dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        cases.append((sp.csr_array(dense), rng.normal(size=(cols, d))))
+    cases.append((sp.csr_array((5, 6)), rng.normal(size=(6, 3))))  # nnz = 0
+    S = laplacian_from_pairs(5, 6, random_interactions(rng, 5, 6, 3))
+    cases.append((S, rng.normal(size=(11, 8))[:, ::2]))  # E not contiguous
+    cases.append((S, np.asfortranarray(rng.normal(size=(11, 3)))))
+    cases.append((S, rng.normal(size=(11, 1))))
+    cases.append((sp.csr_array((0, 4)), rng.normal(size=(4, 3))))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(spmm_out_cases())))
+def test_spmm_out_accumulates_in_row_order(case):
+    S, E = spmm_out_cases()[case]
+    out0 = np.random.default_rng(case).normal(size=(S.shape[0], E.shape[1]))
+    out = out0.copy()
+    assert spmm(S, E, out=out) is out
+    assert out.tobytes() == row_order_spmm_add(S, E, out0).tobytes()
+
+
+@pytest.mark.parametrize("case", range(len(spmm_out_cases())))
+def test_spmm_out_from_zero_is_the_fresh_product(case):
+    S, E = spmm_out_cases()[case]
+    out = np.zeros((S.shape[0], E.shape[1]))
+    spmm(S, E, out=out)
+    assert out.tobytes() == (S @ E).tobytes() == spmm(S, E).tobytes()
+
+
+@pytest.mark.parametrize("case", range(len(spmm_out_cases())))
+def test_spmm_out_fallback_without_kernel(case, monkeypatch):
+    monkeypatch.setattr(graph, "_csr_matvecs", None)
+    S, E = spmm_out_cases()[case]
+    out = np.zeros((S.shape[0], E.shape[1]))
+    spmm(S, E, out=out)
+    assert out.tobytes() == (S @ E).tobytes()
+    out0 = np.random.default_rng(case).normal(size=out.shape)
+    out = out0.copy()
+    spmm(S, E, out=out)
+    assert out.size == 0 or rel_err(out, row_order_spmm_add(S, E, out0)) <= 1e-14
+
+
+def test_spmm_out_rejects_bad_buffers():
+    S = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 0.0]]))
+    E = np.ones((2, 4))
+    bad = [np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(12), np.zeros((3, 4), np.float32),
+           np.zeros((3, 4), np.int64), np.zeros((3, 8))[:, ::2], np.zeros((3, 4), order="F"),
+           np.zeros((3, 4)).tolist()]
+    for out in bad:
+        with pytest.raises(ValueError):
+            spmm(S, E, out=out)
+    frozen = np.zeros((3, 4))
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        spmm(S, E, out=frozen)
+    with pytest.raises(ValueError):
+        spmm(S, np.ones((3, 4)), out=np.zeros((3, 4)))
 
 
 @settings(max_examples=30, deadline=None)

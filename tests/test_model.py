@@ -150,7 +150,7 @@ class TestForward:
         hyper = Hyperparams(d=3, L=2, embedding_mode="free")
         params = init_params(7, 8, hyper, rng)
         trace = forward(params, S, hyper)
-        assert trace.E_layers[0] is params.W
+        assert trace.E_layers[0].tobytes() == params.W.tobytes()  # a copy in the layer stack
 
     def test_linear_in_w_under_identity(self, rng):
         S = small_S()

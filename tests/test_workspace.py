@@ -10,12 +10,12 @@ from dgcf.data import laplacian_for, sample_bpr_triples
 from dgcf.model import ModelParams, forward, init_params, preset
 from dgcf.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState, TrainConfig, \
     backward, bpr_loss, fit, optimizer_step
-from helpers import random_interactions
+from helpers import finite_diff_grad, random_interactions, rel_err, row_order_spmm_add
 
 from conftest import laplacian_from_pairs
 
 # every preset in both embedding modes (lightgcn and bprmf pin free), and the
-# endpoints where arrays alias: a = 1 (M is E(0)), b = 0 (Z is M), free (E(0) is W)
+# endpoints where arrays alias: a = 1 (M is E(0)), b = 0 under identity (M is E(l))
 CASES = {
     "ours-sw": ("ours", {}),
     "ours-free": ("ours", dict(embedding_mode="free")),
@@ -59,21 +59,41 @@ def assert_same_trace(got, want):
 
 def assert_follows_definition(trace, params, S, hyper):
     """Every array of the trace recomputed from the definitions, layer by
-    layer from the trace's own E(l-1), with fresh arrays throughout."""
+    layer from the trace's own E(l-1), with fresh arrays throughout and in
+    forward's arithmetic order: M(l) = a E(0) + S_mix E(l-1) with
+    S_mix = (1-a) S, accumulated row by row onto a E(0), and E* as one
+    product of the weights with the stacked layers."""
     a, b, w = hyper.alpha, hyper.beta, hyper.layer_weights
-    E0 = S @ params.W if hyper.embedding_mode == "sw" else params.W
+    E0 = S @ params.W if hyper.embedding_mode == "sw" else params.W.copy()
+    S_mix = (1.0 - a) * S
     want = [E0]
     for l, W_l in enumerate(params.W_layers, start=1):
-        P = S @ trace.E_layers[l - 1]
-        M = E0 if a == 1.0 else P if a == 0.0 else (1.0 - a) * P + a * E0
+        E_prev = trace.E_layers[l - 1]
+        M = E0 if a == 1.0 else S @ E_prev if a == 0.0 else row_order_spmm_add(
+            S_mix, E_prev, a * E0)
         Z = M if b == 0.0 else M @ ((1.0 - b) * np.eye(hyper.d) + b * W_l)
         assert trace.mixed_layers[l - 1].tobytes() == M.tobytes()
         want.append(np.maximum(Z, 0.0) if hyper.activation == "relu" else Z)
-    E_star = w[0] * want[0]
-    for k in range(1, len(want)):
-        E_star = E_star + w[k] * want[k]
+    E_star = w[0] * E0 if len(want) == 1 else np.dot(
+        w, np.stack(want).reshape(len(want), -1)).reshape(E0.shape)
     for got, expected in zip(trace.E_layers + [trace.E_star], want + [E_star]):
         assert got.tobytes() == expected.tobytes()
+
+
+def assert_aliasing(trace, params, hyper):
+    """E(0)..E(L) are the rows of one stack, E(0) never is W, M(l) is E(0) at
+    a = 1 and E(l) under identity with b = 0, and has its own buffer otherwise."""
+    stack = trace.E_layers[0].base
+    assert stack is not None and stack.shape == (hyper.L + 1,) + params.W.shape
+    assert all(E.base is stack for E in trace.E_layers)
+    assert not np.shares_memory(trace.E_layers[0], params.W)
+    for l, M in enumerate(trace.mixed_layers, start=1):
+        if hyper.alpha == 1.0:
+            assert M is trace.E_layers[0]
+        elif hyper.beta == 0.0 and hyper.activation == "identity":
+            assert M is trace.E_layers[l]
+        else:
+            assert not np.shares_memory(M, stack)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -88,16 +108,13 @@ def test_forward_into_previous_trace_is_bitwise_fresh(case):
     assert np.array_equal(params.W, W)
     assert_same_trace(got, forward(params, S, hyper))
     assert_follows_definition(got, params, S, hyper)
-    if hyper.embedding_mode == "free":
-        assert got.E_layers[0] is params.W
-    if hyper.alpha == 1.0:
-        assert all(M is got.E_layers[0] for M in got.mixed_layers)
+    assert_aliasing(got, params, hyper)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_forward_into_trace_of_other_model(case):
-    # the workspace holds buffers by role, so a trace whose arrays alias W
-    # (free, a = 1, b = 0, identity) can take any model's pass, and back
+    # the workspace holds buffers by role, so a trace whose arrays alias most
+    # (a = 1, b = 0, identity) can take any model's pass, and back
     S = laplacian_from_pairs(7, 8, random_interactions(np.random.default_rng(1), 7, 8, 3))
     aliasing = hyper_of("alpha1-beta0-identity-free")
     hyper = hyper_of(case)
@@ -133,6 +150,21 @@ def test_fit_steps_equal_hand_run_fresh_steps(case, ring_split):
     assert log[0]["loss"] == total / 3
     for a, b in zip([fitted.W] + fitted.W_layers, [params.W] + params.W_layers):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_backward_matches_finite_differences_at_every_case(case):
+    # the endpoints take their own branches in backward: a = 0 multiplies by S
+    # itself, a = 1 skips the product, and b = 0 swaps the D and M_dot buffers
+    S = laplacian_from_pairs(4, 5, random_interactions(np.random.default_rng(12), 4, 5, 3))
+    hyper = hyper_of(case, d=3, L=3)
+    params = random_params(4, 5, hyper, 13)
+    batch = np.array([[0, 1, 2], [1, 0, 4], [3, 2, 0], [2, 4, 3], [0, 3, 1]])
+    got = backward(forward(params, S, hyper), batch, params, S, hyper, 0.01)
+    want = finite_diff_grad(params, lambda p: bpr_loss(forward(p, S, hyper), batch, 0.01, p),
+                            step=1e-6)
+    for g, w in zip([got.W] + got.W_layers, [want.W] + want.W_layers):
+        assert rel_err(g, w) <= 1e-4
 
 
 def test_backward_leaves_earlier_gradients_alone(ring_split):
@@ -192,3 +224,31 @@ def test_reused_forward_allocates_a_fraction_of_fresh():
     buffer = (m + n) * hyper.d * 8
     assert fresh > 10 * buffer
     assert reused < 0.25 * fresh, (reused / buffer, fresh / buffer)
+
+
+def test_training_step_allocates_only_the_returned_gradient():
+    """tracemalloc peak of one L=8 step (forward into the trace, loss,
+    backward) after a warm-up step: below two (N, d) float64 arrays, so
+    nothing of that size but the returned grad_W. It counts bytes, so the
+    bound holds on any machine. N is large enough that the (d, d) arrays
+    (each T(l) and the returned W(l) gradients) stay small beside (N, d)."""
+    m, n = 600, 900
+    S = laplacian_from_pairs(m, n, random_interactions(np.random.default_rng(9), m, n, 6))
+    hyper = preset("ours", d=64, L=8)
+    params = random_params(m, n, hyper, 10)
+    batch = np.stack([np.arange(64) % m, np.arange(64) % n, (np.arange(64) + 7) % n], axis=1)
+    trace = forward(params, S, hyper)
+    bpr_loss(trace, batch, 1e-4, params)
+    backward(trace, batch, params, S, hyper, 1e-4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = forward(params, S, hyper, out=trace)
+        bpr_loss(trace, batch, 1e-4, params)
+        grads = backward(trace, batch, params, S, hyper, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    buffer = (m + n) * hyper.d * 8
+    assert grads.W.nbytes == buffer
+    assert peak < 2 * buffer, peak / buffer
