@@ -237,18 +237,18 @@ def load_model_and_split(cfg: RunConfig) -> tuple[ModelRecord, DatasetSplit]:
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
-    record, split = load_model_and_split(cfg)
-    if cfg.k < 1:
+    if cfg.k < 1:  # before the files: a usage error is reported as one, and costs no load
         raise ConfigError(f"--k must be >= 1, got {cfg.k}")
+    record, split = load_model_and_split(cfg)
     metrics = evaluate_model(model_embeddings(record, split), split, k=cfg.k)
     print(json.dumps({"model": record.tag, "k": metrics.k, "recall": metrics.recall_at_k,
                       "ndcg": metrics.ndcg_at_k, "users_evaluated": metrics.users_evaluated}))
 
 
 def cmd_recommend(cfg: RunConfig) -> None:
-    record, split = load_model_and_split(cfg)
     if cfg.top < 1:
         raise ConfigError(f"--top must be >= 1, got {cfg.top}")
+    record, split = load_model_and_split(cfg)
     u = split.user_map.get(cfg.user)
     if u is None:
         raise DataError(f"unknown user {cfg.user!r}; consulted {Path(cfg.data) / 'user_map.tsv'}")

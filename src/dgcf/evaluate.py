@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +71,8 @@ def ndcg_at_k(ranked_items, test_items: set, k: int) -> float:
 
 def rank_items(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
     """The k rankable items with the highest scores, by descending score and
-    then ascending index.
+    then ascending index: the per-user reference ranking, which `recommend`
+    uses and `evaluate_model` reproduces bitwise (and falls back to).
 
     Excluded items and items with a non-finite score are not rankable and are
     never returned; the list is shorter than k only when fewer than k items
@@ -94,48 +93,85 @@ def rank_items(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
     return top[key[top] < np.inf]
 
 
-def _usable_cores() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+# Scores per block of users in evaluate_model: 2 MB of float64, whatever n.
+_BLOCK_SCORES = 1 << 18
+_product = np.matmul  # the filter's BLAS product; any within the rounding bound will do
+
+
+def _rounding_bound(user_rows: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per user, delta >= |BLAS score - np.sum score| over all items, and
+    whether delta is finite far below overflow. Two float evaluations of a
+    length-d dot product differ by at most 2 gamma_d sum_j |x_j y_j| <=
+    2 gamma_d |x|_inf max_i |y_i|_1, plus underflow: delta is four times that
+    plus the least normal float. The norms square nothing, so cannot underflow."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        bound = (np.max(np.abs(user_rows), axis=1, initial=0.0)
+                 * np.max(np.sum(np.abs(items), axis=1), initial=0.0))
+    f = np.finfo(np.float64)
+    return 4 * items.shape[1] * f.eps * bound + f.tiny, bound < f.max / 4  # False for nan
+
+
+def _top_k(e_star: np.ndarray, split: DatasetSplit, users: np.ndarray, k: int) -> list:
+    """rank_items(score_all_items(e_star, m, u), u's train items, k) for each
+    u in users, bitwise. Per block of users, one BLAS product A filters: with
+    tau_u the k-th largest A - delta_u over u's rankable items, every item of
+    the exact top k, ties included, has np.sum score >= tau_u, so A >= tau_u -
+    delta_u. Only those candidates are scored, by score_all_items' arithmetic,
+    and ranked. Users whose delta is not safely finite, and e_star other than
+    C-contiguous float64, take the per-user reference."""
+    m = split.m
+    items = e_star[m:]
+    n = len(items)
+    delta, ok = _rounding_bound(e_star[users], items)
+    ok &= e_star.dtype == np.float64 and e_star.flags.c_contiguous
+    tops: list = [None] * len(users)
+    for j in np.flatnonzero(~ok):
+        u = int(users[j])
+        tops[j] = rank_items(score_all_items(e_star, m, u), split.train.user_items(u), k)
+    pos, kk = np.flatnonzero(ok), min(k, n)
+    per = max(1, _BLOCK_SCORES // n)
+    A_buf, lo_buf = np.empty((2, min(per, len(pos)), n))
+    for b0 in range(0, len(pos), per):
+        block = pos[b0:b0 + per]
+        U, du = users[block], delta[block][:, None]
+        A = _product(e_star[U], items.T, out=A_buf[:len(U)])
+        lo = np.subtract(A, du, out=lo_buf[:len(U)])
+        sub = split.train.rows[U]  # the block's train pairs, as flat offsets into A
+        train = np.repeat(np.arange(len(U)) * n, np.diff(sub.indptr)) + sub.indices
+        lo.reshape(-1)[train] = -np.inf
+        lo.partition(n - kk, axis=1)  # tau: column n - kk; -inf if fewer than kk rankable
+        keep = A >= lo[:, n - kk:n - kk + 1] - du
+        keep.reshape(-1)[train] = False
+        r, c = np.divmod(np.flatnonzero(keep), n)
+        s = np.sum(items[c] * e_star[U[r]], axis=1)
+        order = c[np.lexsort((c, -s, r))]
+        cand = np.bincount(r, minlength=len(U))
+        for j, start, size in zip(block.tolist(), (np.cumsum(cand) - cand).tolist(), cand.tolist()):
+            tops[j] = order[start:start + min(k, size)]
+    return tops
 
 
 def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> RankingMetrics:
     """Mean Recall@k / NDCG@k over users with non-empty test sets.
 
-    Scores come from e_star row dot products; each user's train items are
-    excluded from the ranking before the cutoff is applied (see rank_items).
-    Users are split into contiguous chunks, one per usable core, which worker
-    threads score and rank; numpy releases the GIL inside both. The per-user
-    values are gathered in user order, so the means are bitwise the same
-    whatever the number of cores.
+    Each user's list is bitwise rank_items(score_all_items(...)) with the
+    user's train items excluded. It comes from a BLAS product that only picks
+    a certified superset of the top k, whose members alone are scored exactly
+    (see _top_k). The means run in user order, so the metrics do not depend on
+    the BLAS build, its thread count or the block size.
     """
     _check_k(k)
     m, n = split.m, split.n
     if e_star.shape[0] != m + n:
         raise DataError(f"embedding rows {e_star.shape[0]} do not match m+n={m + n}")
-    users = [u for u in range(m) if split.test[u]]
-    if not users:
+    users = np.array([u for u in range(m) if split.test[u]], dtype=np.int64)
+    if not len(users):
         raise DataError("no users with test interactions to evaluate")
-
-    def user_metrics(chunk: list[int]) -> list[tuple[float, float]]:
-        out = []
-        for u in chunk:
-            top = rank_items(score_all_items(e_star, m, u), split.train.user_items(u), k).tolist()
-            tset = set(split.test[u])
-            out.append((recall_at_k(top, tset, k), ndcg_at_k(top, tset, k)))
-        return out
-
-    workers = min(_usable_cores(), len(users))
-    if workers == 1:
-        parts = [user_metrics(users)]
-    else:
-        bounds = [len(users) * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(user_metrics, [users[a:b] for a, b in zip(bounds, bounds[1:])]))
-    recalls, ndcgs = zip(*itertools.chain.from_iterable(parts))
+    recalls, ndcgs = [], []
+    for u, top in zip(users.tolist(), _top_k(e_star, split, users, k)):
+        top, tset = top.tolist(), set(split.test[u])
+        recalls.append(recall_at_k(top, tset, k))
+        ndcgs.append(ndcg_at_k(top, tset, k))
     return RankingMetrics(recall_at_k=float(np.mean(recalls)), ndcg_at_k=float(np.mean(ndcgs)),
                           k=k, users_evaluated=len(recalls))
 

@@ -251,8 +251,8 @@ def combine_layers(E_layers, layer_weights, out=None) -> np.ndarray:
     """E* = sum_k w_k E(k) as one BLAS product of the weights with the layers
     stacked as rows (an (L+1, N, d) array, or a list that is stacked first);
     out, a C-contiguous float64 buffer, receives E* when given. One layer is
-    a plain scaling: it wakes no BLAS threads, whose spinning after a call
-    slows the next multithreaded work (evaluate_model after BPRMF's fit)."""
+    a plain scaling: it wakes no BLAS threads, which keep spinning after a
+    call and take cores from the work that follows on a small host."""
     w = np.asarray(layer_weights, dtype=np.float64)
     stack = np.asarray(E_layers, dtype=np.float64)
     if len(stack) != len(w):

@@ -197,6 +197,17 @@ class TestEvaluate:
             main(["evaluate", "--model", str(trained_model), "--data",
                   str(dataset_dir), "--k", "0"])
 
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--k"), ("recommend", "--top")])
+    def test_bad_count_reported_before_reading_files(self, command, flag, trained_model,
+                                                     dataset_dir, tmp_path, monkeypatch, capsys):
+        corrupt = tmp_path / "corrupt.dgcf"
+        corrupt.write_bytes(trained_model.read_bytes()[:-7])
+        for model in (corrupt, tmp_path / "missing.dgcf"):
+            argv = [*serving_argv(command, model, dataset_dir), flag, "0"]
+            code, _, err = run_cli(argv, monkeypatch, capsys)
+            assert code == 1 and f"{flag} must be >= 1, got 0" in err
+            assert str(model) not in err
+
 
 class TestRecommend:
     def test_prints_item_tokens(self, trained_model, dataset_dir, capsys):

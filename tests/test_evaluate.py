@@ -1,6 +1,6 @@
 import math
-import sys
-import threading
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcf import evaluate
-from dgcf.data import RawInteractions, split_train_test
+from dgcf.data import DatasetSplit, RawInteractions, split_train_test
 from dgcf.errors import ConfigError, DataError
 from dgcf.evaluate import evaluate_model, ndcg_at_k, \
     oversmoothing_report, rank_items, recall_at_k, report_tsv, smoothness
+from dgcf.graph import InteractionMatrix
 from dgcf.model import score_all_items
 from helpers import naive_evaluate, naive_ndcg, naive_rank, naive_recall, \
     naive_smoothness, random_interactions
@@ -198,29 +199,163 @@ class TestEvaluateModel:
             evaluate_model(e_star, ring_split, k=k)
 
     @pytest.mark.parametrize("k", [1, 5, 20, 100])
-    def test_same_metrics_whatever_the_core_count(self, ring_split, monkeypatch, k):
+    def test_same_metrics_whatever_the_block_size(self, ring_split, monkeypatch, k):
         # rounded embeddings force score ties
         e_star = np.round(np.random.default_rng(k).normal(size=(ring_split.m + ring_split.n, 4)), 1)
-        scorers: set[int] = set()
+        rows = []
 
-        def score(*args):
-            scorers.add(threading.get_ident())
-            return score_all_items(*args)
+        def product(a, b, out):
+            rows.append(len(a))
+            return np.matmul(a, b, out=out)
 
-        monkeypatch.setattr(evaluate, "score_all_items", score)
-        results = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # many thread switches inside each user
-        try:
-            for cores in (1, 2, 3, 64):  # 64 is more workers than users
-                monkeypatch.setattr(evaluate, "_usable_cores", lambda c=cores: c)
-                scorers.clear()
-                results[cores] = evaluate_model(e_star, ring_split, k=k)
-                on_main = scorers == {threading.get_ident()}
-                assert on_main if cores == 1 else threading.get_ident() not in scorers
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(r == results[1] for r in results.values())
+        monkeypatch.setattr(evaluate, "_product", product)
+        want = naive_evaluate(e_star, ring_split, k)
+        users = want[2]
+        for size in (1, 2, 3, users + 1):  # users + 1: one block holds every user
+            monkeypatch.setattr(evaluate, "_BLOCK_SCORES", size * ring_split.n)
+            rows.clear()
+            got = evaluate_model(e_star, ring_split, k=k)
+            assert rows == [size] * (users // size) + ([users % size] if users % size else [])
+            assert (got.recall_at_k, got.ndcg_at_k, got.users_evaluated) == want
+
+
+def _split_with_train(m: int, n: int, pairs) -> DatasetSplit:
+    """A split holding `pairs` as train items; _top_k reads no test items."""
+    return DatasetSplit(train=InteractionMatrix.from_pairs(m, n, pairs),
+                        test=[[] for _ in range(m)], user_map={}, item_map={}, seed=0)
+
+
+def _blocked_fixture(rng: np.random.Generator, kind: str, d: int | None = None):
+    """(e_star, split, k) for _top_k: score ties, zero rows, users with every
+    item excluded, k = 1 and k past the rankable items."""
+    m, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+    d = d or int(rng.choice([1, 2, 7, 8, 17, 64]))
+    E = rng.normal(size=(m + n, d))
+    if kind == "rounded":  # few distinct values: exact score ties
+        E = np.round(E, 1)
+    elif kind == "cancelling":
+        # item columns h..2h nearly negate columns 0..h and the user repeats
+        # them, so scores are small sums of large terms that round differently
+        h = d // 2
+        E *= 10.0 ** rng.integers(0, 9, size=d)
+        E[m:, h:2 * h] = -E[m:, :h] + rng.normal(size=(n, h))
+        E[:m, h:2 * h] = E[:m, :h]
+    elif kind == "huge":  # products overflow: every user takes the reference
+        E *= 1e160
+    if kind != "huge":
+        zero = rng.random(m + n) < 0.15
+        E[zero] = 0.0
+    dup = rng.integers(0, n, size=int(rng.integers(0, n + 1)))
+    E[m + dup] = E[m + rng.integers(0, n, size=len(dup))]  # duplicated item rows
+    pairs = [(u, int(i)) for u in range(m) for i in rng.choice(n, size=int(rng.integers(0, n)),
+                                                               replace=False)]
+    if rng.random() < 0.3:
+        pairs += [(int(rng.integers(m)), i) for i in range(n)]  # a user with nothing rankable
+    k = int(rng.choice([1, rng.integers(1, n + 1), n, n + 3]))
+    return E, _split_with_train(m, n, pairs), k
+
+
+def _reference(e_star, split, k) -> list[list[int]]:
+    return [rank_items(score_all_items(e_star, split.m, u), split.train.user_items(u), k).tolist()
+            for u in range(split.m)]
+
+
+def _blocked(e_star, split, k, block_users) -> tuple[list[list[int]], int]:
+    """_top_k for every user, block_users to a block: (lists, users ranked by
+    the reference fallback)."""
+    fallback = []
+
+    def scores(e, m, u):
+        fallback.append(u)
+        return score_all_items(e, m, u)
+
+    with mock.patch.object(evaluate, "_BLOCK_SCORES", block_users * split.n), \
+            mock.patch.object(evaluate, "score_all_items", scores):
+        tops = evaluate._top_k(e_star, split, np.arange(split.m), k)
+    return [t.tolist() for t in tops], len(fallback)
+
+
+class TestBlockedTopK:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflow
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "cancelling", "huge"])
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_for_every_user(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        e_star, split, k = _blocked_fixture(rng, kind)
+        got, fallback = _blocked(e_star, split, k, int(rng.integers(1, split.m + 2)))
+        assert got == _reference(e_star, split, k)
+        assert fallback == (split.m if kind == "huge" else 0)
+
+    def test_cancelling_rows_round_differently_in_blas(self):
+        # the fixtures above do exercise BLAS scores that differ from np.sum's
+        e_star, split, _ = _blocked_fixture(np.random.default_rng(3), "cancelling", d=64)
+        m = split.m
+        blas = e_star[:m] @ e_star[m:].T
+        exact = np.array([score_all_items(e_star, m, u) for u in range(m)])
+        assert np.mean(blas != exact) > 0.5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's inf and nan
+    def test_only_unsafe_users_take_the_reference(self):
+        rng = np.random.default_rng(5)
+        m, n = 8, 20
+        e_star = np.round(rng.normal(size=(m + n, 16)), 1)
+        e_star[m] = 1.0  # the largest item 1-norm is at least 16
+        e_star[1], e_star[4], e_star[6] = np.nan, 1e307, np.inf  # 1e307: bound near overflow
+        split = _split_with_train(m, n, random_interactions(rng, m, n, 5))
+        for k in (1, 5, n):
+            got, fallback = _blocked(e_star, split, k, 3)
+            assert got == _reference(e_star, split, k) and fallback == 3
+        e_star[m + 3] = np.nan  # a non-finite item row: every user takes the reference
+        got, fallback = _blocked(e_star, split, 5, 3)
+        assert got == _reference(e_star, split, 5) and fallback == m
+
+    @pytest.mark.parametrize("order", ["F", "float32"])
+    def test_other_layouts_take_the_reference(self, order):
+        e_star, split, k = _blocked_fixture(np.random.default_rng(9), "cancelling")
+        e_star = np.asfortranarray(e_star) if order == "F" else e_star.astype(np.float32)
+        got, fallback = _blocked(e_star, split, k, 2)
+        assert got == _reference(e_star, split, k) and fallback == split.m
+
+    @pytest.mark.parametrize("kind", ["rounded", "cancelling"])
+    @pytest.mark.parametrize("sign", ["against-ranking", "random"])
+    @pytest.mark.parametrize("move", ["rounding-gap", "delta"])
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_any_product_within_the_bound_gives_the_same_lists(self, kind, sign, move, seed):
+        """The product's scores are np.sum's moved by up to the most that two
+        float evaluations of a dot product can differ, 2 gamma_d sum_j
+        |x_j y_j| plus underflow, so the lists hold for every BLAS, not only
+        the one at hand; and by up to delta_u itself, exactly, so the filter
+        holds for any score within the bound it computes."""
+        rng = np.random.default_rng(seed)
+        e_star, split, k = _blocked_fixture(rng, kind)
+        d = e_star.shape[1]
+        u = np.finfo(np.float64).eps / 2
+
+        def product(a, b, out):
+            items = b.T
+            exact = np.array([np.sum(items * x, axis=1) for x in a])
+            if move == "rounding-gap":
+                gap = 2 * (d * u / (1 - d * u)) * (np.abs(a) @ np.abs(b)) * (1 + 1e-9) \
+                    + d * np.finfo(np.float64).smallest_subnormal
+            else:
+                gap = evaluate._rounding_bound(a, items)[0][:, None]
+            if sign == "random":
+                step = rng.choice([-1.0, 1.0], size=exact.shape) * rng.random(exact.shape) ** 0.1
+            else:  # the top k of all items sink, the rest rise
+                step = np.ones_like(exact)
+                top = np.argsort(-exact, axis=1, kind="stable")[:, :k]
+                np.put_along_axis(step, top, -1.0, axis=1)
+            out[...] = exact + step * gap
+            for i, j in np.ndindex(out.shape if move == "delta" else (0, 0)):
+                while abs(Fraction(out[i, j]) - Fraction(exact[i, j])) > Fraction(gap[i, 0]):
+                    out[i, j] = np.nextafter(out[i, j], exact[i, j])  # back within delta
+            return out
+
+        with mock.patch.object(evaluate, "_product", product):
+            got, fallback = _blocked(e_star, split, k, int(rng.integers(1, split.m + 2)))
+        assert got == _reference(e_star, split, k) and fallback == 0
 
 
 class TestSmoothness:
