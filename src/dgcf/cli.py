@@ -4,7 +4,7 @@ Options resolve with the precedence: explicit flag > key=value config file
 (--config) > built-in default. Every command echoes its fully resolved
 configuration next to its outputs, so any reported number can be traced to
 the exact settings that produced it. Exit codes: 0 success, 1 usage or data
-error, 2 internal error.
+error or out of memory, 2 internal error.
 """
 
 from __future__ import annotations
@@ -77,6 +77,10 @@ OPTIONS = [
     Option("top", "--top", (REC,), int, 10),
     Option("seed", "--seed", (PRE, TRAIN, DIAG), int, 0),
 ]
+
+
+# Options that size the buffers a command allocates, named when it runs out of memory.
+SIZED = ("dim", "layers", "layer_range", "batch_size")
 
 
 class RunConfig(SimpleNamespace):
@@ -218,11 +222,13 @@ def cmd_train(cfg: RunConfig) -> None:
     print(f"saved {cfg.model} model to {cfg.out} after {len(log)} epochs")
 
 
-def load_model_and_split(cfg: RunConfig) -> tuple[ModelRecord, DatasetSplit]:
+def load_model_and_split(cfg: RunConfig, read_test: bool = True
+                         ) -> tuple[ModelRecord, DatasetSplit]:
     """The --model file and --data split, refused unless their m x n agree and
-    the model's training graph, when the file records it, is the split's."""
+    the model's training graph, when the file records it, is the split's.
+    Without read_test the split's test lists are not read (see load_split)."""
     record = load_model(cfg.model_path)
-    split = load_split(cfg.data)
+    split = load_split(cfg.data, read_test)
     if (record.params.m, record.params.n) != (split.m, split.n):
         raise DataError(f"model is {record.params.m}x{record.params.n} but dataset is "
                         f"{split.m}x{split.n}")
@@ -248,7 +254,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 def cmd_recommend(cfg: RunConfig) -> None:
     if cfg.top < 1:
         raise ConfigError(f"--top must be >= 1, got {cfg.top}")
-    record, split = load_model_and_split(cfg)
+    record, split = load_model_and_split(cfg, read_test=False)
     u = split.user_map.get(cfg.user)
     if u is None:
         raise DataError(f"unknown user {cfg.user!r}; consulted {Path(cfg.data) / 'user_map.tsv'}")
@@ -288,7 +294,12 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     file_cfg = read_config_file(ns.config) if getattr(ns, "config", None) else {}
     cfg = resolve_config(ns, file_cfg)
-    COMMANDS[cfg.command][0](cfg)
+    try:
+        COMMANDS[cfg.command][0](cfg)
+    except MemoryError:
+        flags = [opt.flag for opt in OPTIONS if opt.name in SIZED and cfg.command in opt.commands]
+        hint = f"; try a smaller {', '.join(flags)}" if flags else ""
+        raise ConfigError(f"out of memory in {cfg.command}{hint}") from None
     return 0
 
 

@@ -10,13 +10,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError, ParseError
 from .graph import InteractionMatrix, build_adjacency, degree_vector, normalize_laplacian
 from .util import read_text, write_atomic_text
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FORMATS = ("edge-pairs", "adjacency-list")
 
@@ -33,7 +36,7 @@ class DatasetSplit:
     """Per-user train/test partition over contiguously re-indexed tokens."""
 
     train: InteractionMatrix
-    test: list[list[int]]  # per user, ascending held-out item indices
+    test: list[list[int]] | None  # per user, ascending held-out items; None if not read
     user_map: dict[str, int]
     item_map: dict[str, int]
     seed: int
@@ -50,9 +53,7 @@ class DatasetSplit:
     def train_flat(self) -> np.ndarray:
         """Sorted u*n+i codes of all train pairs, for O(log nnz) membership tests."""
         if self._train_flat is None:
-            r = self.train.rows
-            users = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(r.indptr))
-            self._train_flat = np.sort(users * self.n + r.indices.astype(np.int64))
+            self._train_flat = self.train.codes()
         return self._train_flat
 
 
@@ -168,7 +169,7 @@ def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Gene
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    r = split.train.rows
+    r = split.train
     deg = np.diff(r.indptr)
     eligible = np.flatnonzero((deg >= 1) & (deg < split.n))
     if len(eligible) == 0:
@@ -176,7 +177,7 @@ def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Gene
     flat = split.train_flat()
     users = eligible[rng.integers(0, len(eligible), size=batch_size)]
     offsets = rng.integers(0, deg[users])
-    pos = r.indices[r.indptr[users] + offsets].astype(np.int64)
+    pos = r.indices[r.indptr[users] + offsets]
     neg = rng.integers(0, split.n, size=batch_size)
     while True:
         codes = users * split.n + neg
@@ -212,8 +213,9 @@ def save_split(split: DatasetSplit, out_dir: str | Path, k_core: int) -> None:
     write_atomic_text(out / "stats.json", json.dumps(stats, sort_keys=True) + "\n")
 
 
-def load_split(data_dir: str | Path) -> DatasetSplit:
-    """Reconstruct a DatasetSplit from a directory written by save_split."""
+def load_split(data_dir: str | Path, read_test: bool = True) -> DatasetSplit:
+    """Reconstruct a DatasetSplit from a directory written by save_split;
+    without read_test, test.txt is not read and the split's test is None."""
     d = Path(data_dir)
     if not d.is_dir():
         raise DataError(f"dataset directory not found: {d}")
@@ -226,11 +228,11 @@ def load_split(data_dir: str | Path) -> DatasetSplit:
     user_map = _read_map(d / "user_map.tsv", m)
     item_map = _read_map(d / "item_map.tsv", n)
     train = InteractionMatrix.from_pairs(m, n, _read_adjacency(d / "train.txt", m, n))
-    test: list[list[int]] = [[] for _ in range(m)]
+    test: list[list[int]] | None = [[] for _ in range(m)] if read_test else None
     test_path = d / "test.txt"
-    if test_path.exists() and test_path.stat().st_size:
+    if read_test and test_path.exists() and test_path.stat().st_size:
         # the rows of a canonical matrix are each user's items, ascending and without repeats
-        held = InteractionMatrix.from_pairs(m, n, _read_adjacency(test_path, m, n)).rows
+        held = InteractionMatrix.from_pairs(m, n, _read_adjacency(test_path, m, n))
         items, bounds = held.indices.tolist(), held.indptr.tolist()
         test = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     return DatasetSplit(train=train, test=test, user_map=user_map, item_map=item_map, seed=seed)

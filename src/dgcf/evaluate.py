@@ -11,6 +11,7 @@ import numpy as np
 
 from .data import DatasetSplit, laplacian_for
 from .errors import DataError
+from .graph import InteractionMatrix
 from .model import forward, init_params, preset, score_all_items
 
 
@@ -111,6 +112,14 @@ def _rounding_bound(user_rows: np.ndarray, items: np.ndarray) -> tuple[np.ndarra
     return 4 * items.shape[1] * f.eps * bound + f.tiny, bound < f.max / 4  # False for nan
 
 
+def _block_offsets(R, U: np.ndarray) -> np.ndarray:
+    """Flat offsets into a (len(U), R.n) array of the users U's pairs in R."""
+    start, count = R.indptr[U], R.indptr[U + 1] - R.indptr[U]
+    row_start = np.cumsum(count) - count
+    pos = np.arange(count.sum()) - np.repeat(row_start - start, count)  # into R.indices
+    return np.repeat(np.arange(len(U)) * R.n, count) + R.indices[pos]
+
+
 def _top_k(e_star: np.ndarray, split: DatasetSplit, users: np.ndarray, k: int) -> list:
     """rank_items(score_all_items(e_star, m, u), u's train items, k) for each
     u in users, bitwise. Per block of users, one BLAS product A filters: with
@@ -136,8 +145,7 @@ def _top_k(e_star: np.ndarray, split: DatasetSplit, users: np.ndarray, k: int) -
         U, du = users[block], delta[block][:, None]
         A = _product(e_star[U], items.T, out=A_buf[:len(U)])
         lo = np.subtract(A, du, out=lo_buf[:len(U)])
-        sub = split.train.rows[U]  # the block's train pairs, as flat offsets into A
-        train = np.repeat(np.arange(len(U)) * n, np.diff(sub.indptr)) + sub.indices
+        train = _block_offsets(split.train, U)
         lo.reshape(-1)[train] = -np.inf
         lo.partition(n - kk, axis=1)  # tau: column n - kk; -inf if fewer than kk rankable
         keep = A >= lo[:, n - kk:n - kk + 1] - du
@@ -164,16 +172,34 @@ def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> Rank
     m, n = split.m, split.n
     if e_star.shape[0] != m + n:
         raise DataError(f"embedding rows {e_star.shape[0]} do not match m+n={m + n}")
-    users = np.array([u for u in range(m) if split.test[u]], dtype=np.int64)
+    lengths = [len(items) for items in split.test]
+    held = InteractionMatrix.from_pairs(m, n, np.column_stack((
+        np.repeat(np.arange(m), lengths),
+        np.fromiter(itertools.chain.from_iterable(split.test), np.int64, sum(lengths)))))
+    n_test = np.diff(held.indptr)
+    users = np.flatnonzero(n_test)
     if not len(users):
         raise DataError("no users with test interactions to evaluate")
-    recalls, ndcgs = [], []
-    for u, top in zip(users.tolist(), _top_k(e_star, split, users, k)):
-        top, tset = top.tolist(), set(split.test[u])
-        recalls.append(recall_at_k(top, tset, k))
-        ndcgs.append(ndcg_at_k(top, tset, k))
+    n_test, kk = n_test[users], min(k, n)
+    discount, idcg = (np.array(t) for t in _discounts(1 << (kk - 1).bit_length()))
+    tops = _top_k(e_star, split, users, k)
+    recalls, ndcgs = np.empty((2, len(users)))
+    per = max(1, _BLOCK_SCORES // n)
+    for b0 in range(0, len(users), per):
+        U, block, size = users[b0:b0 + per], tops[b0:b0 + per], n_test[b0:b0 + per]
+        count = np.array([len(top) for top in block])
+        r = np.repeat(np.arange(len(U)), count)  # row and rank of each listed item
+        c = np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count)
+        is_test = np.zeros(len(U) * n, dtype=bool)
+        is_test[_block_offsets(held, U)] = True
+        hits = np.zeros((len(U), kk))  # short lists end in misses
+        hits[r, c] = is_test[r * n + np.concatenate(block)]
+        recalls[b0:b0 + per] = hits.sum(axis=1) / size
+        # a per-user sum of the hit discounts, left to right: adding a miss's 0.0 is exact
+        dcg = np.cumsum(hits * discount[:kk], axis=1)[:, -1]
+        ndcgs[b0:b0 + per] = dcg / idcg[np.minimum(size, k)]
     return RankingMetrics(recall_at_k=float(np.mean(recalls)), ndcg_at_k=float(np.mean(ndcgs)),
-                          k=k, users_evaluated=len(recalls))
+                          k=k, users_evaluated=len(users))
 
 
 def smoothness(E_block: np.ndarray) -> float:

@@ -3,42 +3,46 @@
 Node index layout is fixed everywhere in this package: users occupy rows
 0..m-1, items occupy rows m..m+n-1 of every (m+n)-sized vector or matrix.
 
-Sparse matrices are scipy CSR arrays (float64). All values are treated as
-immutable after construction.
+The interaction matrix R is plain numpy CSR arrays, so a reader of the
+train matrix (sampling, evaluation, the model file's fingerprint) needs
+numpy alone. The propagation operator S built from it is a scipy CSR array
+(float64); scipy is imported only by the functions that build or multiply
+S. All values are treated as immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-try:
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except ImportError:  # private scipy API: add_product falls back to S @ E
-    _csr_matvecs = None
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """Binary user-item interaction matrix R in row-compressed form.
-
-    Stored values are all 1.0; absent entries mean no interaction.
-    """
+    """Binary user-item interaction matrix R in canonical CSR form: user u's
+    items are indices[indptr[u]:indptr[u + 1]], ascending and without repeats."""
 
     m: int
     n: int
-    rows: sp.csr_array  # shape (m, n)
+    indptr: np.ndarray  # (m + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
 
     @property
     def nnz(self) -> int:
-        return int(self.rows.nnz)
+        return len(self.indices)
 
     def user_items(self, u: int) -> np.ndarray:
         """Ascending item indices user u interacted with."""
-        r = self.rows
-        return r.indices[r.indptr[u]:r.indptr[u + 1]]
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def codes(self) -> np.ndarray:
+        """u*n + i of every stored pair: ascending, as the rows are canonical."""
+        return np.repeat(np.arange(self.m) * self.n, np.diff(self.indptr)) + self.indices
 
     @staticmethod
     def from_pairs(m: int, n: int, pairs) -> "InteractionMatrix":
@@ -50,16 +54,26 @@ class InteractionMatrix:
         arr = arr.reshape(-1, 2)
         if (arr < 0).any() or (arr[:, 0] >= m).any() or (arr[:, 1] >= n).any():
             raise ValueError("interaction index out of range")
-        mat = sp.csr_array((np.ones(len(arr)), (arr[:, 0], arr[:, 1])), shape=(m, n))
-        mat.sum_duplicates()  # canonical form: sorted indices, repeats summed into one entry
-        mat.data[:] = 1.0
-        return InteractionMatrix(m=m, n=n, rows=mat)
+        # u*n + i orders pairs by user, then item. Files list pairs nearly in
+        # that order, which the stable sort (timsort) passes in about linear
+        # time, far faster than np.unique; repeats end up adjacent.
+        codes = np.sort(arr[:, 0] * n + arr[:, 1], kind="stable")
+        first = np.ones(len(codes), dtype=bool)
+        first[1:] = codes[1:] != codes[:-1]
+        codes = codes[first]
+        users, items = np.divmod(codes, max(n, 1))
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=m), out=indptr[1:])
+        return InteractionMatrix(m=m, n=n, indptr=indptr, indices=items)
 
 
 def build_adjacency(R: InteractionMatrix) -> sp.csr_array:
     """Adjacency of the bipartite graph: R in the upper-right block, R^T in
     the lower-left, zero diagonal blocks. Shape (m+n, m+n), symmetric."""
-    A = sp.block_array([[None, R.rows], [R.rows.T, None]], format="csr")
+    import scipy.sparse as sp
+
+    rows = sp.csr_array((np.ones(R.nnz), R.indices, R.indptr), shape=(R.m, R.n))
+    A = sp.block_array([[None, rows], [rows.T, None]], format="csr")
     A.sum_duplicates()
     A.sort_indices()
     return A
@@ -79,6 +93,8 @@ def normalize_laplacian(A: sp.csr_array, d: np.ndarray) -> sp.csr_array:
     is mapped to 0 instead of inf. The scale factors are multiplied together
     before touching a_ij, so symmetry of A is preserved exactly.
     """
+    import scipy.sparse as sp
+
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (A.shape[0],):
         raise ValueError("degree vector length does not match matrix")
@@ -120,10 +136,21 @@ def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray) -> np.ndarray:
     if not (isinstance(out, np.ndarray) and out.shape == want and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {want}")
-    if _csr_matvecs is None or S.format != "csr" or S.dtype != np.float64:
+    kernel = _csr_matvecs()
+    if kernel is None or S.format != "csr" or S.dtype != np.float64:
         out += S @ E
     else:
         n_vecs = E.shape[1] if E.ndim == 2 else 1
-        _csr_matvecs(S.shape[0], S.shape[1], n_vecs, S.indptr, S.indices, S.data,
-                     np.ascontiguousarray(E).ravel(), out.ravel())
+        kernel(S.shape[0], S.shape[1], n_vecs, S.indptr, S.indices, S.data,
+               np.ascontiguousarray(E).ravel(), out.ravel())
     return out
+
+
+@functools.cache
+def _csr_matvecs():
+    """scipy's private csr_matvecs kernel, loaded on first use; None without it."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+    except ImportError:  # private scipy API: add_product falls back to S @ E
+        return None
+    return csr_matvecs

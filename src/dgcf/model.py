@@ -19,12 +19,15 @@ and the plain ablation are configurations of this one model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DivergenceError
 from .graph import spmm
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ACTIVATIONS = ("identity", "relu")
 EMBEDDING_MODES = ("sw", "free")
@@ -156,6 +159,8 @@ def mix_operator(S: sp.csr_array, alpha: float, data: np.ndarray | None = None,
     scaled values, written into data when given (a buffer of S.nnz floats)."""
     if alpha == 0.0:
         return S
+    import scipy.sparse as sp
+
     data = np.multiply(1.0 - alpha, S.data, out=data)
     return sp.csr_array((data, S.indices, S.indptr), shape=S.shape)
 

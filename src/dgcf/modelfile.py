@@ -57,10 +57,9 @@ class ModelRecord:
 def graph_sha256(split: DatasetSplit) -> str:
     """Fingerprint of the training graph: sha256 of m and n as <u8, then
     indptr and indices of the canonical train matrix as <i8."""
-    rows = split.train.rows
     h = hashlib.sha256(struct.pack("<QQ", split.m, split.n))
-    h.update(np.ascontiguousarray(rows.indptr, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(rows.indices, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(split.train.indptr, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(split.train.indices, dtype="<i8").tobytes())
     return h.hexdigest()
 
 

@@ -24,6 +24,8 @@ numeric order after remapping.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .data import RawInteractions
@@ -179,6 +181,12 @@ def walk_interactions(n_users: int = 1150, grid_side: int = 24, items_per_cell: 
     # cell c holds items c*items_per_cell .. (c+1)*items_per_cell - 1
     cell_w = 1.0 / np.arange(1, items_per_cell + 1) ** zipf_s
     cell_p = cell_w / cell_w.sum()
+    # rng.choice(items_per_cell, p=cell_p) draws one rng.random() and looks it
+    # up in this table with searchsorted(side="right"); bisect_right is the
+    # same lookup without the per-call overhead of choice
+    cdf = cell_p.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
     counts = median_activity * np.exp(rng.normal(0.0, activity_sigma, size=n_users))
     counts = np.maximum(np.round(counts).astype(int), min_activity)
@@ -208,7 +216,7 @@ def walk_interactions(n_users: int = 1150, grid_side: int = 24, items_per_cell: 
             else:
                 col = (col - 1) % grid_side
             cur = row * grid_side + col
-            item = cur * items_per_cell + int(rng.choice(items_per_cell, p=cell_p))
+            item = cur * items_per_cell + bisect.bisect_right(cdf, rng.random())
             chosen.add(item)
         utok = _tok("u", u, uw)
         pairs.extend((utok, _tok("i", i, iw)) for i in sorted(chosen))

@@ -196,14 +196,23 @@ def naive_read_adjacency(path: Path, m: int, n: int) -> dict[int, list[int]]:
     return out
 
 
+def canonical_csr(m: int, n: int, pairs) -> sp.csr_array:
+    """The m x n 0/1 matrix of (user, item) pairs as scipy builds it: a CSR
+    array in canonical form, indices sorted within each row, repeats merged."""
+    arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    rows = sp.csr_array((np.ones(len(arr)), (arr[:, 0], arr[:, 1])), shape=(m, n))
+    rows.sum_duplicates()
+    rows.data[:] = 1.0
+    assert rows.has_canonical_format
+    return rows
+
+
 def naive_train_and_test(data_dir: Path, m: int, n: int) -> tuple[sp.csr_array, list[list[int]]]:
     """Train matrix and per-user test lists of a save_split directory, through
     naive_read_adjacency: a canonical 0/1 CSR array and sorted item sets."""
     pairs = [(u, i) for u, items in naive_read_adjacency(data_dir / "train.txt", m, n).items()
              for i in items]
-    rows = sp.csr_array((np.ones(len(pairs)), tuple(np.array(pairs).T)), shape=(m, n))
-    rows.sum_duplicates()
-    rows.data[:] = 1.0
+    rows = canonical_csr(m, n, pairs)
     test: list[list[int]] = [[] for _ in range(m)]
     if (data_dir / "test.txt").stat().st_size:
         for u, items in naive_read_adjacency(data_dir / "test.txt", m, n).items():

@@ -304,13 +304,33 @@ class TestTrainingGraph:
         assert run_cli(argv, monkeypatch, capsys) == (0, want, "")
 
 
-def test_import_leaves_training_unloaded():
-    probe = ("import sys, dgcf.cli; "
-             "print(sorted({'dgcf.train', 'scipy.special'} & set(sys.modules)))")
+def test_import_leaves_training_unloaded(trained_model, dataset_dir, tmp_path):
+    """Importing the CLI loads neither training nor scipy; serving a version-2
+    file loads neither either, and a version-1 file still serves the same items."""
+    v1 = tmp_path / "v1.bin"
+    write_v1_model(trained_model, v1)
+    loaded = ("print(sorted(name for name in sys.modules "
+              "if name == 'dgcf.train' or name.split('.')[0] == 'scipy'))")
+    serve = [serving_argv(command, trained_model, dataset_dir) for command in ("evaluate",
+                                                                               "recommend")]
+    probes = [
+        f"import sys, dgcf.cli; {loaded}",
+        f"import sys; from dgcf.cli import main; [main(a) for a in {serve!r}]; {loaded}; "
+        f"main({serving_argv('recommend', v1, dataset_dir)!r})",
+    ]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+    outputs = []
+    for probe in probes:
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert outputs[0] == ["[]"]
+    lines = outputs[1]
+    at = next(k for k, line in enumerate(lines) if line.startswith("["))  # the module list
+    assert lines[at] == "[]"
+    assert json.loads(lines[0])["users_evaluated"] > 0
+    assert lines[1:at] and lines[at + 1:] == lines[1:at]  # version 1 serves the same items
 
 
 class TestDiagnose:
@@ -423,6 +443,39 @@ class TestExitCodes:
     def test_unknown_command_is_one(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["dgcf", "frobnicate"])
         assert entrypoint() == 1
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", "--dim, --layers, --batch-size"),
+        ("diagnose", "--layers, --dim"),
+        ("recommend", None),
+    ])
+    def test_out_of_memory_is_one(self, command, flags, dataset_dir, trained_model, tmp_path,
+                                  monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError  # what numpy raises for a buffer it cannot allocate
+
+        monkeypatch.setitem(cli.COMMANDS, command, (exhausted, ""))
+        argv = {"train": ["train", "--data", str(dataset_dir), "--out", str(tmp_path / "m")],
+                "diagnose": ["diagnose", "--data", str(dataset_dir)],
+                "recommend": serving_argv("recommend", trained_model, dataset_dir)}[command]
+        code, out, err = run_cli(argv, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: out of memory in {command}")
+        assert (f"try a smaller {flags}\n" in err) if flags else ("try" not in err)
+
+    def test_malformed_test_file_fails_only_evaluate(self, trained_model, dataset_dir,
+                                                     tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        (data / "test.txt").write_text("0 x\n")
+        code, want, _ = run_cli(serving_argv("recommend", trained_model, dataset_dir),
+                                monkeypatch, capsys)
+        assert code == 0 and want
+        assert run_cli(serving_argv("recommend", trained_model, data),
+                       monkeypatch, capsys) == (0, want, "")
+        code, out, err = run_cli(serving_argv("evaluate", trained_model, data),
+                                 monkeypatch, capsys)
+        assert (code, out) == (1, "") and f"{data / 'test.txt'}:1" in err
 
     @pytest.mark.parametrize("name,text", [
         ("train.txt", "0 1\n0 999\n"),

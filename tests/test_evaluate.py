@@ -200,8 +200,6 @@ class TestEvaluateModel:
 
     @pytest.mark.parametrize("k", [1, 5, 20, 100])
     def test_same_metrics_whatever_the_block_size(self, ring_split, monkeypatch, k):
-        # rounded embeddings force score ties
-        e_star = np.round(np.random.default_rng(k).normal(size=(ring_split.m + ring_split.n, 4)), 1)
         rows = []
 
         def product(a, b, out):
@@ -209,14 +207,52 @@ class TestEvaluateModel:
             return np.matmul(a, b, out=out)
 
         monkeypatch.setattr(evaluate, "_product", product)
-        want = naive_evaluate(e_star, ring_split, k)
-        users = want[2]
-        for size in (1, 2, 3, users + 1):  # users + 1: one block holds every user
-            monkeypatch.setattr(evaluate, "_BLOCK_SCORES", size * ring_split.n)
-            rows.clear()
-            got = evaluate_model(e_star, ring_split, k=k)
-            assert rows == [size] * (users // size) + ([users % size] if users % size else [])
-            assert (got.recall_at_k, got.ndcg_at_k, got.users_evaluated) == want
+        for split in (ring_split, _crowded_split()):
+            # rounded embeddings force score ties
+            e_star = np.round(np.random.default_rng(k).normal(size=(split.m + split.n, 4)), 1)
+            want = naive_evaluate(e_star, split, k)
+            users = want[2]
+            for size in (1, 2, 3, users + 1):  # users + 1: one block holds every user
+                monkeypatch.setattr(evaluate, "_BLOCK_SCORES", size * split.n)
+                rows.clear()
+                got = evaluate_model(e_star, split, k=k)
+                assert rows == [size] * (users // size) + ([users % size] if users % size else [])
+                assert (got.recall_at_k, got.ndcg_at_k, got.users_evaluated) == want
+
+    @pytest.mark.parametrize("k", [10, 20, 50])
+    def test_many_hits_are_summed_left_to_right(self, k):
+        # users whose lists are mostly test items: a DCG summed in another
+        # order than the per-user sum (pairwise, say) differs in the last bits
+        rng = np.random.default_rng(k)
+        m, n = 8, 60
+        train, test, e_star = [], [], np.zeros((m + n, m))
+        e_star[:m] = np.eye(m)  # score(u, i) is e_star[m + i, u]
+        for u in range(m):
+            items = rng.permutation(n).tolist()
+            train += [(u, i) for i in items[:5]]
+            test.append(sorted(items[5:35]))
+            e_star[m:, u] = rng.random(n)
+            e_star[m + np.array(test[-1]), u] += 0.6
+        split = DatasetSplit(train=InteractionMatrix.from_pairs(m, n, train), test=test,
+                             user_map={}, item_map={}, seed=0)
+        got = evaluate_model(e_star, split, k=k)
+        assert (got.recall_at_k, got.ndcg_at_k, got.users_evaluated) == \
+            naive_evaluate(e_star, split, k)
+
+
+def _crowded_split() -> DatasetSplit:
+    """Every user has 1 to 3 rankable items, so at k >= 3 ranked lists come up
+    short of k; test sets hold 1 to 3 of those items."""
+    rng = np.random.default_rng(11)
+    m, n = 9, 7
+    train, test = [], []
+    for u in range(m):
+        items = rng.permutation(n).tolist()
+        free = int(rng.integers(1, 4))
+        train += [(u, i) for i in items[free:]]
+        test.append(sorted(items[:int(rng.integers(1, free + 1))]))
+    return DatasetSplit(train=InteractionMatrix.from_pairs(m, n, train), test=test,
+                        user_map={}, item_map={}, seed=0)
 
 
 def _split_with_train(m: int, n: int, pairs) -> DatasetSplit:

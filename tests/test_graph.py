@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dgcf import graph
 from dgcf.graph import InteractionMatrix, build_adjacency, degree_vector, normalize_laplacian, \
     spmm
-from helpers import dense_normalized_adjacency, random_interactions, rel_err, row_order_spmm_add
+from helpers import canonical_csr, dense_normalized_adjacency, random_interactions, rel_err, \
+    row_order_spmm_add
 
 from conftest import laplacian_from_pairs
 
@@ -16,19 +17,40 @@ def test_interaction_matrix_basic():
     assert R.nnz == 3
     assert np.array_equal(R.user_items(0), [0, 1])
     assert np.array_equal(R.user_items(1), [0])
-    assert np.all(R.rows.data == 1.0)
+    assert np.array_equal(R.indptr, [0, 2, 3]) and np.array_equal(R.indices, [0, 1, 0])
 
 
 def test_interaction_matrix_dedups_and_validates():
     R = InteractionMatrix.from_pairs(2, 3, [(0, 1), (0, 1), (1, 2)])
     assert R.nnz == 2
     R = InteractionMatrix.from_pairs(2, 3, [(1, 2), (0, 2), (1, 0), (0, 2), (1, 2), (0, 0)])
-    assert R.rows.has_canonical_format and R.nnz == 4
-    assert np.array_equal(R.rows.toarray(), [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    assert R.nnz == 4
+    assert np.array_equal(R.indptr, [0, 2, 4]) and np.array_equal(R.indices, [0, 2, 0, 2])
     with pytest.raises(ValueError):
         InteractionMatrix.from_pairs(2, 3, [(2, 0)])
     with pytest.raises(ValueError):
         InteractionMatrix.from_pairs(2, 3, [(0, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_from_pairs_matches_scipy_canonical_form(m, n, data):
+    # repeats, any order, users without pairs, and the empty list
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                               max_size=30))
+    want = canonical_csr(m, n, pairs)
+    for given_as in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        R = InteractionMatrix.from_pairs(m, n, given_as)
+        assert R.indptr.dtype == R.indices.dtype == np.int64
+        assert R.indptr.tolist() == want.indptr.tolist()
+        assert R.indices.tolist() == want.indices.tolist()
+        assert R.codes().tolist() == sorted({u * n + i for u, i in pairs})
+
+
+@pytest.mark.parametrize("m,n", [(0, 0), (3, 0), (0, 4), (3, 4)])
+def test_from_pairs_of_no_pairs(m, n):
+    R = InteractionMatrix.from_pairs(m, n, np.empty(0))  # shape (0,): no pairs
+    assert R.nnz == 0 and R.indptr.tolist() == [0] * (m + 1)
 
 
 def test_adjacency_identity_pattern():
@@ -185,7 +207,7 @@ def test_spmm_out_from_zero_is_the_fresh_product(case):
 
 @pytest.mark.parametrize("case", range(len(spmm_out_cases())))
 def test_spmm_out_fallback_without_kernel(case, monkeypatch):
-    monkeypatch.setattr(graph, "_csr_matvecs", None)
+    monkeypatch.setattr(graph, "_csr_matvecs", lambda: None)
     S, E = spmm_out_cases()[case]
     out = np.zeros((S.shape[0], E.shape[1]))
     spmm(S, E, out=out)

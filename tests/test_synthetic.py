@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,16 @@ class TestScaleAndStructure:
                 gaps = [(b - a) % side for a, b in zip(vals, vals[1:] + vals[:1])]
                 return side - max(gaps) if gaps else 0
             assert spread(rows) <= 8 and spread(cols) <= 8
+
+
+@pytest.mark.parametrize("seed,count,sha256", [
+    (0, 32_734, "061c2111c480584f4742fe187503288ad39eff6104310dcd4f965f124aa029d2"),
+    (1, 32_796, "a9560a600504c3abba21dc0622034b51c7cc500440a90ac10b0fdef04bd66d29"),
+])
+def test_walk_corpus_is_pinned(seed, count, sha256):
+    # the acceptance corpus, byte for byte as the generator first produced it
+    from test_acceptance import CORPUS
+
+    pairs = walk_interactions(**{**CORPUS, "seed": seed}).pairs
+    text = "".join(f"{u}\t{i}\n" for u, i in pairs)
+    assert (len(pairs), hashlib.sha256(text.encode()).hexdigest()) == (count, sha256)
