@@ -10,15 +10,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dgcf.synthetic import banded_interactions, bipartite_ring, cooccur_interactions, \
-    mixed_interactions, topic_interactions, walk_interactions
+from dgcf.synthetic import bipartite_ring, walk_interactions
 
 GENERATORS = {
     "ring": lambda seed: bipartite_ring(200, 200, 18, seed=seed),
-    "topics": lambda seed: topic_interactions(seed=seed),
-    "banded": lambda seed: banded_interactions(seed=seed),
-    "mixed": lambda seed: mixed_interactions(seed=seed),
-    "cooccur": lambda seed: cooccur_interactions(seed=seed),
     "walk": lambda seed: walk_interactions(seed=seed),
 }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -175,6 +176,15 @@ def parse_layer_range(text: str) -> int:
     return depth
 
 
+def check_memory(split: DatasetSplit, d: int, L: int, batch_size: int = 0) -> None:
+    """Raise MemoryError before a run whose forward stack, (L+1)(m+n) d floats,
+    plus a batch's 3 B d values exceed physical memory: numpy refuses some such
+    sizes with ValueError, not MemoryError. A d < 1 is left to Hyperparams."""
+    need = ((L + 1) * (split.m + split.n) + 3 * batch_size) * max(d, 0) * 8
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError
+
+
 def model_embeddings(record: ModelRecord, split: DatasetSplit) -> np.ndarray:
     """Combined embedding table E* of a saved model, whatever its tag: the
     stored one, or for a file without it, forward on the split's graph."""
@@ -202,6 +212,7 @@ def cmd_train(cfg: RunConfig) -> None:
     from .train import TrainConfig, fit  # here, so serving commands never import training
 
     split = load_split(cfg.data)
+    check_memory(split, cfg.dim, PRESETS[cfg.model].get("L", cfg.layers), cfg.batch_size)
     tcfg = TrainConfig(lr=cfg.lr, reg_lambda=cfg.reg_lambda, epochs=cfg.epochs,
                        batch_size=cfg.batch_size, batches_per_epoch=cfg.batches_per_epoch,
                        seed=cfg.seed, eval_every=cfg.eval_every,
@@ -276,6 +287,7 @@ def cmd_diagnose(cfg: RunConfig) -> None:
     if not tags:
         raise ConfigError("--models must name at least one model tag")
     depth = parse_layer_range(cfg.layer_range)
+    check_memory(split, cfg.dim, max(PRESETS.get(t, {}).get("L", depth) for t in tags))
     grid = [(tag, depth) for tag in tags]
     reports = oversmoothing_report(split, grid, cfg.seed, d=cfg.dim)
     sys.stdout.write(report_tsv(reports))

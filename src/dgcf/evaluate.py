@@ -49,27 +49,6 @@ def _discounts(size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return discount, tuple(idcg)
 
 
-def recall_at_k(ranked_items, test_items: set, k: int) -> float:
-    _check_k(k)
-    if not test_items:
-        raise ValueError("empty test set; caller must skip this user")
-    top = itertools.islice(ranked_items, k)
-    return sum(1 for item in top if item in test_items) / len(test_items)
-
-
-def ndcg_at_k(ranked_items, test_items: set, k: int) -> float:
-    """Binary relevance; ideal DCG truncated at min(|test|, k)."""
-    _check_k(k)
-    if not test_items:
-        raise ValueError("empty test set; caller must skip this user")
-    top = list(itertools.islice(ranked_items, k))
-    ideal = min(len(test_items), k)
-    # tables come in power-of-two sizes, so a whole evaluation shares one
-    discount, idcg = _discounts(1 << (max(len(top), ideal) - 1).bit_length())
-    dcg = sum(discount[r] for r, item in enumerate(top) if item in test_items)
-    return float(dcg / idcg[ideal])
-
-
 def rank_items(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
     """The k rankable items with the highest scores, by descending score and
     then ascending index: the per-user reference ranking, which `recommend`

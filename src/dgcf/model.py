@@ -273,18 +273,9 @@ def combine_layers(E_layers, layer_weights, out=None) -> np.ndarray:
     return out
 
 
-def predict(E_star: np.ndarray, m: int, u: int, i: int) -> float:
-    """Score of item i for user u: dot of user row u and item row m+i."""
-    n = E_star.shape[0] - m
-    if not 0 <= u < m:
-        raise IndexError(f"user index {u} out of range [0, {m})")
-    if not 0 <= i < n:
-        raise IndexError(f"item index {i} out of range [0, {n})")
-    return float(np.sum(E_star[u] * E_star[m + i]))
-
-
 def score_all_items(E_star: np.ndarray, m: int, u: int) -> np.ndarray:
-    """All n item scores for user u; row i agrees bit-for-bit with predict."""
+    """All n item scores for user u: row i is the dot of user row u and item
+    row m+i, summed by np.sum."""
     if not 0 <= u < m:
         raise IndexError(f"user index {u} out of range [0, {m})")
     return np.sum(E_star[m:] * E_star[u], axis=1)

@@ -84,6 +84,16 @@ def brute_force_k_core(pairs: list[tuple[str, str]], k: int) -> set:
             pairs = [(u, i) for u, i in pairs if i != node]
 
 
+def predict(E_star: np.ndarray, m: int, u: int, i: int) -> float:
+    """Score of item i for user u: dot of user row u and item row m+i."""
+    n = E_star.shape[0] - m
+    if not 0 <= u < m:
+        raise IndexError(f"user index {u} out of range [0, {m})")
+    if not 0 <= i < n:
+        raise IndexError(f"item index {i} out of range [0, {n})")
+    return float(np.sum(E_star[u] * E_star[m + i]))
+
+
 def naive_recall(ranked, test_items, k) -> float:
     hits = 0
     for item in list(ranked)[:k]:

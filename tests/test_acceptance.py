@@ -16,8 +16,9 @@ import pytest
 
 from dgcf import cli
 from dgcf.baselines import lightgcn_forward
-from dgcf.data import RawInteractions, k_core_filter, split_train_test
-from dgcf.evaluate import evaluate_model, ndcg_at_k, oversmoothing_report
+from dgcf.data import DatasetSplit, RawInteractions, k_core_filter, split_train_test
+from dgcf.evaluate import evaluate_model, oversmoothing_report
+from dgcf.graph import InteractionMatrix
 from dgcf.model import Hyperparams, forward, init_params, preset
 from dgcf.synthetic import bipartite_ring, walk_interactions
 from dgcf.train import TrainConfig, backward, bpr_loss, fit, laplacian_for
@@ -207,8 +208,12 @@ def test_5_metrics_match_naive_reimplementation(capfd):
         exact = exact and got.recall_at_k == want_r and got.ndcg_at_k == want_n \
             and got.users_evaluated == want_users
         checked += 1
-    # single relevant item in the second slot: NDCG = 1/log2(3)
-    pinned = ndcg_at_k([9, 5, 8], {5}, 3)
+    # one user, train item 0 excluded, test item 2 ranked second of [1, 2, 3]:
+    # NDCG = 1/log2(3)
+    one_user = DatasetSplit(train=InteractionMatrix.from_pairs(1, 4, [(0, 0)]), test=[[2]],
+                            user_map={}, item_map={}, seed=0)
+    pinned = evaluate_model(np.array([[1.0], [9.0], [3.0], [2.0], [1.0]]), one_user,
+                            k=3).ndcg_at_k
     pin_ok = abs(pinned - 0.630930) <= 1e-6
     ok = exact and pin_ok and checked >= 90
     report(5, ok, f"recall/NDCG bitwise-equal to naive full-sort on {checked} "

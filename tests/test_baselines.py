@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from dgcf.baselines import lightgcn_forward
 from dgcf.data import RawInteractions, split_train_test
 from dgcf.evaluate import evaluate_model
-from dgcf.model import ModelParams, forward, predict, preset
+from dgcf.model import ModelParams, forward, preset, score_all_items
 from dgcf.train import TrainConfig, backward, bpr_loss, fit, laplacian_for
 from helpers import finite_diff_grad, rel_err
 
@@ -32,18 +32,11 @@ class TestPredict:
     def test_unit_vectors(self):
         params, S, hyper = bprmf_instance(np.eye(3), np.eye(3))
         E_star = forward(params, S, hyper).E_star
-        assert predict(E_star, 3, 0, 0) == 1.0
-        assert predict(E_star, 3, 0, 1) == 0.0
+        assert np.array_equal(score_all_items(E_star, 3, 0), [1.0, 0.0, 0.0])
 
     def test_dot_product_value(self):
         params, S, hyper = bprmf_instance(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
-        assert predict(forward(params, S, hyper).E_star, 1, 0, 0) == 11.0
-
-    @pytest.mark.parametrize("u,i", [(-1, 0), (3, 0), (0, -1), (0, 5)])
-    def test_out_of_range(self, u, i):
-        params, S, hyper = bprmf_instance(np.zeros((3, 2)), np.zeros((5, 2)))
-        with pytest.raises(IndexError):
-            predict(forward(params, S, hyper).E_star, 3, u, i)
+        assert np.array_equal(score_all_items(forward(params, S, hyper).E_star, 1, 0), [11.0])
 
 
 class TestGrads:

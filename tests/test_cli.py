@@ -463,6 +463,32 @@ class TestExitCodes:
         assert err.startswith(f"error: out of memory in {command}")
         assert (f"try a smaller {flags}\n" in err) if flags else ("try" not in err)
 
+    # 2**62-scale sizes only: numpy refuses them before allocating, so a
+    # missed check shows as exit 2, never as a large allocation
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--dim"), ("train", "--layers"), ("train", "--batch-size"),
+        ("diagnose", "--dim"), ("diagnose", "--layers"),
+    ])
+    def test_oversized_buffers_are_refused_up_front(self, command, flag, dataset_dir, tmp_path,
+                                                    monkeypatch, capsys):
+        argv = [command, "--data", str(dataset_dir), flag, str(2 ** 62)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m")]
+        code, out, err = run_cli(argv, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: out of memory in {command}; try a smaller ")
+        assert not list(tmp_path.iterdir())
+
+    def test_buffer_check_uses_the_depth_a_preset_pins(self, dataset_dir, tmp_path, monkeypatch,
+                                                       capsys):
+        # bprmf is L=0 whatever --layers says, so a 2**62 depth allocates nothing
+        deep = ["--model", "bprmf", "--layers", str(2 ** 62)]
+        assert run_cli(["train", "--data", str(dataset_dir), *deep, "--epochs", "0",
+                        "--out", str(tmp_path / "m")], monkeypatch, capsys)[0] == 0
+        code, out, _ = run_cli(["diagnose", "--data", str(dataset_dir), "--models", "bprmf",
+                                "--layers", str(2 ** 62)], monkeypatch, capsys)
+        assert code == 0 and len(out.splitlines()) == 2  # the header and layer 0
+
     def test_malformed_test_file_fails_only_evaluate(self, trained_model, dataset_dir,
                                                      tmp_path, monkeypatch, capsys):
         data = tmp_path / "data"

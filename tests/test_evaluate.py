@@ -10,74 +10,48 @@ from hypothesis import strategies as st
 from dgcf import evaluate
 from dgcf.data import DatasetSplit, RawInteractions, split_train_test
 from dgcf.errors import ConfigError, DataError
-from dgcf.evaluate import evaluate_model, ndcg_at_k, \
-    oversmoothing_report, rank_items, recall_at_k, report_tsv, smoothness
+from dgcf.evaluate import evaluate_model, oversmoothing_report, rank_items, report_tsv, \
+    smoothness
 from dgcf.graph import InteractionMatrix
 from dgcf.model import score_all_items
 from helpers import naive_evaluate, naive_ndcg, naive_rank, naive_recall, \
     naive_smoothness, random_interactions
 
 
-class TestRecall:
-    def test_perfect(self):
-        assert recall_at_k([3, 1, 2], {1, 2, 3}, 3) == 1.0
-
-    def test_half(self):
-        assert recall_at_k([5, 1], {1, 9}, 2) == 0.5
-
-    def test_none(self):
-        assert recall_at_k([4, 5], {1, 2}, 2) == 0.0
-
-    def test_truncates_at_k(self):
-        # hit outside the cutoff does not count
-        assert recall_at_k([7, 8, 1], {1}, 2) == 0.0
-
-    def test_empty_test_rejected(self):
-        with pytest.raises(ValueError):
-            recall_at_k([1, 2], set(), 2)
+def one_user_split(ranking, test) -> tuple[np.ndarray, DatasetSplit]:
+    """(e_star, split) of one user whose rankable items are `ranking`, scored in
+    that order, then the test items outside it at score 0; every other item,
+    the last one included, is a train item."""
+    n = max([*ranking, *test]) + 2
+    scores = np.zeros(n)
+    scores[ranking] = np.arange(len(ranking), 0, -1)
+    train = [(0, i) for i in range(n) if i not in ranking and i not in test]
+    split = DatasetSplit(train=InteractionMatrix.from_pairs(1, n, train), test=[sorted(test)],
+                         user_map={}, item_map={}, seed=0)
+    return np.concatenate(([1.0], scores))[:, None], split
 
 
-class TestNdcg:
-    def test_single_item_at_rank_2(self):
-        # item in the second slot: DCG = 1/log2(3), IDCG = 1
-        got = ndcg_at_k([9, 5, 8], {5}, 20)
-        assert got == pytest.approx(0.630930, abs=1e-6)
-        assert got == pytest.approx(1.0 / math.log2(3.0), abs=1e-12)
-
-    def test_hit_at_top(self):
-        assert ndcg_at_k([5, 1, 2], {5}, 20) == pytest.approx(1.0)
-
-    def test_ideal_truncation(self):
-        # 3 test items, k=2: IDCG uses only the first two discount slots
-        got = ndcg_at_k([1, 2], {1, 2, 3}, 2)
-        assert got == pytest.approx(1.0)
-
-    def test_miss_is_zero(self):
-        assert ndcg_at_k([4], {1}, 1) == 0.0
-
-    def test_empty_test_rejected(self):
-        with pytest.raises(ValueError):
-            ndcg_at_k([1], set(), 1)
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_k_below_one_rejected(self, k):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            ndcg_at_k([1, 2], {1}, k)
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            recall_at_k([1, 2], {1}, k)
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_naive_on_random_fixtures(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 30))
-        k = int(rng.integers(1, 25))
-        ranked = list(rng.permutation(n)[: rng.integers(1, n + 1)])
-        test_items = set(int(x) for x in
-                         rng.choice(n, size=rng.integers(1, n), replace=False))
-        assert recall_at_k(ranked, test_items, k) == naive_recall(ranked, test_items, k)
-        assert ndcg_at_k(ranked, test_items, k) == pytest.approx(
-            naive_ndcg(ranked, test_items, k), abs=1e-12)
+@pytest.mark.parametrize("ranking,test,k,recall,ndcg", [
+    pytest.param([3, 1, 2], {1, 2, 3}, 3, 1.0, 1.0, id="perfect"),
+    pytest.param([5, 1], {1, 9}, 2, 0.5, (1 / math.log2(3)) / (1 + 1 / math.log2(3)), id="half"),
+    pytest.param([4, 5], {1, 2}, 2, 0.0, 0.0, id="none"),
+    pytest.param([7, 8, 1], {1}, 2, 0.0, 0.0, id="hit_past_k"),
+    pytest.param([5, 1, 2], {5}, 20, 1.0, 1.0, id="hit_at_top"),
+    # DCG = 1/log2(3), IDCG = 1
+    pytest.param([9, 5, 8], {5}, 3, 1.0, 1 / math.log2(3), id="rank_2"),
+    # 3 test items, k=2: IDCG uses only the first two discount slots
+    pytest.param([1, 2], {1, 2, 3}, 2, 2 / 3, 1.0, id="ideal_truncation"),
+    pytest.param([4], {1}, 1, 0.0, 0.0, id="miss"),
+])
+def test_hand_computed_metrics(ranking, test, k, recall, ndcg):
+    e_star, split = one_user_split(ranking, test)
+    assert list(rank_items(score_all_items(e_star, 1, 0), split.train.user_items(0), k)) == \
+        ranking[:k]
+    got = evaluate_model(e_star, split, k=k)
+    assert (got.recall_at_k, got.ndcg_at_k, got.users_evaluated) == \
+        (naive_recall(ranking, test, k), naive_ndcg(ranking, test, k), 1)
+    assert got.recall_at_k == pytest.approx(recall, abs=1e-12)
+    assert got.ndcg_at_k == pytest.approx(ndcg, abs=1e-12)
 
 
 class TestRankItems:
@@ -187,6 +161,12 @@ class TestEvaluateModel:
         scaled = evaluate_model(e_star * 3.0, ring_split, k=5)
         assert scaled.recall_at_k == pytest.approx(base.recall_at_k)
         assert scaled.ndcg_at_k == pytest.approx(base.ndcg_at_k)
+
+    def test_no_test_items_rejected(self):
+        e_star, split = one_user_split([1, 2], {2})
+        split.test = [[]]
+        with pytest.raises(DataError, match="no users with test interactions"):
+            evaluate_model(e_star, split, k=2)
 
     def test_row_count_mismatch(self, ring_split):
         with pytest.raises(DataError):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dgcf.errors import ConfigError, DivergenceError
 from dgcf.graph import InteractionMatrix
 from dgcf.model import Hyperparams, ModelParams, combine_layers, forward, init_params, \
-    predict, preset, propagate_layer, score_all_items
-from helpers import random_interactions
+    preset, propagate_layer, score_all_items
+from helpers import predict, random_interactions
 
 from conftest import laplacian_from_pairs
 
@@ -220,22 +220,20 @@ class TestPredict:
         E = np.zeros((3, 4))
         E[0, 1] = 1.0
         E[1, 1] = 1.0  # item 0 lives at row m+0 = 1
-        assert predict(E, 1, 0, 0) == 1.0
+        assert np.array_equal(score_all_items(E, 1, 0), [1.0, 0.0])
 
     def test_orthogonal(self):
         E = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert predict(E, 1, 0, 0) == 0.0
+        assert np.array_equal(score_all_items(E, 1, 0), [0.0])
 
     def test_forced_arithmetic(self):
         E = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert predict(E, 1, 0, 0) == 11.0
+        assert np.array_equal(score_all_items(E, 1, 0), [11.0])
 
     def test_out_of_range(self):
-        E = np.zeros((5, 2))
-        with pytest.raises(IndexError):
-            predict(E, 2, 2, 0)
-        with pytest.raises(IndexError):
-            predict(E, 2, 0, 3)
+        for u in (-1, 2):
+            with pytest.raises(IndexError, match=f"user index {u} out of range"):
+                score_all_items(np.zeros((5, 2)), 2, u)
 
     def test_score_all_items_zero_block(self, rng):
         E = rng.normal(size=(6, 3))

@@ -5,8 +5,7 @@ import pytest
 
 from dgcf.data import split_train_test
 from dgcf.graph import build_adjacency, degree_vector, normalize_laplacian
-from dgcf.synthetic import banded_interactions, bipartite_ring, cooccur_interactions, \
-    mixed_interactions, topic_interactions, walk_interactions
+from dgcf.synthetic import bipartite_ring, walk_interactions
 
 
 def connected(raw):
@@ -57,53 +56,28 @@ class TestRing:
         assert len(raw.pairs) == len(set(raw.pairs))
 
 
-@pytest.mark.parametrize("gen,kw", [
-    (topic_interactions, dict(n_users=60, n_items=90, n_topics=6, seed=2,
-                              mean_activity=12.0, min_activity=6)),
-    (banded_interactions, dict(n_users=60, n_items=90, n_topics=9, band_width=2,
-                               mean_activity=12.0, min_activity=6, seed=2)),
-    (mixed_interactions, dict(n_users=60, n_items=90, n_topics=9,
-                              topics_per_user=(2, 3), median_activity=10.0,
-                              min_activity=6, seed=2)),
-    (cooccur_interactions, dict(n_users=60, n_items=90, median_activity=10.0,
-                                min_activity=6, seed=2)),
-    (walk_interactions, dict(n_users=60, grid_side=5, items_per_cell=4,
-                             median_activity=10.0, min_activity=6, seed=2)),
-])
-class TestCorpusGenerators:
-    def test_deterministic(self, gen, kw):
-        assert gen(**kw).pairs == gen(**kw).pairs
+WALK = dict(n_users=60, grid_side=5, items_per_cell=4, median_activity=10.0, min_activity=6,
+            seed=2)
 
-    def test_no_duplicates(self, gen, kw):
-        pairs = gen(**kw).pairs
+
+class TestWalk:
+    def test_deterministic(self):
+        assert walk_interactions(**WALK).pairs == walk_interactions(**WALK).pairs
+
+    def test_no_duplicates(self):
+        pairs = walk_interactions(**WALK).pairs
         assert len(pairs) == len(set(pairs))
 
-    def test_every_user_meets_floor(self, gen, kw):
+    def test_every_user_meets_floor(self):
         from collections import Counter
-        floor = kw.get("min_activity", 1)
-        counts = Counter(u for u, _ in gen(**kw).pairs)
-        assert len(counts) == kw["n_users"]
-        assert min(counts.values()) >= floor
+        counts = Counter(u for u, _ in walk_interactions(**WALK).pairs)
+        assert len(counts) == WALK["n_users"]
+        assert min(counts.values()) >= WALK["min_activity"]
 
-    def test_splits_cleanly(self, gen, kw):
-        split = split_train_test(gen(**kw), 0.2, seed=0)
+    def test_splits_cleanly(self):
+        split = split_train_test(walk_interactions(**WALK), 0.2, seed=0)
         assert split.train.nnz > 0
         assert any(split.test)
-
-
-class TestValidation:
-    def test_banded_band_too_wide(self):
-        with pytest.raises(ValueError):
-            banded_interactions(n_users=5, n_items=20, n_topics=4, band_width=3)
-
-    def test_mixed_topic_range(self):
-        with pytest.raises(ValueError):
-            mixed_interactions(n_users=5, n_items=20, n_topics=4,
-                               topics_per_user=(3, 9))
-
-    def test_cooccur_tiny_ring(self):
-        with pytest.raises(ValueError):
-            cooccur_interactions(n_users=5, n_items=5, local_links=3)
 
 
 class TestScaleAndStructure:
