@@ -58,7 +58,7 @@ OPTIONS = [
     Option("out", "--out", (PRE, TRAIN), required=True, help="output dataset dir or model file"),
     Option("log", "--log", (TRAIN,), help="training log path (default: <out>.log.jsonl)"),
     Option("models", "--models", (DIAG,), default="ours,plain", help="comma-separated tags"),
-    Option("layer_range", "--layers", (DIAG,), default="1..8", help="depth or range, e.g. 1..8"),
+    Option("layers", "--layers", (DIAG,), int, 8, help="deepest layer reported"),
     Option("dim", "--dim", (TRAIN, DIAG), int, 64),
     Option("layers", "--layers", (TRAIN,), int, 4),
     Option("alpha", "--alpha", (TRAIN,), float, 0.1),
@@ -81,7 +81,7 @@ OPTIONS = [
 
 
 # Options that size the buffers a command allocates, named when it runs out of memory.
-SIZED = ("dim", "layers", "layer_range", "batch_size")
+SIZED = ("dim", "layers", "batch_size")
 
 
 class RunConfig(SimpleNamespace):
@@ -162,18 +162,6 @@ def _parse_layer_weights(text: str | None) -> list[float] | None:
         return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad layer weights {text!r}: {exc}") from exc
-
-
-def parse_layer_range(text: str) -> int:
-    """'8' or '1..8' -> deepest requested layer (one run covers all shallower)."""
-    lo, sep, hi = text.partition("..")
-    try:
-        low, depth = int(lo), int(hi if sep else lo)
-    except ValueError:
-        raise ConfigError(f"bad layer range {text!r}, expected e.g. 8 or 1..8") from None
-    if low < 0 or depth < low:
-        raise ConfigError(f"bad layer range {text!r}: need 0 <= low <= high")
-    return depth
 
 
 def check_memory(split: DatasetSplit, d: int, L: int, batch_size: int = 0) -> None:
@@ -286,9 +274,8 @@ def cmd_diagnose(cfg: RunConfig) -> None:
     tags = [t.strip() for t in cfg.models.split(",") if t.strip()]
     if not tags:
         raise ConfigError("--models must name at least one model tag")
-    depth = parse_layer_range(cfg.layer_range)
-    check_memory(split, cfg.dim, max(PRESETS.get(t, {}).get("L", depth) for t in tags))
-    grid = [(tag, depth) for tag in tags]
+    check_memory(split, cfg.dim, max(PRESETS.get(t, {}).get("L", cfg.layers) for t in tags))
+    grid = [(tag, cfg.layers) for tag in tags]
     reports = oversmoothing_report(split, grid, cfg.seed, d=cfg.dim)
     sys.stdout.write(report_tsv(reports))
 

@@ -148,6 +148,8 @@ def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> Rank
     the BLAS build, its thread count or the block size.
     """
     _check_k(k)
+    if split.test is None:
+        raise DataError("the split's test lists were not read (load_split with read_test=False)")
     m, n = split.m, split.n
     if e_star.shape[0] != m + n:
         raise DataError(f"embedding rows {e_star.shape[0]} do not match m+n={m + n}")

@@ -5,9 +5,10 @@ Node index layout is fixed everywhere in this package: users occupy rows
 
 The interaction matrix R is plain numpy CSR arrays, so a reader of the
 train matrix (sampling, evaluation, the model file's fingerprint) needs
-numpy alone. The propagation operator S built from it is a scipy CSR array
-(float64); scipy is imported only by the functions that build or multiply
-S. All values are treated as immutable after construction.
+numpy alone. The propagation operator S built from it
+(data.laplacian_for) is a scipy CSR array (float64); scipy is imported only
+where S is multiplied or, in laplacian_for, wrapped. All values are treated
+as immutable after construction.
 """
 
 from __future__ import annotations
@@ -65,45 +66,6 @@ class InteractionMatrix:
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=m), out=indptr[1:])
         return InteractionMatrix(m=m, n=n, indptr=indptr, indices=items)
-
-
-def build_adjacency(R: InteractionMatrix) -> sp.csr_array:
-    """Adjacency of the bipartite graph: R in the upper-right block, R^T in
-    the lower-left, zero diagonal blocks. Shape (m+n, m+n), symmetric."""
-    import scipy.sparse as sp
-
-    rows = sp.csr_array((np.ones(R.nnz), R.indices, R.indptr), shape=(R.m, R.n))
-    A = sp.block_array([[None, rows], [rows.T, None]], format="csr")
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
-
-
-def degree_vector(A: sp.csr_array) -> np.ndarray:
-    """Row sums of a square sparse matrix, as a dense float64 vector."""
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected square matrix, got {A.shape}")
-    return np.asarray(A.sum(axis=1), dtype=np.float64).ravel()
-
-
-def normalize_laplacian(A: sp.csr_array, d: np.ndarray) -> sp.csr_array:
-    """Symmetric degree normalization S with S_ij = a_ij / sqrt(d_i * d_j).
-
-    Rows and columns of isolated nodes (d_i = 0) stay all-zero: 1/sqrt(0)
-    is mapped to 0 instead of inf. The scale factors are multiplied together
-    before touching a_ij, so symmetry of A is preserved exactly.
-    """
-    import scipy.sparse as sp
-
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (A.shape[0],):
-        raise ValueError("degree vector length does not match matrix")
-    inv_sqrt = np.zeros_like(d)
-    nz = d > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(d[nz])
-    row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    data = A.data * (inv_sqrt[row_of] * inv_sqrt[A.indices])
-    return sp.csr_array((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
 
 
 def spmm(S: sp.csr_array, E: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -122,8 +122,9 @@ class Workspace:
 class ForwardTrace:
     """All intermediates of one forward pass, kept for backprop and diagnostics.
 
-    mixed_layers holds the pre-transform mixes M(l) = a E(0) + S_mix E(l-1),
-    where S_mix = (1-a) S is the scaled operator of mix_operator; transforms
+    S is the graph operator the pass ran on and S_mix = (1-a) S its scaled
+    copy, S itself when a = 0, which share S's index arrays. mixed_layers
+    holds the pre-transform mixes M(l) = a E(0) + S_mix E(l-1); transforms
     holds T(l) = (1-b) I + b W(l-1), or None when b = 0, so that
     E(l) = act(M(l) T(l)). E_layers are the rows of one (L+1, N, d) stack in
     workspace, so E(0) is a copy of params.W in free mode, and E* is that
@@ -141,6 +142,7 @@ class ForwardTrace:
     mixed_layers: list[np.ndarray]  # M(1)..M(L)
     transforms: list[np.ndarray | None]  # T(1)..T(L)
     E_star: np.ndarray = field(repr=False, default=None)
+    S: sp.csr_array | None = field(repr=False, default=None)
     S_mix: sp.csr_array | None = field(repr=False, default=None)
     workspace: Workspace = field(repr=False, default_factory=Workspace)
     margins: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
@@ -153,70 +155,16 @@ def init_params(m: int, n: int, hyper: Hyperparams, rng: np.random.Generator) ->
     return ModelParams(m=m, n=n, W=W, W_layers=W_layers)
 
 
-def mix_operator(S: sp.csr_array, alpha: float, data: np.ndarray | None = None,
-                 ) -> sp.csr_array:
-    """S_mix = (1-alpha) S: S itself when alpha = 0, else S's index arrays with
-    scaled values, written into data when given (a buffer of S.nnz floats)."""
-    if alpha == 0.0:
-        return S
-    import scipy.sparse as sp
-
-    data = np.multiply(1.0 - alpha, S.data, out=data)
-    return sp.csr_array((data, S.indices, S.indptr), shape=S.shape)
-
-
-def propagate_layer(E_prev, E0, S, alpha, beta, W_l, activation, S_mix=None, M=None,
-                    out=None, mask=None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """One propagation layer; returns (M, T, E_next): the mix
-    M = alpha E0 + S_mix E_prev, the transform T (None when beta = 0, which
-    skips it) and E_next = act(M T). The product accumulates onto alpha E0 in
-    place; alpha = 1 skips it, so M is E0, and alpha = 0 starts it from zero.
-    S_mix is mix_operator(S, alpha) when the caller has it. M and out are
-    float64 buffers for the mix and for E_next, and mask a bool buffer for the
-    finiteness check; each is allocated when None. E_next is out when out is
-    given; otherwise, under identity with beta = 0, it is M. A caller that
-    passes the same buffer as M and out must use identity with beta = 0."""
-    if E_prev.shape != E0.shape:
-        raise ValueError(f"E_prev {E_prev.shape} and E0 {E0.shape} disagree")
-    if S.shape[0] != E_prev.shape[0]:
-        raise ValueError(f"S {S.shape} does not match embeddings {E_prev.shape}")
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {activation!r}")
-    if alpha == 1.0:
-        M = E0
-    else:
-        M = np.empty(E_prev.shape) if M is None else M
-        if alpha == 0.0:
-            M.fill(0.0)
-        else:
-            np.multiply(alpha, E0, out=M)
-        spmm(mix_operator(S, alpha) if S_mix is None else S_mix, E_prev, out=M)
-    # Z = M T with T = (1-b) I + b W
-    if beta == 0.0:
-        T, Z = None, M
-    elif W_l is None:
-        raise ValueError("beta > 0 requires a layer transform matrix")
-    else:
-        T = (1.0 - beta) * np.eye(M.shape[1])
-        T += beta * W_l
-        Z = np.matmul(M, T, out=out)
-    if not np.isfinite(Z, out=mask).all():
-        raise DivergenceError("non-finite values in propagation layer output")
-    if activation == "relu":  # in place, except that M stays as it is
-        return M, T, np.maximum(Z, 0.0, out=out if Z is M else Z)
-    if out is not None and Z is not out:  # alpha = 1 with beta = 0: E_next equals E0
-        np.copyto(out, Z)
-        Z = out
-    return M, T, Z
-
-
 def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
             out: ForwardTrace | None = None) -> ForwardTrace:
-    """Full forward pass: E(0), L propagation layers, layer combination.
+    """Full forward pass on the graph S: E(0), L propagation layers, E*.
 
-    Given `out`, a trace from an earlier call, forward writes this pass into
-    it and its workspace buffers and returns it: every array out held before
-    is overwritten or released. Results are bitwise those of a fresh call.
+    Each mix M(l) accumulates S_mix E(l-1) in place onto a E(0), or onto
+    zeros at a = 0; at a = 1 the product is skipped and M(l) is E(0). b = 0
+    skips the transform. Given `out`, a trace from an earlier call, forward
+    writes this pass into it and its workspace buffers and returns it: every
+    array out held before is overwritten or released. Results are bitwise
+    those of a fresh call.
     """
     N = params.m + params.n
     if S.shape != (N, N):
@@ -227,7 +175,7 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
         raise ValueError(f"expected {hyper.L} layer transforms, got {len(params.W_layers)}")
     if out is None:
         out = ForwardTrace(m=params.m, E_layers=[], mixed_layers=[], transforms=[])
-    ws, shape, a = out.workspace, params.W.shape, hyper.alpha
+    ws, shape, a, b = out.workspace, params.W.shape, hyper.alpha, hyper.beta
     stack = ws.get("E", (hyper.L + 1,) + shape)
     E0 = stack[0]
     if hyper.embedding_mode == "sw":
@@ -235,41 +183,51 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
         spmm(S, params.W, out=E0)
     else:
         np.copyto(E0, params.W)
-    S_mix = mix_operator(S, a, ws.get("S_mix", S.data.shape))
+    S_mix = S
+    if a != 0.0:
+        import scipy.sparse as sp
+
+        data = np.multiply(1.0 - a, S.data, out=ws.get("S_mix", S.data.shape))
+        S_mix = sp.csr_array((data, S.indices, S.indptr), shape=S.shape)
     mask = ws.get("mask", shape, bool)
-    own_M = a != 1.0 and (hyper.beta != 0.0 or hyper.activation == "relu")  # else M(l) is E(l)
+    relu = hyper.activation == "relu"
+    own_M = a != 1.0 and (b != 0.0 or relu)  # else M(l) is E(l)
     out.m, out.E_layers, out.mixed_layers, out.transforms = params.m, [E0], [], []
-    out.S_mix, out.margins = S_mix, None
+    out.S, out.S_mix, out.margins = S, S_mix, None
     for l, W_l in enumerate(params.W_layers, start=1):
         E = stack[l]
-        M, T, E = propagate_layer(out.E_layers[-1], E0, S, a, hyper.beta, W_l,
-                                  hyper.activation, S_mix,
-                                  ws.get(("M", l), shape) if own_M else E, E, mask)
+        if a == 1.0:
+            M = E0
+        else:
+            M = ws.get(("M", l), shape) if own_M else E
+            if a == 0.0:
+                M.fill(0.0)
+            else:
+                np.multiply(a, E0, out=M)
+            spmm(S_mix, stack[l - 1], out=M)
+        if b == 0.0:
+            T, Z = None, M
+        else:
+            T = (1.0 - b) * np.eye(shape[1])
+            T += b * W_l
+            Z = np.matmul(M, T, out=E)
+        if not np.isfinite(Z, out=mask).all():
+            raise DivergenceError("non-finite values in propagation layer output")
+        if relu:  # in place, except that M stays as it is
+            np.maximum(Z, 0.0, out=E)
+        elif Z is not E:  # a = 1 with b = 0: E(l) equals E(0)
+            np.copyto(E, Z)
         out.mixed_layers.append(M)
         out.transforms.append(T)
         out.E_layers.append(E)
-    out.E_star = combine_layers(stack, hyper.layer_weights, ws.get("E_star", shape))
-    return out
-
-
-def combine_layers(E_layers, layer_weights, out=None) -> np.ndarray:
-    """E* = sum_k w_k E(k) as one BLAS product of the weights with the layers
-    stacked as rows (an (L+1, N, d) array, or a list that is stacked first);
-    out, a C-contiguous float64 buffer, receives E* when given. One layer is
-    a plain scaling: it wakes no BLAS threads, which keep spinning after a
-    call and take cores from the work that follows on a small host."""
-    w = np.asarray(layer_weights, dtype=np.float64)
-    stack = np.asarray(E_layers, dtype=np.float64)
-    if len(stack) != len(w):
-        raise ValueError(f"{len(stack)} layers but {len(w)} weights")
-    if len(w) == 1:
-        return np.multiply(w[0], stack[0], out=out)
-    flat = stack.reshape(len(w), -1)
-    if out is None:
-        return np.dot(w, flat).reshape(stack.shape[1:])
-    if not out.flags.c_contiguous:  # reshape would hand np.dot a copy
-        raise ValueError("out must be C-contiguous")
-    np.dot(w, flat, out=out.reshape(-1))
+    # E* = sum_k w_k E(k). One layer is a plain scaling: it wakes no BLAS
+    # threads, which keep spinning after a call and take cores from the work
+    # that follows on a small host.
+    out.E_star = ws.get("E_star", shape)
+    if hyper.L == 0:
+        np.multiply(hyper.layer_weights[0], E0, out=out.E_star)
+    else:
+        np.dot(hyper.layer_weights, stack.reshape(hyper.L + 1, -1), out=out.E_star.reshape(-1))
     return out
 
 

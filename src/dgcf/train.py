@@ -122,13 +122,13 @@ def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
 
 
 def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
-             S: sp.csr_array, hyper: Hyperparams, reg_lambda: float) -> ModelParams:
+             hyper: Hyperparams, reg_lambda: float) -> ModelParams:
     """Exact gradient of bpr_loss(trace, batch, reg_lambda, params) with respect
     to W and every W(l), returned in the shape of params.
 
     Reverse pass through E* = sum w_k E(k), E(l) = act(M(l) T(l)),
-    M(l) = a E(0) + S_mix E(l-1), E(0) = S W (or W). T(l) and S_mix = (1-a) S
-    come from the trace, which forward built from the same S; the relu mask
+    M(l) = a E(0) + S_mix E(l-1), E(0) = S W (or W). S, S_mix = (1-a) S and
+    T(l) are those of the forward pass, read from the trace; the relu mask
     is E(l) > 0, which equals M(l) T(l) > 0. D carries dloss/dE(l). Each layer
     sets D = w(l-1) G and adds S_mix M_dot into it in place, S_mix being
     symmetric; the initial-residual path sums the M_dot unscaled in E0_bar
@@ -173,7 +173,7 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
         D += E0_bar  # dloss/dE(0)
     reg = np.multiply(2.0 * reg_lambda, params.W, out=M_dot)
     if hyper.embedding_mode == "sw":  # dE0/dW: S^T = S
-        grad_W = spmm(S, D)
+        grad_W = spmm(trace.S, D)
         grad_W += reg
     else:  # or I
         grad_W = D + reg
@@ -240,7 +240,7 @@ def fit(split: DatasetSplit, hyper: Hyperparams, config: TrainConfig,
             loss = bpr_loss(trace, batch, config.reg_lambda, params)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads = backward(trace, batch, params, S, hyper, config.reg_lambda)
+            grads = backward(trace, batch, params, hyper, config.reg_lambda)
             optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers,
                            config.lr, state)
             total += loss

@@ -6,15 +6,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes helpers importable
 
-from dgcf.data import split_train_test
-from dgcf.graph import InteractionMatrix, build_adjacency, degree_vector, normalize_laplacian
+from dgcf.data import DatasetSplit, laplacian_for, split_train_test
+from dgcf.graph import InteractionMatrix
 from dgcf.synthetic import bipartite_ring
 
 
 def laplacian_from_pairs(m: int, n: int, pairs):
+    """laplacian_for of the graph whose train pairs are `pairs`."""
     R = InteractionMatrix.from_pairs(m, n, pairs)
-    A = build_adjacency(R)
-    return normalize_laplacian(A, degree_vector(A))
+    return laplacian_for(DatasetSplit(train=R, test=None, user_map={}, item_map={}, seed=0))
 
 
 @pytest.fixture(scope="session")

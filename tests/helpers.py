@@ -52,6 +52,24 @@ def dense_normalized_adjacency(m: int, n: int, pairs) -> np.ndarray:
     return S
 
 
+def scipy_laplacian(R) -> sp.csr_array:
+    """S = D^(-1/2) A D^(-1/2) of an InteractionMatrix R through scipy: A is
+    the block matrix [[0, R], [R^T, 0]] in canonical CSR, D its row sums, and
+    each value a_ij times the product of the two scale factors (1/sqrt(0) is
+    taken as 0)."""
+    rows = sp.csr_array((np.ones(R.nnz), R.indices, R.indptr), shape=(R.m, R.n))
+    A = sp.block_array([[None, rows], [rows.T, None]], format="csr")
+    A.sum_duplicates()
+    A.sort_indices()
+    d = np.asarray(A.sum(axis=1), dtype=np.float64).ravel()
+    inv_sqrt = np.zeros_like(d)
+    nz = d > 0
+    inv_sqrt[nz] = 1.0 / np.sqrt(d[nz])
+    row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    data = A.data * (inv_sqrt[row_of] * inv_sqrt[A.indices])
+    return sp.csr_array((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+
+
 def brute_force_k_core(pairs: list[tuple[str, str]], k: int) -> set:
     """Delete ONE under-degree node at a time until none remains.
 

@@ -104,7 +104,7 @@ def test_1_gradients_match_finite_differences(capfd):
                     B = 6
                     batch = np.stack([rng.integers(0, m, B), rng.integers(0, n, B),
                                       rng.integers(0, n, B)], axis=1)
-                    got = backward(forward(params, S, hyper), batch, params, S, hyper, reg)
+                    got = backward(forward(params, S, hyper), batch, params, hyper, reg)
                     want = finite_diff_grad(
                         params, lambda p: bpr_loss(forward(p, S, hyper), batch, reg, p),
                         step=1e-6)

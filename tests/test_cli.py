@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgcf import cli
-from dgcf.cli import build_parser, entrypoint, main, parse_layer_range
+from dgcf.cli import build_parser, entrypoint, main
 from dgcf.data import load_split
 from dgcf.errors import ConfigError, DataError
 from dgcf.evaluate import evaluate_model
@@ -152,8 +152,8 @@ class TestParserReuse:
         main(["evaluate", "--model", "m", "--data", "d"])
         train, diagnose, evaluate_k5, evaluate = (vars(cfg) for cfg in seen)
         assert (train["layers"], train["seed"], train["model"]) == (2, 5, "plain")
-        assert diagnose["layer_range"] == "1..8" and diagnose["seed"] == 0
-        assert diagnose["data"] == "d2" and "layers" not in diagnose and "model" not in diagnose
+        assert (diagnose["layers"], diagnose["seed"], diagnose["data"]) == (8, 0, "d2")
+        assert "model" not in diagnose
         assert evaluate_k5["k"] == 5 and evaluate["k"] == 20
         assert evaluate["model_path"] == "m" and "model" not in evaluate
         assert build_parser() is build_parser()
@@ -336,10 +336,10 @@ def test_import_leaves_training_unloaded(trained_model, dataset_dir, tmp_path):
 class TestDiagnose:
     def test_tsv_shape(self, dataset_dir, capsys):
         main(["diagnose", "--data", str(dataset_dir), "--models", "plain",
-              "--layers", "1..3", "--dim", "8"])
+              "--layers", "3", "--dim", "8"])
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "model\tlayer\tuser_sim\titem_sim"
-        assert len(lines) == 1 + 4  # one config at the deepest layer, rows 0..3
+        assert [line.split("\t")[1] for line in lines[1:]] == ["0", "1", "2", "3"]
 
     def test_two_models(self, dataset_dir, capsys):
         main(["diagnose", "--data", str(dataset_dir), "--models", "ours,plain",
@@ -349,20 +349,24 @@ class TestDiagnose:
         assert lines[1].split("\t")[0] == "ours"
         assert lines[4].split("\t")[0] == "plain"
 
-    def test_bad_range(self, dataset_dir):
-        with pytest.raises(ConfigError, match="layer range"):
-            main(["diagnose", "--data", str(dataset_dir), "--layers", "8..1"])
+    def test_bad_range(self, dataset_dir, monkeypatch, capsys):
+        # a depth, not a range: LOW..HIGH is a usage error
+        code, out, err = run_cli(["diagnose", "--data", str(dataset_dir), "--layers", "1..8"],
+                                 monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --layers: invalid int value: '1..8'")
 
 
 class TestLayerRange:
-    @pytest.mark.parametrize("text,want", [("8", 8), ("1..8", 8), ("0..2", 2), ("3", 3)])
+    @pytest.mark.parametrize("text,want", [("8", 8), ("3", 3)])
     def test_parses(self, text, want):
-        assert parse_layer_range(text) == want
+        ns = build_parser().parse_args(["diagnose", "--data", "d", "--layers", text])
+        assert cli.resolve_config(ns, {}).layers == want
 
-    @pytest.mark.parametrize("text", ["", "x", "2..", "..3", "-1..2", "5..2"])
+    @pytest.mark.parametrize("text", ["", "x", "2..", "..3", "-1..2", "5..2", "1..8", "0..2"])
     def test_rejects(self, text):
         with pytest.raises(ConfigError):
-            parse_layer_range(text)
+            main(["diagnose", "--data", "d", "--layers", text])
 
 
 class TestConfigFile:

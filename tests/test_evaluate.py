@@ -129,6 +129,19 @@ class TestEvaluateModel:
         assert got.users_evaluated == want_users
         assert got.k == 7
 
+    def test_split_without_test_lists_is_refused(self, ring_split, tmp_path):
+        from dgcf.data import load_split, save_split
+        from dgcf.model import preset
+        from dgcf.train import TrainConfig, fit
+
+        save_split(ring_split, tmp_path, k_core=1)
+        split = load_split(tmp_path, read_test=False)
+        with pytest.raises(DataError, match="test lists were not read"):
+            evaluate_model(np.zeros((split.m + split.n, 2)), split)
+        config = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=8, eval_every=1)
+        with pytest.raises(DataError, match="test lists were not read"):
+            fit(split, preset("bprmf", d=2), config)
+
     def test_train_items_never_ranked(self):
         # embedding that scores train items highest; exclusion must still win
         pairs = [(f"u{u}", f"i{i}") for u in range(4) for i in range(8)]

@@ -4,10 +4,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dgcf import graph
-from dgcf.graph import InteractionMatrix, build_adjacency, degree_vector, normalize_laplacian, \
-    spmm
+from dgcf.graph import InteractionMatrix, spmm
 from helpers import canonical_csr, dense_normalized_adjacency, random_interactions, rel_err, \
-    row_order_spmm_add
+    row_order_spmm_add, scipy_laplacian
 
 from conftest import laplacian_from_pairs
 
@@ -54,65 +53,76 @@ def test_from_pairs_of_no_pairs(m, n):
 
 
 def test_adjacency_identity_pattern():
-    A = build_adjacency(InteractionMatrix.from_pairs(2, 2, [(0, 0), (1, 1)]))
-    dense = A.toarray()
+    S = laplacian_from_pairs(2, 2, [(0, 0), (1, 1)])
     want = np.zeros((4, 4))
     want[0, 2] = want[2, 0] = want[1, 3] = want[3, 1] = 1.0
-    assert np.array_equal(dense, want)
+    assert np.array_equal(S.toarray(), want)
 
 
 def test_adjacency_empty():
-    A = build_adjacency(InteractionMatrix.from_pairs(3, 4, []))
-    assert A.shape == (7, 7)
-    assert A.nnz == 0
+    S = laplacian_from_pairs(3, 4, [])
+    assert S.shape == (7, 7)
+    assert S.nnz == 0
 
 
 def test_adjacency_row_counts_and_symmetry():
-    A = build_adjacency(InteractionMatrix.from_pairs(2, 2, [(0, 0), (0, 1), (1, 0)]))
-    assert np.array_equal(np.diff(A.indptr), [2, 1, 2, 1])
-    assert np.array_equal(A.toarray(), A.toarray().T)
+    S = laplacian_from_pairs(2, 2, [(0, 0), (0, 1), (1, 0)])
+    assert np.array_equal(np.diff(S.indptr), [2, 1, 2, 1])
+    assert np.array_equal(S.toarray(), S.toarray().T)
 
 
 def test_adjacency_blocks_zero():
     rng = np.random.default_rng(5)
     pairs = random_interactions(rng, 6, 8, 3)
-    A = build_adjacency(InteractionMatrix.from_pairs(6, 8, pairs)).toarray()
-    assert not A[:6, :6].any()
-    assert not A[6:, 6:].any()
+    S = laplacian_from_pairs(6, 8, pairs).toarray()
+    assert not S[:6, :6].any()
+    assert not S[6:, 6:].any()
 
 
 def test_degree_vector_examples():
-    A1 = build_adjacency(InteractionMatrix.from_pairs(2, 2, [(0, 0), (1, 1)]))
-    assert np.array_equal(degree_vector(A1), [1, 1, 1, 1])
-    A2 = build_adjacency(InteractionMatrix.from_pairs(3, 4, []))
-    assert np.array_equal(degree_vector(A2), np.zeros(7))
-    A3 = build_adjacency(InteractionMatrix.from_pairs(2, 2, [(0, 0), (0, 1), (1, 0)]))
-    assert np.array_equal(degree_vector(A3), [2, 1, 2, 1])
+    # a row stores one entry per edge, so its length is the node's degree
+    S1 = laplacian_from_pairs(2, 2, [(0, 0), (1, 1)])
+    assert np.array_equal(np.diff(S1.indptr), [1, 1, 1, 1])
+    S2 = laplacian_from_pairs(3, 4, [])
+    assert np.array_equal(np.diff(S2.indptr), np.zeros(7))
+    S3 = laplacian_from_pairs(2, 2, [(0, 0), (0, 1), (1, 0)])
+    assert np.array_equal(np.diff(S3.indptr), [2, 1, 2, 1])
 
 
 def test_degree_matches_interaction_counts():
     rng = np.random.default_rng(9)
     pairs = random_interactions(rng, 7, 9, 4)
-    R = InteractionMatrix.from_pairs(7, 9, pairs)
-    d = degree_vector(build_adjacency(R))
+    d = np.diff(laplacian_from_pairs(7, 9, pairs).indptr)
     assert np.array_equal(d[:7], np.bincount([u for u, _ in pairs], minlength=7))
     item_counts = np.bincount([i for _, i in pairs], minlength=9)
     assert np.array_equal(d[7:], item_counts)
 
 
 def test_normalize_unit_degrees_is_identity_on_A():
-    A = build_adjacency(InteractionMatrix.from_pairs(2, 2, [(0, 0), (1, 1)]))
-    S = normalize_laplacian(A, degree_vector(A))
-    assert np.array_equal(S.toarray(), A.toarray())
+    S = laplacian_from_pairs(2, 2, [(0, 0), (1, 1)])
+    assert S.data.tolist() == [1.0] * 4
 
 
 def test_normalize_hand_values():
     # degrees [2,1,2,1]: entries are 1/2 and 1/sqrt(2)
-    A = build_adjacency(InteractionMatrix.from_pairs(2, 2, [(0, 0), (0, 1), (1, 0)]))
-    S = normalize_laplacian(A, degree_vector(A)).toarray()
+    S = laplacian_from_pairs(2, 2, [(0, 0), (0, 1), (1, 0)]).toarray()
     assert S[0, 2] == pytest.approx(0.5, abs=1e-12)
     assert S[0, 3] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert S[1, 2] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_laplacian_matches_scipy_construction(m, n, data):
+    # users and items without pairs, m or n = 1; a graph has at least one edge
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                               min_size=1, max_size=40))
+    R = InteractionMatrix.from_pairs(m, n, pairs)
+    S = laplacian_from_pairs(m, n, pairs)
+    want = scipy_laplacian(R)
+    assert S.shape == want.shape == (m + n, m + n)
+    for got, ref in ((S.data, want.data), (S.indices, want.indices), (S.indptr, want.indptr)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_normalize_symmetry_exact():
@@ -241,6 +251,6 @@ def test_adjacency_nnz_doubles_and_symmetric(m, n, seed):
     rng = np.random.default_rng(seed)
     pairs = random_interactions(rng, m, n, 3)
     R = InteractionMatrix.from_pairs(m, n, pairs)
-    A = build_adjacency(R)
-    assert A.nnz == 2 * R.nnz
-    assert np.array_equal(A.toarray(), A.toarray().T)
+    S = laplacian_from_pairs(m, n, pairs)
+    assert S.nnz == 2 * R.nnz
+    assert np.array_equal(S.toarray(), S.toarray().T)

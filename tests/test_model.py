@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgcf.errors import ConfigError, DivergenceError
 from dgcf.graph import InteractionMatrix
-from dgcf.model import Hyperparams, ModelParams, combine_layers, forward, init_params, \
-    preset, propagate_layer, score_all_items
+from dgcf.model import Hyperparams, ModelParams, forward, init_params, preset, score_all_items
 from helpers import predict, random_interactions
 
 from conftest import laplacian_from_pairs
@@ -77,45 +76,51 @@ class TestInitialEmbedding:
         assert np.max(np.abs(e0(S, W, 5) - S.toarray() @ W)) < 1e-12
 
 
+def free_forward(S, W, alpha, L=1, activation="identity", **fields):
+    """Trace of a b = 0 forward pass in free mode, where E(0) is W."""
+    hyper = Hyperparams(d=W.shape[1], L=L, alpha=alpha, beta=0.0, activation=activation,
+                        embedding_mode="free", **fields)
+    m = W.shape[0] // 2
+    params = ModelParams(m, W.shape[0] - m, W, [np.zeros((W.shape[1],) * 2)] * L)
+    return forward(params, S, hyper)
+
+
 class TestPropagateLayer:
     def test_alpha1_beta0_returns_e0(self, rng):
         S = small_S()
-        E0 = rng.normal(size=(S.shape[0], 3))
-        E_prev = rng.normal(size=E0.shape)
-        _, _, E_next = propagate_layer(E_prev, E0, S, 1.0, 0.0, None, "identity")
-        assert np.array_equal(E_next, E0)
+        W = rng.normal(size=(S.shape[0], 3))
+        trace = free_forward(S, W, 1.0)
+        assert trace.mixed_layers[0] is trace.E_layers[0]
+        assert np.array_equal(trace.E_layers[1], W)
 
     def test_alpha0_beta0_is_plain_propagation(self, rng):
         S = small_S()
-        E_prev = rng.normal(size=(S.shape[0], 3))
-        _, _, E_next = propagate_layer(E_prev, np.zeros_like(E_prev), S, 0.0, 0.0, None, "identity")
-        assert np.max(np.abs(E_next - S.toarray() @ E_prev)) < 1e-12
+        W = rng.normal(size=(S.shape[0], 3))
+        E1 = free_forward(S, W, 0.0).E_layers[1]
+        assert np.max(np.abs(E1 - S.toarray() @ W)) < 1e-12
 
     def test_hand_mix(self):
         swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        E = np.array([[1.0], [2.0]])
-        _, _, E_next = propagate_layer(E, E, swap, 0.5, 0.0, None, "identity")
-        assert np.array_equal(E_next, [[1.5], [1.5]])  # 0.5*[[2],[1]] + 0.5*[[1],[2]]
+        E1 = free_forward(swap, np.array([[1.0], [2.0]]), 0.5).E_layers[1]
+        assert np.array_equal(E1, [[1.5], [1.5]])  # 0.5*[[2],[1]] + 0.5*[[1],[2]]
 
     def test_relu_clamps(self, rng):
         S = small_S()
-        E_prev = rng.normal(size=(S.shape[0], 3))
-        M, T, E_next = propagate_layer(E_prev, E_prev, S, 0.2, 0.0, None, "relu")
+        trace = free_forward(S, rng.normal(size=(S.shape[0], 3)), 0.2, activation="relu")
+        (M,), (T,), E1 = trace.mixed_layers, trace.transforms, trace.E_layers[1]
         assert T is None
-        assert np.array_equal(E_next, np.maximum(M, 0.0))
-        assert (E_next >= 0).all()
+        assert np.array_equal(E1, np.maximum(M, 0.0))
+        assert (E1 >= 0).all() and (M < 0).any()
 
     def test_shape_mismatch(self, rng):
         S = small_S()
-        with pytest.raises(ValueError):
-            propagate_layer(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)), S, 0.5, 0.0,
-                            None, "identity")
+        with pytest.raises(ValueError, match="does not match"):
+            free_forward(S, rng.normal(size=(S.shape[0] - 1, 2)), 0.5)
 
     def test_nonfinite_raises(self):
         S = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        bad = np.array([[np.inf], [1.0]])
-        with pytest.raises(DivergenceError):
-            propagate_layer(bad, bad, S, 0.5, 0.0, None, "identity")
+        with pytest.raises(DivergenceError, match="propagation layer"):
+            free_forward(S, np.array([[np.inf], [1.0]]), 0.5)
 
 
 class TestForward:
@@ -184,7 +189,8 @@ class TestForward:
         hyper = Hyperparams(d=3, L=4)
         params = init_params(7, 8, hyper, rng)
         trace = forward(params, S, hyper)
-        assert np.array_equal(trace.E_star, combine_layers(trace.E_layers, hyper.layer_weights))
+        flat = np.stack(trace.E_layers).reshape(hyper.L + 1, -1)
+        assert np.array_equal(trace.E_star.ravel(), np.dot(hyper.layer_weights, flat))
 
     def test_shape_validation(self, rng):
         S = small_S()
@@ -198,21 +204,28 @@ class TestForward:
 
 class TestCombine:
     def test_select_first(self, rng):
-        layers = [rng.normal(size=(4, 2)) for _ in range(3)]
-        assert np.array_equal(combine_layers(layers, [1.0, 0, 0]), layers[0])
+        S = small_S()
+        W = rng.normal(size=(S.shape[0], 2))
+        trace = free_forward(S, W, 0.3, L=2, layer_weights=[1.0, 0, 0])
+        assert not np.array_equal(trace.E_layers[1], W)
+        assert np.array_equal(trace.E_star, W)
 
     def test_convexity_on_identical_layers(self, rng):
-        E = rng.normal(size=(4, 2))
-        out = combine_layers([E, E, E], [0.2, 0.5, 0.3])
-        assert np.max(np.abs(out - E)) < 1e-12
+        # a = 1, b = 0 under identity holds every E(l) at E(0)
+        S = small_S()
+        W = rng.normal(size=(S.shape[0], 2))
+        E_star = free_forward(S, W, 1.0, L=2, layer_weights=[0.2, 0.5, 0.3]).E_star
+        assert np.max(np.abs(E_star - W)) < 1e-12
 
     def test_forced_arithmetic(self):
-        out = combine_layers([np.array([[1.0]]), np.array([[3.0]])], [0.5, 0.5])
-        assert np.array_equal(out, [[2.0]])
+        # E(1) = 3 E(0) on a one-node graph with a self-loop of weight 3
+        E_star = free_forward(sp.csr_array([[3.0]]), np.array([[1.0]]), 0.0,
+                              layer_weights=[0.5, 0.5]).E_star
+        assert np.array_equal(E_star, [[2.0]])
 
-    def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            combine_layers([rng.normal(size=(2, 2))], [0.5, 0.5])
+    def test_length_mismatch(self):
+        with pytest.raises(ConfigError, match=r"layer_weights must be L\+1=1"):
+            Hyperparams(L=0, layer_weights=[0.5, 0.5])
 
 
 class TestPredict:

@@ -3,8 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dgcf.data import split_train_test
-from dgcf.graph import build_adjacency, degree_vector, normalize_laplacian
+from dgcf.data import laplacian_for, split_train_test
 from dgcf.synthetic import bipartite_ring, walk_interactions
 
 
@@ -84,8 +83,7 @@ class TestScaleAndStructure:
     def test_ring_normalized_laplacian_is_connected_graph(self):
         raw = bipartite_ring(30, 30, 4, seed=1)
         split = split_train_test(raw, 0.2, seed=0)
-        A = build_adjacency(split.train)
-        S = normalize_laplacian(A, degree_vector(A))
+        S = laplacian_for(split)
         # connected bipartite graph: power iteration spreads mass everywhere
         x = np.zeros(S.shape[0])
         x[0] = 1.0

@@ -83,11 +83,11 @@ class TestSharedMargins:
         trace = forward(params, S, hyper)
         loss = bpr_loss(trace, batch, REG, params)
         shared = trace.margins[1]
-        grads = backward(trace, batch, params, S, hyper, REG)
+        grads = backward(trace, batch, params, hyper, REG)
         assert trace.margins[1] is shared
         fresh = forward(params, S, hyper)
         assert loss == bpr_loss(fresh, batch, REG, params)
-        want = backward(forward(params, S, hyper), batch, params, S, hyper, REG)
+        want = backward(forward(params, S, hyper), batch, params, hyper, REG)
         for a, b in zip([grads.W] + grads.W_layers, [want.W] + want.W_layers):
             assert a.tobytes() == b.tobytes()
 
@@ -96,8 +96,8 @@ class TestSharedMargins:
         trace = forward(params, S, hyper)
         bpr_loss(trace, batch, REG, params)
         batch[:, 2] = (batch[:, 2] + 1) % 4
-        got = backward(trace, batch, params, S, hyper, REG)
-        want = backward(forward(params, S, hyper), batch, params, S, hyper, REG)
+        got = backward(trace, batch, params, hyper, REG)
+        want = backward(forward(params, S, hyper), batch, params, hyper, REG)
         assert got.W.tobytes() == want.W.tobytes()
 
     def test_forward_clears_the_margins(self):
@@ -115,7 +115,7 @@ class TestBackward:
         S, hyper, params, _ = tiny_instance(0, activation="identity")
         batch = np.array([[0, 1, 1], [2, 3, 3]])  # i == j in every triple
         trace = forward(params, S, hyper)
-        grads = backward(trace, batch, params, S, hyper, 0.0)
+        grads = backward(trace, batch, params, hyper, 0.0)
         assert np.max(np.abs(grads.W)) == 0.0
         for g in grads.W_layers:
             assert np.max(np.abs(g)) == 0.0
@@ -125,7 +125,7 @@ class TestBackward:
         params.W[:] = 0.0  # all scores 0, expit(0) scatter still cancels i==j
         batch = np.array([[0, 0, 0], [1, 2, 2]])
         trace = forward(params, S, hyper)
-        grads = backward(trace, batch, params, S, hyper, 0.05)
+        grads = backward(trace, batch, params, hyper, 0.05)
         assert np.allclose(grads.W, 2 * 0.05 * params.W, atol=1e-15)
         for g, Wl in zip(grads.W_layers, params.W_layers):
             assert np.allclose(g, 2 * 0.05 * Wl, atol=1e-15)
@@ -138,7 +138,7 @@ class TestBackward:
         m, n, d, L = shape
         S, hyper, params, batch = tiny_instance(seed, m, n, d, L, activation, mode)
         trace = forward(params, S, hyper)
-        got = backward(trace, batch, params, S, hyper, REG)
+        got = backward(trace, batch, params, hyper, REG)
 
         def closure(p):
             return bpr_loss(forward(p, S, hyper), batch, REG, p)
@@ -256,7 +256,7 @@ class TestFit:
             batch = np.array([[0, 1, 2]])
             trace = forward(params, S, hyper)
             before = bpr_loss(trace, batch, 0.0, params)
-            grads = backward(trace, batch, params, S, hyper, 0.0)
+            grads = backward(trace, batch, params, hyper, 0.0)
             for p, g in zip([params.W] + params.W_layers, [grads.W] + grads.W_layers):
                 p -= lr * g
             after = bpr_loss(forward(params, S, hyper), batch, 0.0, params)

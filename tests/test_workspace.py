@@ -144,7 +144,7 @@ def test_fit_steps_equal_hand_run_fresh_steps(case, ring_split):
         batch = sample_bpr_triples(ring_split, config.batch_size, rng)
         trace = forward(params, S, hyper)
         total += bpr_loss(trace, batch, config.reg_lambda, params)
-        grads = backward(trace, batch, params, S, hyper, config.reg_lambda)
+        grads = backward(trace, batch, params, hyper, config.reg_lambda)
         optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers, config.lr,
                        state)
     assert log[0]["loss"] == total / 3
@@ -160,7 +160,7 @@ def test_backward_matches_finite_differences_at_every_case(case):
     hyper = hyper_of(case, d=3, L=3)
     params = random_params(4, 5, hyper, 13)
     batch = np.array([[0, 1, 2], [1, 0, 4], [3, 2, 0], [2, 4, 3], [0, 3, 1]])
-    got = backward(forward(params, S, hyper), batch, params, S, hyper, 0.01)
+    got = backward(forward(params, S, hyper), batch, params, hyper, 0.01)
     want = finite_diff_grad(params, lambda p: bpr_loss(forward(p, S, hyper), batch, 0.01, p),
                             step=1e-6)
     for g, w in zip([got.W] + got.W_layers, [want.W] + want.W_layers):
@@ -174,9 +174,9 @@ def test_backward_leaves_earlier_gradients_alone(ring_split):
     params = random_params(ring_split.m, ring_split.n, hyper, 6)
     trace = forward(params, S, hyper)
     rng = np.random.default_rng(7)
-    first = backward(trace, sample_bpr_triples(ring_split, 16, rng), params, S, hyper, 0.01)
+    first = backward(trace, sample_bpr_triples(ring_split, 16, rng), params, hyper, 0.01)
     kept = ModelParams(first.m, first.n, first.W.copy(), [g.copy() for g in first.W_layers])
-    backward(trace, sample_bpr_triples(ring_split, 16, rng), params, S, hyper, 0.01)
+    backward(trace, sample_bpr_triples(ring_split, 16, rng), params, hyper, 0.01)
     for a, b in zip([first.W] + first.W_layers, [kept.W] + kept.W_layers):
         assert np.array_equal(a, b)
 
@@ -239,13 +239,13 @@ def test_training_step_allocates_only_the_returned_gradient():
     batch = np.stack([np.arange(64) % m, np.arange(64) % n, (np.arange(64) + 7) % n], axis=1)
     trace = forward(params, S, hyper)
     bpr_loss(trace, batch, 1e-4, params)
-    backward(trace, batch, params, S, hyper, 1e-4)
+    backward(trace, batch, params, hyper, 1e-4)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         trace = forward(params, S, hyper, out=trace)
         bpr_loss(trace, batch, 1e-4, params)
-        grads = backward(trace, batch, params, S, hyper, 1e-4)
+        grads = backward(trace, batch, params, hyper, 1e-4)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
