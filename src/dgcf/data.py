@@ -235,22 +235,33 @@ def save_split(split: DatasetSplit, out_dir: str | Path, k_core: int) -> None:
 
 def load_split(data_dir: str | Path, read_test: bool = True) -> DatasetSplit:
     """Reconstruct a DatasetSplit from a directory written by save_split;
-    without read_test, test.txt is not read and the split's test is None."""
+    without read_test, test.txt is not read and the split's test is None.
+    A missing or blank test.txt means no held-out items."""
     d = Path(data_dir)
     if not d.is_dir():
         raise DataError(f"dataset directory not found: {d}")
     stats_path = d / "stats.json"
     try:
         stats = json.loads(read_text(stats_path))
-        m, n, seed = int(stats["m"]), int(stats["n"]), int(stats["seed"])
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ParseError(f"{stats_path}: expected JSON with integer m, n, seed ({exc!r})") from None
+    except ValueError as exc:
+        raise ParseError(f"{stats_path}: not JSON ({exc})") from None
+    if not isinstance(stats, dict):
+        raise ParseError(f"{stats_path}: expected a JSON object with integer m, n, seed")
+    for key in ("m", "n", "seed"):
+        if type(stats.get(key)) is not int:  # so true, 1.5 and "1" are refused, not cast
+            got = json.dumps(stats[key]) if key in stats else "nothing"
+            raise ParseError(f"{stats_path}: {key!r} must be a JSON integer, got {got}")
+    m, n, seed = stats["m"], stats["n"], stats["seed"]
     user_map = _read_map(d / "user_map.tsv", m)
     item_map = _read_map(d / "item_map.tsv", n)
-    train = InteractionMatrix.from_pairs(m, n, _read_adjacency(d / "train.txt", m, n))
+    train_path = d / "train.txt"
+    pairs = _read_adjacency(train_path, m, n)
+    if not len(pairs):
+        raise DataError(f"{train_path}: no interactions found")
+    train = InteractionMatrix.from_pairs(m, n, pairs)
     test: list[list[int]] | None = [[] for _ in range(m)] if read_test else None
     test_path = d / "test.txt"
-    if read_test and test_path.exists() and test_path.stat().st_size:
+    if read_test and test_path.exists():
         # the rows of a canonical matrix are each user's items, ascending and without repeats
         held = InteractionMatrix.from_pairs(m, n, _read_adjacency(test_path, m, n))
         items, bounds = held.indices.tolist(), held.indptr.tolist()
@@ -259,9 +270,40 @@ def load_split(data_dir: str | Path, read_test: bool = True) -> DatasetSplit:
 
 
 def _read_map(path: Path, size: int) -> dict[str, int]:
-    """'token<TAB>index' lines whose indices are exactly 0..size-1 (size from stats.json)."""
+    """'token<TAB>index' lines whose indices are exactly 0..size-1 (size from stats.json).
+    Text whose every line holds one tab and an int() index, with no token
+    repeated, is read in one pass; any other goes to _read_map_lines."""
+    text = read_text(path)
+    mapping = _parse_map(text)
+    if mapping is None:
+        mapping = _read_map_lines(path, text)
+    # timsort passes the ascending indices of a canonical file in linear time
+    if len(mapping) != size or sorted(mapping.values()) != list(range(size)):
+        raise DataError(f"{path}: indices are not 0..{size - 1} as stats.json says")
+    return mapping
+
+
+def _parse_map(text: str) -> dict[str, int] | None:
+    """The token map of text whose lines (str.splitlines) each hold exactly one
+    tab, an index that int() reads and a token no other line holds, as
+    _read_map_lines reads it; None for any other text."""
+    lines = text.splitlines()
+    if text.count("\t") != len(lines) or not all("\t" in line for line in lines):
+        return None  # a line without a tab, so a blank line or one with two tabs
+    fields = "\t".join(lines).split("\t")
+    try:
+        indices = list(map(int, fields[1::2]))
+    except ValueError:
+        return None
+    mapping = dict(zip(fields[::2], indices))
+    return mapping if len(mapping) == len(indices) else None
+
+
+def _read_map_lines(path: Path, text: str) -> dict[str, int]:
+    """The reference map reader: one line at a time, skipping blank lines, with
+    the file and line of the first malformed or repeated entry."""
     mapping: dict[str, int] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -272,14 +314,61 @@ def _read_map(path: Path, size: int) -> dict[str, int]:
         if token in mapping:
             raise ParseError(f"{path}:{lineno}: token {token!r} is listed twice")
         mapping[token] = index
-    if len(mapping) != size or sorted(mapping.values()) != list(range(size)):
-        raise DataError(f"{path}: indices are not 0..{size - 1} as stats.json says")
     return mapping
+
+
+# The bytes of the adjacency lists save_split writes. Any other byte (another
+# line break, a sign, an underscore, a non-ASCII digit, a letter) sends the
+# file to the line-by-line reader, which defines what int() accepts.
+_ADJACENCY_BYTES = b"0123456789 \t\n"
 
 
 def _read_adjacency(path: Path, m: int, n: int) -> np.ndarray:
     """'user item1 item2 ...' lines of indices into the m x n interaction matrix,
-    as a (k, 2) int64 array of (user, item) rows, one per listed item, in file order."""
+    as a (k, 2) int64 array of (user, item) rows, one per listed item, in file
+    order; (0, 2) when every line is blank.
+
+    A file of ASCII digits, blanks and '\\n' is parsed in one vectorised pass
+    over its bytes. Whatever that pass cannot vouch for goes to
+    _read_adjacency_lines, which it reproduces exactly and which alone words
+    a ParseError."""
+    pairs = _parse_adjacency(Path(path).read_bytes(), m, n)
+    return _read_adjacency_lines(path, m, n) if pairs is None else pairs
+
+
+def _parse_adjacency(raw: bytes, m: int, n: int) -> np.ndarray | None:
+    """The pairs of an adjacency-list file's bytes, or None when the file holds
+    another byte than _ADJACENCY_BYTES, a token of more than 18 digits (which
+    may not fit int64), a line with a user but no item, or an index out of range."""
+    if raw.translate(None, _ADJACENCY_BYTES):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    digit = np.zeros(len(b) + 2, dtype=bool)  # a blank on each side
+    np.greater(b, ord(" "), out=digit[1:-1])  # the digits are the only bytes above the blank
+    edges = np.flatnonzero(digit[1:] != digit[:-1])  # token t is b[edges[2t]:edges[2t + 1]]
+    if not len(edges):
+        return np.empty((0, 2), dtype=np.int64)
+    if (edges[1::2] - edges[::2]).max() > 18:
+        return None
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")  # any run of blanks separates
+    if 2 * len(values) != len(edges):
+        return None
+    # line l holds tokens bounds[l]:bounds[l + 1]; no token spans a line break
+    breaks = np.searchsorted(edges, np.flatnonzero(b == ord("\n")), side="right") // 2
+    bounds = np.concatenate(([0], breaks, [len(values)]))
+    sizes = np.diff(bounds)
+    listed = sizes > 0  # blank lines hold no token
+    heads, counts = bounds[:-1][listed], sizes[listed] - 1
+    users = values[heads]
+    items = np.delete(values, heads)
+    if counts.min() < 1 or int(users.max()) >= m or int(items.max()) >= n:
+        return None
+    return np.column_stack((np.repeat(users, counts), items))
+
+
+def _read_adjacency_lines(path: Path, m: int, n: int) -> np.ndarray:
+    """The reference reader of _read_adjacency: one line at a time, str.split
+    and int() per token, with the file and line of the first malformed line."""
     users: list[int] = []
     counts: list[int] = []
     items: list[int] = []
@@ -297,7 +386,5 @@ def _read_adjacency(path: Path, m: int, n: int) -> np.ndarray:
         users.append(u)
         counts.append(len(row))
         items.extend(row)
-    if not users:
-        raise DataError(f"{path}: no interactions found")
     return np.column_stack((np.repeat(np.array(users, dtype=np.int64), counts),
                             np.array(items, dtype=np.int64)))

@@ -204,10 +204,11 @@ def finite_diff_grad(params: ModelParams, loss_closure, step: float = 1e-6) -> M
                        [diff_entries(Wl) for Wl in work.W_layers])
 
 
-def naive_read_adjacency(path: Path, m: int, n: int) -> dict[int, list[int]]:
+def naive_read_adjacency(path: Path, m: int, n: int) -> list[tuple[int, int]]:
     """'user item1 item2 ...' lines read one line and one int() per token at a
-    time, with the package's error messages; items per user in file order."""
-    out: dict[int, list[int]] = {}
+    time, with the package's error messages: the (user, item) pairs in file
+    order, none for a file of blank lines."""
+    out: list[tuple[int, int]] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -218,10 +219,30 @@ def naive_read_adjacency(path: Path, m: int, n: int) -> dict[int, list[int]]:
         if not items or not 0 <= u < m or not all(0 <= i < n for i in items):
             raise ParseError(f"{path}:{lineno}: expected 'user item1 item2 ...' with user "
                              f"index < {m} and item indices < {n}, got {line!r}")
-        out.setdefault(u, []).extend(items)
-    if not out:
-        raise DataError(f"{path}: no interactions found")
+        out.extend((u, i) for i in items)
     return out
+
+
+def naive_read_map(path: Path, size: int) -> dict[str, int]:
+    """'token<TAB>index' lines read one at a time, with the package's error
+    messages: every token once, and the indices exactly 0..size-1."""
+    mapping: dict[str, int] = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        try:
+            index = int(fields[1]) if len(fields) == 2 else None
+        except ValueError:
+            index = None
+        if index is None:
+            raise ParseError(f"{path}:{lineno}: expected 'token<TAB>index', got {line!r}")
+        if fields[0] in mapping:
+            raise ParseError(f"{path}:{lineno}: token {fields[0]!r} is listed twice")
+        mapping[fields[0]] = index
+    if len(mapping) != size or set(mapping.values()) != set(range(size)):
+        raise DataError(f"{path}: indices are not 0..{size - 1} as stats.json says")
+    return mapping
 
 
 def canonical_csr(m: int, n: int, pairs) -> sp.csr_array:
@@ -238,14 +259,11 @@ def canonical_csr(m: int, n: int, pairs) -> sp.csr_array:
 def naive_train_and_test(data_dir: Path, m: int, n: int) -> tuple[sp.csr_array, list[list[int]]]:
     """Train matrix and per-user test lists of a save_split directory, through
     naive_read_adjacency: a canonical 0/1 CSR array and sorted item sets."""
-    pairs = [(u, i) for u, items in naive_read_adjacency(data_dir / "train.txt", m, n).items()
-             for i in items]
-    rows = canonical_csr(m, n, pairs)
-    test: list[list[int]] = [[] for _ in range(m)]
-    if (data_dir / "test.txt").stat().st_size:
-        for u, items in naive_read_adjacency(data_dir / "test.txt", m, n).items():
-            test[u] = sorted(set(items))
-    return rows, test
+    rows = canonical_csr(m, n, naive_read_adjacency(data_dir / "train.txt", m, n))
+    held: list[set[int]] = [set() for _ in range(m)]
+    for u, i in naive_read_adjacency(data_dir / "test.txt", m, n):
+        held[u].add(i)
+    return rows, [sorted(items) for items in held]
 
 
 def write_v1_model(src: Path, dst: Path) -> None:

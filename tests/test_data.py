@@ -1,16 +1,21 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dgcf import data
 from dgcf.data import RawInteractions, k_core_filter, load_split, parse_interactions, \
     sample_bpr_triples, save_split, split_train_test
-from dgcf.errors import DataError, ParseError
-from helpers import brute_force_k_core, naive_read_adjacency, naive_train_and_test
+from dgcf.errors import DataError, DgcfError, ParseError
+from dgcf.synthetic import walk_interactions
+from helpers import brute_force_k_core, naive_read_adjacency, naive_read_map, \
+    naive_train_and_test
+from test_acceptance import CORPUS, K_CORE, SPLIT_SEED, TEST_RATIO
 
 
 def write(tmp_path, text, name="inter.txt"):
@@ -308,3 +313,180 @@ class TestLoadSplitMatchesOracle:
         d = tiny_dataset(tmp_path / "ds", "\n  \n")
         with pytest.raises(DataError, match="no interactions found"):
             load_split(d)
+
+    @pytest.mark.parametrize("test", ["", "\n", "  \n\t\n\n", "\r\n \x0c\n"],
+                             ids=["empty", "newline", "blanks", "other-breaks"])
+    def test_blank_test_file_holds_nothing(self, tmp_path, test):
+        d = tiny_dataset(tmp_path / "ds", "0 1\n2 3 4\n", test)
+        assert load_split(d).test == [[], [], []]
+        (d / "test.txt").unlink()
+        assert load_split(d).test == [[], [], []]
+
+    @pytest.mark.parametrize("train", ["", "\n", " \t\n\n", "\r\n\x0b"])
+    def test_blank_train_file_is_refused(self, tmp_path, train):
+        d = tiny_dataset(tmp_path / "ds", train)
+        with pytest.raises(DataError, match=re.escape(f"{d / 'train.txt'}: no interactions found")):
+            load_split(d)
+
+    @pytest.mark.parametrize("key,value,shown", [
+        ("m", 3.0, "3.0"), ("m", 3.9, "3.9"), ("m", "3", '"3"'), ("m", True, "true"),
+        ("n", False, "false"), ("n", None, "null"), ("seed", 0.5, "0.5"), ("seed", [0], "[0]"),
+        ("seed", None, "nothing"),
+    ])
+    def test_stats_sizes_must_be_json_integers(self, tmp_path, key, value, shown):
+        d = tiny_dataset(tmp_path / "ds", "0 1\n")
+        stats = {"m": 3, "n": 5, "seed": 0, "nnz": 1, "k": 1}
+        if shown == "nothing":
+            del stats[key]
+        else:
+            stats[key] = value
+        (d / "stats.json").write_text(json.dumps(stats))
+        with pytest.raises(ParseError) as got:
+            load_split(d)
+        assert str(got.value) == f"{d / 'stats.json'}: {key!r} must be a JSON integer, got {shown}"
+
+    @pytest.mark.parametrize("text", ["[3, 5, 0]", "3", '"m"'])
+    def test_stats_must_be_an_object(self, tmp_path, text):
+        d = tiny_dataset(tmp_path / "ds", "0 1\n")
+        (d / "stats.json").write_text(text)
+        with pytest.raises(ParseError, match="stats.json: expected a JSON object"):
+            load_split(d)
+
+
+# Text that line-by-line reading with str.splitlines, str.split and int()
+# treats in every way it can. A clean file of ASCII digits, blanks and '\n'
+# takes the vectorised pass; zero to three inserted faults send it to the
+# loop, or must not: other line breaks, signs, underscores, a letter, a
+# non-ASCII digit, digit runs longer than int64's 18 safe digits, a line with
+# a user and no item, an index out of range, blank lines and missing final
+# line breaks.
+BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+FAULTS = BREAKS + ["+", "-", "_", "x", "\u0663", "\n", "\n\n", " \t\n", "\n3\n", "\t",
+                   " ", "7", "99", "0" * 17, "1" * 19, "2" * 25]
+BLANKS = st.text(" \t", max_size=3)
+
+
+def index_text(bound: int):
+    """An index below bound, sometimes with leading zeros (to 19 digits)."""
+    return st.builds(lambda zeros, i: "0" * zeros + str(i),
+                     st.sampled_from([0, 0, 0, 0, 1, 2, 17, 18]), st.integers(0, bound - 1))
+
+
+@st.composite
+def faulty(draw, clean: str) -> str:
+    """clean with zero to three FAULTS inserted anywhere, the final '\n' perhaps cut."""
+    text = clean
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(FAULTS)) + text[at:]
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    return text
+
+
+@st.composite
+def adjacency_case(draw) -> tuple[str, int, int]:
+    """(text, m, n): 'user item1 item2 ...' lines, some blank, then faults."""
+    m, n = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        tokens = [draw(index_text(m))] + draw(st.lists(index_text(n), min_size=1, max_size=4))
+        if draw(st.integers(0, 4)) == 0:
+            tokens = []
+        gaps = [draw(BLANKS.filter(bool)) for _ in tokens[1:]] + [""]
+        body = "".join(tok + gap for tok, gap in zip(tokens, gaps))
+        lines.append(draw(BLANKS) + body + draw(BLANKS) + "\n")
+    return draw(faulty("".join(lines))), m, n
+
+
+@st.composite
+def map_case(draw) -> tuple[str, int]:
+    """(text, size): 'token<TAB>index' lines over indices 0..size-1 (some
+    missing, some repeated), tokens with spaces and repeats, then faults."""
+    size = draw(st.integers(0, 5))
+    order = draw(st.permutations(range(size)))
+    order = draw(st.sampled_from([order, order[1:], order + order[:1], order]))
+    pool = ["u0", "u1", "a b", " u2", "u3 ", "", "7"]
+    tokens = draw(st.sampled_from([[f"u{i}" for i in order],
+                                   [draw(st.sampled_from(pool)) for _ in order]]))
+    text = "".join(f"{tok}\t{i}\n" for tok, i in zip(tokens, order))
+    return draw(faulty(text)), size
+
+
+def outcome(read, path: Path, *sizes):
+    """What a reader gives for a file: its result, or its exception and message."""
+    try:
+        return read(path, *sizes)
+    except DgcfError as exc:
+        return type(exc), str(exc)
+
+
+class TestReadersMatchLineByLineReading:
+    """The vectorised readers against the line-by-line oracles of tests/helpers.py."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(adjacency_case())
+    def test_adjacency(self, case):
+        text, m, n = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "train.txt"
+            path.write_bytes(text.encode("utf-8"))
+            got = outcome(data._read_adjacency, path, m, n)
+            want = outcome(naive_read_adjacency, path, m, n)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.int64 and got.shape == (len(got), 2)
+            got = [tuple(pair) for pair in got.tolist()]
+        assert got == want
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(map_case())
+    @example(("5\n7\t1\t0\n", 2))  # as many tabs as lines, but not one per line
+    def test_map(self, case):
+        text, size = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "user_map.tsv"
+            path.write_bytes(text.encode("utf-8"))
+            got = outcome(data._read_map, path, size)
+            want = outcome(naive_read_map, path, size)
+        assert got == want
+        if isinstance(got, dict):
+            assert all(type(i) is int for i in got.values())
+
+
+def refuse_line_by_line(monkeypatch) -> None:
+    """Make the line-by-line readers raise, so only the one-pass readers can load."""
+    def refuse(path, *args):
+        raise AssertionError(f"{path} went to the line-by-line reader")
+
+    monkeypatch.setattr(data, "_read_adjacency_lines", refuse)
+    monkeypatch.setattr(data, "_read_map_lines", refuse)
+
+
+class TestSavedSplitsTakeTheOnePass:
+    """Files save_split writes never fall back to the slow line-by-line readers."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([0.1, 0.3, 0.5]))
+    def test_random_splits(self, seed, ratio):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 40)), int(rng.integers(2, 40))
+        pairs = sorted({(f"u{rng.integers(m)}", f"i{rng.integers(n)}")
+                        for _ in range(int(rng.integers(1, 300)))})
+        split = split_train_test(RawInteractions(pairs), ratio, seed)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            save_split(split, tmp, k_core=1)
+            refuse_line_by_line(mp)
+            loaded = load_split(tmp)
+        assert csr_state(loaded.train) == csr_state(split.train)
+        assert loaded.test == split.test
+        assert loaded.user_map == split.user_map and loaded.item_map == split.item_map
+
+    def test_acceptance_corpus(self, tmp_path, monkeypatch):
+        raw = k_core_filter(walk_interactions(**CORPUS), k=K_CORE)
+        split = split_train_test(raw, TEST_RATIO, seed=SPLIT_SEED)
+        save_split(split, tmp_path / "ds", k_core=K_CORE)
+        refuse_line_by_line(monkeypatch)
+        loaded = load_split(tmp_path / "ds")
+        assert csr_state(loaded.train) == csr_state(split.train)
+        assert loaded.test == split.test
+        assert loaded.user_map == split.user_map and loaded.item_map == split.item_map
