@@ -166,9 +166,11 @@ def _parse_layer_weights(text: str | None) -> list[float] | None:
 
 def check_memory(split: DatasetSplit, d: int, L: int, batch_size: int = 0) -> None:
     """Raise MemoryError before a run whose forward stack, (L+1)(m+n) d floats,
-    plus a batch's 3 B d values exceed physical memory: numpy refuses some such
-    sizes with ValueError, not MemoryError. A d < 1 is left to Hyperparams."""
-    need = ((L + 1) * (split.m + split.n) + 3 * batch_size) * max(d, 0) * 8
+    plus the batch path's 32 values per triple (sampling, margins, the sparse
+    loss gradient; tracemalloc sees about 250 bytes) exceed physical memory:
+    numpy refuses some such sizes with ValueError, not MemoryError. A d < 1
+    is left to Hyperparams."""
+    need = ((L + 1) * (split.m + split.n) * max(d, 0) + 32 * batch_size) * 8
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise MemoryError
 

@@ -199,14 +199,17 @@ def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Gene
     offsets = rng.integers(0, deg[users])
     pos = r.indices[r.indptr[users] + offsets]
     neg = rng.integers(0, split.n, size=batch_size)
+    # each round checks only the negatives drawn in the last one: a negative
+    # that passed stays, so the draws are those of re-checking the whole batch
+    todo = np.arange(batch_size)
     while True:
-        codes = users * split.n + neg
+        codes = users[todo] * split.n + neg[todo]
         loc = np.searchsorted(flat, codes)
         loc[loc >= len(flat)] = len(flat) - 1
-        hit = flat[loc] == codes
-        if not hit.any():
+        todo = todo[flat[loc] == codes]
+        if len(todo) == 0:
             break
-        neg[hit] = rng.integers(0, split.n, size=int(hit.sum()))
+        neg[todo] = rng.integers(0, split.n, size=len(todo))
     return np.stack([users, pos, neg], axis=1).astype(np.int64)
 
 

@@ -43,12 +43,11 @@ class TrainConfig:
             value = getattr(self, key)
             if not (np.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and >= 0, got {value}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
-            raise ConfigError("batches_per_epoch must be >= 1")
-        if self.eval_every < 0 or self.early_stop_patience < 1:
-            raise ConfigError("eval_every must be >= 0 and early_stop_patience >= 1")
+        for key, low in (("epochs", 0), ("batch_size", 1), ("batches_per_epoch", 1),
+                         ("eval_every", 0), ("early_stop_patience", 1)):
+            value = getattr(self, key)
+            if value is not None and value < low:  # batches_per_epoch may be None
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -59,18 +58,36 @@ class OptimizerState:
     scratch: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
 
+MARGIN_CHUNK = 512  # rows per gather in _margins: two (512, d) buffers, not (B, d) temporaries
+
+
 def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
     """x_t = <e_u, e_i> - <e_u, e_j> per triple on trace.E_star, computed once
     per forward pass and batch: bpr_loss and backward of a step share it."""
     if trace.margins is not None and np.array_equal(trace.margins[0], batch):
         return trace.margins[1]
-    # one vectorized pass in place on the gathered rows: two (B, d) temporaries, not four
     E_star, m = trace.E_star, trace.m
-    u, i, j = batch[:, 0], batch[:, 1], batch[:, 2]
-    rows = E_star[m + i]
-    rows -= E_star[m + j]
-    rows *= E_star[u]
-    x = np.sum(rows, axis=1)
+    n = E_star.shape[0] - m
+    if batch.min() < 0 or batch[:, 0].max() >= m or batch[:, 1:].max() >= n:
+        raise IndexError(f"batch index out of range: users [0, {m}), items [0, {n})")
+    # the rows are gathered MARGIN_CHUNK triples at a time into two workspace
+    # buffers (mode="clip" skips take's own buffer; every index is in range);
+    # np.sum reduces each row alone, so x is that of one whole gather
+    u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
+    B = len(batch)
+    k = min(B, MARGIN_CHUNK)
+    ws = trace.workspace
+    rows, other = (ws.get(name, (k, E_star.shape[1])) for name in ("margin_rows", "margin_other"))
+    x = np.empty(B)
+    for lo in range(0, B, k):
+        hi = min(lo + k, B)
+        r, o = rows[:hi - lo], other[:hi - lo]
+        np.take(E_star, i[lo:hi], axis=0, out=r, mode="clip")
+        np.take(E_star, j[lo:hi], axis=0, out=o, mode="clip")
+        r -= o
+        np.take(E_star, u[lo:hi], axis=0, out=o, mode="clip")
+        r *= o
+        np.sum(r, axis=1, out=x[lo:hi])
     trace.margins = (batch.copy(), x)  # a copy, so an edit of batch in place misses
     return x
 
@@ -91,34 +108,22 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
     return rank_term + reg_lambda * reg
 
 
-def _scatter_rows(idx: np.ndarray, vals: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum the rows of vals into out, zeroed first, at positions idx: one
-    incidence-matrix product whose output rows add their entries in idx order."""
-    k = len(idx)
-    incidence = sp.csr_array((np.ones(k), (idx, np.arange(k))), shape=(out.shape[0], k))
-    out.fill(0.0)
-    return add_product(incidence, vals, out)
-
-
 def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
-    """d(mean softplus term)/d(E_star): three scatter-adds per triple, into
-    the workspace buffer "G"."""
+    """d(mean softplus term)/d(E_star) = C E_star, one sparse product into the
+    workspace buffer "G". C is the symmetric N x N matrix with entries c_t at
+    (u, m+i) and (m+i, u) and -c_t at (u, m+j) and (m+j, u) per triple t,
+    c_t = dloss/dx_t; csr_array sums repeated entries in a fixed order."""
     m = trace.m
     E = trace.E_star
-    u, i, j = batch[:, 0], batch[:, 1], batch[:, 2]
-    x = _margins(trace, batch)
-    c = (-expit(-x) / len(batch))[:, None]  # dloss/dx_t
-    idx = np.concatenate([u, m + i, m + j])
-    # rows c (e_i - e_j), c e_u and -c e_u, each block written in place
-    B = len(batch)
-    ws = trace.workspace
-    vals = ws.get("vals", (3 * B, E.shape[1]))
-    np.subtract(E[m + i], E[m + j], out=vals[:B])
-    vals[:B] *= c
-    E_u = E[u]
-    np.multiply(c, E_u, out=vals[B:2 * B])
-    np.multiply(-c, E_u, out=vals[2 * B:])
-    return _scatter_rows(idx, vals, ws.get("G", E.shape))
+    u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
+    c = -expit(-_margins(trace, batch)) / len(batch)  # dloss/dx_t
+    rows = np.concatenate([u, u, i, j])
+    cols = np.concatenate([i, j, u, u])
+    vals = np.concatenate([c, -c, c, -c])
+    C = sp.csr_array((vals, (rows, cols)), shape=(E.shape[0], E.shape[0]))
+    G = trace.workspace.get("G", E.shape)
+    G.fill(0.0)
+    return add_product(C, E, G)
 
 
 def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
@@ -129,12 +134,14 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
     Reverse pass through E* = sum w_k E(k), E(l) = act(M(l) T(l)),
     M(l) = a E(0) + S_mix E(l-1), E(0) = S W (or W). S, S_mix = (1-a) S and
     T(l) are those of the forward pass, read from the trace; the relu mask
-    is E(l) > 0, which equals M(l) T(l) > 0. D carries dloss/dE(l). Each layer
-    sets D = w(l-1) G and adds S_mix M_dot into it in place, S_mix being
-    symmetric; the initial-residual path sums the M_dot unscaled in E0_bar
-    and scales by a once. Under b = 0, M_dot is dloss/dZ(l) itself, so D and
-    M_dot swap buffers. Every (N, d) temporary is a buffer of trace.workspace;
-    the returned gradients are fresh arrays.
+    is E(l) > 0, which equals M(l) T(l) > 0. G = dloss/dE* is one sparse
+    product C E* (see _loss_grad_wrt_estar) and D carries dloss/dE(l). Each
+    layer sets D = w(l-1) G and adds S_mix M_dot into it in place, S_mix
+    being symmetric; the initial-residual path sums the M_dot unscaled in
+    E0_bar and scales by a once. Under b = 0, M_dot is dloss/dZ(l) itself, so
+    D and M_dot swap buffers. Every (N, d) temporary, G included, is a buffer
+    of trace.workspace, and the batch adds only arrays of O(B) numbers, no
+    (B, d) rows; the returned gradients are fresh arrays.
     """
     batch = np.asarray(batch)
     if batch.size == 0:

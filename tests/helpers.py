@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 from dgcf.errors import DataError, ParseError
 from dgcf.model import ModelParams
@@ -202,6 +203,52 @@ def finite_diff_grad(params: ModelParams, loss_closure, step: float = 1e-6) -> M
 
     return ModelParams(params.m, params.n, diff_entries(work.W),
                        [diff_entries(Wl) for Wl in work.W_layers])
+
+
+def whole_batch_sample_bpr_triples(split, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """sample_bpr_triples with a rejection loop that re-checks the whole batch
+    every round and redraws each negative found in the user's train set."""
+    r = split.train
+    deg = np.diff(r.indptr)
+    eligible = np.flatnonzero((deg >= 1) & (deg < split.n))
+    if len(eligible) == 0:
+        raise DataError("no sampleable users: every user has no or all items in train")
+    flat = split.train_flat()
+    users = eligible[rng.integers(0, len(eligible), size=batch_size)]
+    offsets = rng.integers(0, deg[users])
+    pos = r.indices[r.indptr[users] + offsets]
+    neg = rng.integers(0, split.n, size=batch_size)
+    while True:
+        codes = users * split.n + neg
+        loc = np.minimum(np.searchsorted(flat, codes), len(flat) - 1)
+        hit = flat[loc] == codes
+        if not hit.any():
+            break
+        neg[hit] = rng.integers(0, split.n, size=int(hit.sum()))
+    return np.stack([users, pos, neg], axis=1).astype(np.int64)
+
+
+def one_shot_margins(E_star: np.ndarray, m: int, batch: np.ndarray) -> np.ndarray:
+    """x_t = <e_u, e_i - e_j> per triple, each row set gathered whole."""
+    rows = E_star[m + batch[:, 1]]
+    rows -= E_star[m + batch[:, 2]]
+    rows *= E_star[batch[:, 0]]
+    return np.sum(rows, axis=1)
+
+
+def scatter_loss_grad(E_star: np.ndarray, m: int, batch: np.ndarray) -> np.ndarray:
+    """d(mean softplus(-x_t))/dE* by per-triple scatter: with c_t = -sigmoid(-x_t)/B,
+    the rows c_t (e_i - e_j) at u, c_t e_u at m+i and -c_t e_u at m+j, summed
+    into zeros by one incidence-matrix product, each row in triple order."""
+    u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
+    B = len(batch)
+    c = -expit(-one_shot_margins(E_star, m, batch)) / B
+    vals = np.concatenate([c[:, None] * (E_star[i] - E_star[j]),
+                           c[:, None] * E_star[u], -c[:, None] * E_star[u]])
+    idx = np.concatenate([u, i, j])
+    incidence = sp.csr_array((np.ones(3 * B), (idx, np.arange(3 * B))),
+                             shape=(E_star.shape[0], 3 * B))
+    return incidence @ vals
 
 
 def naive_read_adjacency(path: Path, m: int, n: int) -> list[tuple[int, int]]:

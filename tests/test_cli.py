@@ -448,6 +448,21 @@ class TestExitCodes:
         monkeypatch.setattr("sys.argv", ["dgcf", "frobnicate"])
         assert entrypoint() == 1
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epochs", "-1", "epochs must be >= 0, got -1"),
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("--batches-per-epoch", "0", "batches_per_epoch must be >= 1, got 0"),
+        ("--eval-every", "-1", "eval_every must be >= 0, got -1"),
+        ("--patience", "0", "early_stop_patience must be >= 1, got 0"),
+        ("--lr", "-1", "lr must be finite and >= 0, got -1.0"),
+    ])
+    def test_bad_training_value_names_only_its_key(self, flag, value, message, dataset_dir,
+                                                   tmp_path, monkeypatch, capsys):
+        code, out, err = run_cli(["train", "--data", str(dataset_dir), flag, value,
+                                  "--out", str(tmp_path / "m")], monkeypatch, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command,flags", [
         ("train", "--dim, --layers, --batch-size"),
         ("diagnose", "--layers, --dim"),

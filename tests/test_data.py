@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dgcf import data
-from dgcf.data import RawInteractions, k_core_filter, load_split, parse_interactions, \
-    sample_bpr_triples, save_split, split_train_test
+from dgcf.data import DatasetSplit, RawInteractions, k_core_filter, load_split, \
+    parse_interactions, sample_bpr_triples, save_split, split_train_test
 from dgcf.errors import DataError, DgcfError, ParseError
+from dgcf.graph import InteractionMatrix
 from dgcf.synthetic import walk_interactions
 from helpers import brute_force_k_core, naive_read_adjacency, naive_read_map, \
-    naive_train_and_test
+    naive_train_and_test, whole_batch_sample_bpr_triples
 from test_acceptance import CORPUS, K_CORE, SPLIT_SEED, TEST_RATIO
 
 
@@ -193,6 +194,26 @@ class TestSampling:
             rng = np.random.default_rng(1)
             batch = sample_bpr_triples(split, 50, rng)
             assert not (batch[:, 0] == u0).any()
+
+    @pytest.mark.parametrize("corpus", ["ring", "crowded"])
+    @pytest.mark.parametrize("B", [1, 7, 1024, 8192])
+    def test_equals_whole_batch_rejection(self, corpus, B, ring_split):
+        """Output and generator state bitwise those of re-checking every
+        negative each round. In "crowded" user 0 has all items but one, so
+        its negatives take many rounds."""
+        if corpus == "ring":
+            split = ring_split
+        else:
+            n = 40
+            pairs = [(0, i) for i in range(n) if i != 17] + [(1, 3), (1, 5), (2, 0)]
+            split = DatasetSplit(InteractionMatrix.from_pairs(3, n, pairs), None, {}, {}, 0)
+        for seed in range(3):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                got = sample_bpr_triples(split, B, got_rng)
+                want = whole_batch_sample_bpr_triples(split, B, want_rng)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_error_when_nothing_sampleable(self):
         raw = RawInteractions([("u0", "i0")])

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import expit
 
 from dgcf.data import RawInteractions, split_train_test
 from dgcf.errors import ConfigError
 from dgcf.graph import InteractionMatrix
-from dgcf.model import Hyperparams, ModelParams, forward, init_params
-from dgcf.train import ADAM_EPS, OptimizerState, TrainConfig, backward, bpr_loss, fit, \
-    laplacian_for, optimizer_step
-from helpers import finite_diff_grad, random_interactions, rel_err
+from dgcf.model import Hyperparams, ModelParams, forward, init_params, preset
+from dgcf.train import ADAM_EPS, MARGIN_CHUNK, OptimizerState, TrainConfig, \
+    _loss_grad_wrt_estar, _margins, backward, bpr_loss, fit, laplacian_for, optimizer_step
+from helpers import finite_diff_grad, one_shot_margins, random_interactions, rel_err, \
+    scatter_loss_grad
 
 from conftest import laplacian_from_pairs
 
@@ -108,6 +111,83 @@ class TestSharedMargins:
         assert forward(params, S, hyper, out=trace).margins is None
         assert bpr_loss(trace, batch, REG, params) == \
             bpr_loss(forward(params, S, hyper), batch, REG, params)
+
+
+def bprmf_trace(m, n, E_star):
+    """forward of a bprmf model (free, L = 0) whose E* is E_star."""
+    params = ModelParams(m, n, np.array(E_star, dtype=np.float64), [])
+    return forward(params, laplacian_from_pairs(m, n, []), preset("bprmf", d=E_star.shape[1]))
+
+
+def scatter_bound(E, m, batch):
+    """Per entry, delta >= |_loss_grad_wrt_estar - scatter_loss_grad|. Row r
+    of either sums at most K products of a coefficient and an E row, the
+    coefficients c_t (e_i - e_j) or sums of repeated c_t formed first; two
+    such float sums differ by at most 2 gamma_K A, A the row's sum of
+    |c_t| |e| over its terms, plus underflow: delta is 4 K eps A + K tiny,
+    K twice the row's triple count plus 2."""
+    u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
+    c = expit(-one_shot_margins(E, m, batch))[:, None] / len(batch)  # |c_t|
+    A = np.zeros_like(E)
+    absE = np.abs(E)
+    np.add.at(A, u, c * (absE[i] + absE[j]))
+    np.add.at(A, i, c * absE[u])
+    np.add.at(A, j, c * absE[u])
+    K = 2 * np.bincount(np.concatenate([u, i, j]), minlength=len(E))[:, None] + 2
+    f = np.finfo(np.float64)
+    return 4 * K * f.eps * A + K * f.tiny
+
+
+@st.composite
+def gradient_case(draw):
+    """(m, n, E*, batch): up to 5 users and 5 items, so triples repeat users
+    and items and one user's positive is often another triple's negative."""
+    m, n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    B = draw(st.integers(1, 3 * (m + n)))
+    triples = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                                      st.integers(0, n - 1)), min_size=B, max_size=B))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    E = scale * np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(size=(m + n, d))
+    return m, n, E, np.array(triples, dtype=np.int64)
+
+
+def fixed_case(m, n, d, triples, seed=0):
+    return m, n, np.random.default_rng(seed).normal(size=(m + n, d)), np.array(triples)
+
+
+class TestBatchPath:
+    @pytest.mark.parametrize("B", [1, MARGIN_CHUNK - 1, MARGIN_CHUNK, MARGIN_CHUNK + 1, 8192])
+    def test_margins_equal_one_shot_gather(self, B):
+        m, n = 40, 60
+        rng = np.random.default_rng(B)
+        trace = bprmf_trace(m, n, rng.normal(size=(m + n, 16)))
+        batch = np.stack([rng.integers(0, m, B), rng.integers(0, n, B),
+                          rng.integers(0, n, B)], axis=1)
+        got = _margins(trace, batch)
+        assert got.tobytes() == one_shot_margins(trace.E_star, m, batch).tobytes()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=gradient_case())
+    @example(case=fixed_case(3, 4, 2, [[0, 1, 2]]))  # B = 1
+    @example(case=fixed_case(2, 3, 3, [[0, 1, 2], [0, 1, 2], [1, 1, 0], [0, 0, 1]]))  # repeats
+    @example(case=fixed_case(2, 3, 2, [[1, 0, 2], [1, 2, 0], [0, 2, 0]]))  # pos and neg
+    @example(case=fixed_case(1, 2, 3, [[0, t % 2, (t + 1) % 2] for t in range(7)]))  # B > N
+    def test_gradient_matches_per_triple_scatter(self, case):
+        m, n, E, batch = case
+        trace = bprmf_trace(m, n, E)
+        got = _loss_grad_wrt_estar(trace, batch)
+        want = scatter_loss_grad(E, m, batch)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= scatter_bound(E, m, batch))
+
+    @pytest.mark.parametrize("bad", [(0, 0, -1), (-1, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 9)])
+    def test_out_of_range_batch_is_refused(self, bad):
+        S, hyper, params, batch = tiny_instance(6)
+        batch[2] = bad
+        for step in (lambda t: bpr_loss(t, batch, REG, params),
+                     lambda t: backward(t, batch, params, hyper, REG)):
+            with pytest.raises(IndexError, match="batch index out of range"):
+                step(forward(params, S, hyper))
 
 
 class TestBackward:
@@ -279,5 +359,5 @@ class TestConfigValidation:
                                      dict(lr=float("inf"))])
     def test_rejects(self, bad):
         (key,) = bad
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"^{key} must be .*, got {bad[key]}$"):
             TrainConfig(**bad)

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dgcf.data import laplacian_for, sample_bpr_triples
+from dgcf.data import DatasetSplit, laplacian_for, sample_bpr_triples
+from dgcf.graph import InteractionMatrix
 from dgcf.model import ModelParams, forward, init_params, preset
 from dgcf.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState, TrainConfig, \
     backward, bpr_loss, fit, optimizer_step
@@ -252,3 +253,39 @@ def test_training_step_allocates_only_the_returned_gradient():
     buffer = (m + n) * hyper.d * 8
     assert grads.W.nbytes == buffer
     assert peak < 2 * buffer, peak / buffer
+
+
+def test_bprmf_step_allocates_less_than_one_batch_of_rows():
+    """tracemalloc peak of one bprmf step at B = 8192 (sampling, forward into
+    the trace, loss, backward, Adam) after a warm-up step: below one (B, d)
+    float64 array, and no workspace buffer has B rows. The graph is small
+    (N = 500), so the (N, d) buffers and the returned gradient fit too."""
+    m, n, B = 200, 300, 8192
+    R = InteractionMatrix.from_pairs(m, n, random_interactions(np.random.default_rng(9), m, n, 6))
+    split = DatasetSplit(R, None, {}, {}, 0)
+    S = laplacian_for(split)
+    hyper = preset("bprmf", d=64)
+    rng = np.random.default_rng(0)
+    params = init_params(m, n, hyper, rng)
+    state = OptimizerState()
+    trace = None
+
+    def step():
+        nonlocal trace
+        batch = sample_bpr_triples(split, B, rng)
+        trace = forward(params, S, hyper, out=trace)
+        bpr_loss(trace, batch, 1e-4, params)
+        grads = backward(trace, batch, params, hyper, 1e-4)
+        optimizer_step([params.W], [grads.W], 1e-3, state)
+
+    step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = B * hyper.d * 8
+    assert peak < rows, peak / rows
+    assert max(buf.shape[0] for buf in trace.workspace._buffers.values()) < B
