@@ -164,13 +164,9 @@ def _parse_layer_weights(text: str | None) -> list[float] | None:
         raise ConfigError(f"bad layer weights {text!r}: {exc}") from exc
 
 
-def check_memory(split: DatasetSplit, d: int, L: int, batch_size: int = 0) -> None:
-    """Raise MemoryError before a run whose forward stack, (L+1)(m+n) d floats,
-    plus the batch path's 32 values per triple (sampling, margins, the sparse
-    loss gradient; tracemalloc sees about 250 bytes) exceed physical memory:
-    numpy refuses some such sizes with ValueError, not MemoryError. A d < 1
-    is left to Hyperparams."""
-    need = ((L + 1) * (split.m + split.n) * max(d, 0) + 32 * batch_size) * 8
+def check_memory(need: int) -> None:
+    """Raise MemoryError before a run that needs `need` bytes, more than physical
+    memory: numpy refuses some such sizes with ValueError, not MemoryError."""
     if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise MemoryError
 
@@ -199,10 +195,12 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    from .train import TrainConfig, fit  # here, so serving commands never import training
+    from .train import TrainConfig, fit, training_bytes  # here: serving never imports training
 
     split = load_split(cfg.data)
-    check_memory(split, cfg.dim, PRESETS[cfg.model].get("L", cfg.layers), cfg.batch_size)
+    # a d < 1 is left to Hyperparams
+    check_memory(training_bytes(split.m + split.n, max(cfg.dim, 0),
+                                PRESETS[cfg.model].get("L", cfg.layers), cfg.batch_size))
     tcfg = TrainConfig(lr=cfg.lr, reg_lambda=cfg.reg_lambda, epochs=cfg.epochs,
                        batch_size=cfg.batch_size, batches_per_epoch=cfg.batches_per_epoch,
                        seed=cfg.seed, eval_every=cfg.eval_every,
@@ -276,7 +274,8 @@ def cmd_diagnose(cfg: RunConfig) -> None:
     tags = [t.strip() for t in cfg.models.split(",") if t.strip()]
     if not tags:
         raise ConfigError("--models must name at least one model tag")
-    check_memory(split, cfg.dim, max(PRESETS.get(t, {}).get("L", cfg.layers) for t in tags))
+    L = max(PRESETS.get(t, {}).get("L", cfg.layers) for t in tags)
+    check_memory((L + 1) * (split.m + split.n) * max(cfg.dim, 0) * 8)  # the forward stack
     grid = [(tag, cfg.layers) for tag in tags]
     reports = oversmoothing_report(split, grid, cfg.seed, d=cfg.dim)
     sys.stdout.write(report_tsv(reports))

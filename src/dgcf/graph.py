@@ -9,17 +9,29 @@ numpy alone. The propagation operator S built from it
 (data.laplacian_for) is a scipy CSR array (float64); scipy is imported only
 where S is multiplied or, in laplacian_for, wrapped. All values are treated
 as immutable after construction.
+
+The training step splits S's rows among threads (row_partition, run_ranges):
+each thread owns a contiguous range of rows for a whole layer, and every
+dense product runs in blocks of BLOCK_ROWS rows that start at multiples of
+BLOCK_ROWS. Block boundaries do not depend on the ranges, so every result is
+bitwise the same for any number of ranges.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import itertools
+import os
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     import scipy.sparse as sp
 
 
@@ -82,28 +94,32 @@ def spmm(S: sp.csr_array, E: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return S @ E
 
 
-def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray) -> np.ndarray:
+def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray,
+                rows: tuple[int, int] | None = None) -> np.ndarray:
     """out += S @ E in place, for a C-contiguous float64 out; returns out.
+    With rows = (lo, hi), out holds rows lo..hi-1 only and receives S[lo:hi] @ E.
 
     A CSR S runs scipy's csr_matvecs, the kernel that S @ E runs after
     np.zeros: each output row adds its entries' products in stored order, so
-    a zero-filled out receives exactly S @ E. The kernel is private scipy API,
-    the package's one use of it; without it (or for another format) this
-    falls back to out += S @ E, which rounds the sum before adding it.
+    a zero-filled out receives exactly S @ E, and a row's result does not
+    depend on the rows asked for. The kernel is private scipy API, the
+    package's one use of it; without it (or for another format) this falls
+    back to out += S[lo:hi] @ E, which rounds the sum before adding it.
     """
+    lo, hi = (0, S.shape[0]) if rows is None else rows
     E = np.asarray(E, dtype=np.float64)
     if E.ndim not in (1, 2) or S.shape[1] != E.shape[0]:
         raise ValueError(f"dimension mismatch: {S.shape} @ {E.shape}")
-    want = (S.shape[0],) + E.shape[1:]
+    want = (hi - lo,) + E.shape[1:]
     if not (isinstance(out, np.ndarray) and out.shape == want and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {want}")
     kernel = _csr_matvecs()
     if kernel is None or S.format != "csr" or S.dtype != np.float64:
-        out += S @ E
+        out += S[lo:hi] @ E if rows is not None else S @ E
     else:
         n_vecs = E.shape[1] if E.ndim == 2 else 1
-        kernel(S.shape[0], S.shape[1], n_vecs, S.indptr, S.indices, S.data,
+        kernel(hi - lo, S.shape[1], n_vecs, S.indptr[lo:hi + 1], S.indices, S.data,
                np.ascontiguousarray(E).ravel(), out.ravel())
     return out
 
@@ -116,3 +132,100 @@ def _csr_matvecs():
     except ImportError:  # private scipy API: add_product falls back to S @ E
         return None
     return csr_matvecs
+
+
+BLOCK_ROWS = 64  # rows per dense product: at d = 64, every GEMM of a step is 64 x 64 x 64
+MIN_RANGE_ROWS = 1024  # rows per range, at the least on average: fewer are not worth a thread
+# A row's dense work in a step (transforms, masks, sums) took as long as the
+# sparse products of about 24 stored entries, measured at d = 64.
+ROW_WORK = 24
+
+
+def row_partition(S: sp.csr_array) -> tuple[int, ...]:
+    """Bounds of ranges of S's rows, range r being rows bounds[r]..bounds[r+1]-1:
+    one range per usable core, but no more than one per MIN_RANGE_ROWS rows
+    (so a small graph is one range), cut at the block boundaries that come
+    nearest to equal shares of the step's work, a row's stored entries plus
+    ROW_WORK."""
+    N = S.shape[0]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    count = max(1, min(cores or 1, N // MIN_RANGE_ROWS))
+    starts = np.arange(0, N, BLOCK_ROWS)
+    before = S.indptr[starts] + ROW_WORK * starts  # work above each block
+    cuts = set()
+    for share in (S.nnz + ROW_WORK * N) * np.arange(1, count) / count:
+        k = int(np.searchsorted(before, share))
+        if k == len(before) or (k > 0 and share - before[k - 1] < before[k] - share):
+            k -= 1
+        cuts.add(int(starts[k]))
+    cuts.discard(0)
+    return (0, *sorted(cuts), N)
+
+
+def row_blocks(X: np.ndarray) -> list[np.ndarray]:
+    """X's rows as views, a (q, BLOCK_ROWS, ...) stack of whole blocks and then
+    the rest, if any; a matmul over each runs one BLAS call per block."""
+    q = len(X) // BLOCK_ROWS * BLOCK_ROWS
+    parts = [X[:q].reshape((-1, BLOCK_ROWS) + X.shape[1:])] if q else []
+    return parts + [X[q:]] if q < len(X) else parts
+
+
+def run_ranges(bounds: tuple[int, ...], body: Callable[[int, int, Callable[[], None]], None],
+               at_sync: Callable[[int], None] | None = None) -> None:
+    """Run body(lo, hi, sync) once per range lo..hi-1 of bounds: the first on
+    the calling thread, the others on worker threads. sync() returns once
+    every range has reached it; at its j-th use, at_sync(j) first runs while
+    all ranges wait. An exception in one range breaks every sync, and the
+    first exception by range order (other than the broken syncs it caused)
+    is raised here once all ranges have stopped."""
+    count = len(bounds) - 1
+    syncs = itertools.count()
+    barrier = threading.Barrier(count, None if at_sync is None else lambda: at_sync(next(syncs)))
+
+    def run(r: int) -> None:
+        try:
+            body(bounds[r], bounds[r + 1], barrier.wait)
+        except BaseException:
+            barrier.abort()
+            raise
+
+    if count == 1:
+        return run(0)
+    with _POOL.lock:
+        pool = _POOL.executor(count - 1)
+        # each worker runs in a copy of the caller's context, so np.errstate holds there too
+        futures = [pool.submit(contextvars.copy_context().run, run, r) for r in range(1, count)]
+        errors = []
+        try:
+            run(0)
+        except BaseException as exc:
+            errors.append(exc)
+        errors += [exc for exc in (f.exception() for f in futures) if exc is not None]
+    if errors:
+        raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)),
+                   errors[0])
+
+
+class _RangePool:
+    """The worker threads of run_ranges, started on first use. One call runs
+    on them at a time, as its ranges wait for each other at every sync."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._executor: ThreadPoolExecutor | None = None
+        self._workers = 0
+
+    def executor(self, workers: int) -> ThreadPoolExecutor:
+        from concurrent.futures import ThreadPoolExecutor  # here, off the import path of serving
+
+        if workers > self._workers:
+            if self._executor is not None:
+                self._executor.shutdown()
+            self._executor = ThreadPoolExecutor(workers, thread_name_prefix="dgcf-range")
+            self._workers = workers
+        return self._executor
+
+
+_POOL = _RangePool()
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_POOL.__init__)

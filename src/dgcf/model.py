@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .graph import spmm
+from .graph import add_product, row_blocks, row_partition, run_ranges
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -127,8 +127,8 @@ class ForwardTrace:
     holds the pre-transform mixes M(l) = a E(0) + S_mix E(l-1); transforms
     holds T(l) = (1-b) I + b W(l-1), or None when b = 0, so that
     E(l) = act(M(l) T(l)). E_layers are the rows of one (L+1, N, d) stack in
-    workspace, so E(0) is a copy of params.W in free mode, and E* is that
-    stack times the layer weights. Arrays alias where the model makes them
+    workspace, so E(0) is a copy of params.W in free mode, and E* is the
+    weighted sum of its rows. Arrays alias where the model makes them
     equal: M(l) is E(0) when a = 1, and M(l) is E(l) under identity with
     b = 0. workspace owns the buffers behind the stack, M(l), E*, S_mix's
     values and the scratch of forward and backward; passing the trace back to
@@ -161,10 +161,13 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
 
     Each mix M(l) accumulates S_mix E(l-1) in place onto a E(0), or onto
     zeros at a = 0; at a = 1 the product is skipped and M(l) is E(0). b = 0
-    skips the transform. Given `out`, a trace from an earlier call, forward
-    writes this pass into it and its workspace buffers and returns it: every
-    array out held before is overwritten or released. Results are bitwise
-    those of a fresh call.
+    skips the transform. E* = w_0 E(0) + w_1 E(1) + ..., added in layer
+    order. Each range of step_partition(S, hyper) runs on its own thread
+    for the whole pass, and the ranges meet once per layer, when E(l-1) is
+    complete. Given `out`, a trace from an earlier call, forward writes this
+    pass into it and its workspace buffers and returns it: every array out
+    held before is overwritten or released. Results are bitwise those of a
+    fresh call and do not depend on the number of ranges.
     """
     N = params.m + params.n
     if S.shape != (N, N):
@@ -175,60 +178,73 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
         raise ValueError(f"expected {hyper.L} layer transforms, got {len(params.W_layers)}")
     if out is None:
         out = ForwardTrace(m=params.m, E_layers=[], mixed_layers=[], transforms=[])
-    ws, shape, a, b = out.workspace, params.W.shape, hyper.alpha, hyper.beta
-    stack = ws.get("E", (hyper.L + 1,) + shape)
-    E0 = stack[0]
-    if hyper.embedding_mode == "sw":
-        E0.fill(0.0)
-        spmm(S, params.W, out=E0)
-    else:
-        np.copyto(E0, params.W)
+    ws, shape, a, b, L = out.workspace, params.W.shape, hyper.alpha, hyper.beta, hyper.L
+    stack = ws.get("E", (L + 1,) + shape)
     S_mix = S
     if a != 0.0:
         import scipy.sparse as sp
 
         data = np.multiply(1.0 - a, S.data, out=ws.get("S_mix", S.data.shape))
         S_mix = sp.csr_array((data, S.indices, S.indptr), shape=S.shape)
-    mask = ws.get("mask", shape, bool)
     relu = hyper.activation == "relu"
     own_M = a != 1.0 and (b != 0.0 or relu)  # else M(l) is E(l)
-    out.m, out.E_layers, out.mixed_layers, out.transforms = params.m, [E0], [], []
-    out.S, out.S_mix, out.margins = S, S_mix, None
-    for l, W_l in enumerate(params.W_layers, start=1):
-        E = stack[l]
-        if a == 1.0:
-            M = E0
-        else:
-            M = ws.get(("M", l), shape) if own_M else E
-            if a == 0.0:
-                M.fill(0.0)
-            else:
-                np.multiply(a, E0, out=M)
-            spmm(S_mix, stack[l - 1], out=M)
-        if b == 0.0:
-            T, Z = None, M
-        else:
-            T = (1.0 - b) * np.eye(shape[1])
-            T += b * W_l
-            Z = np.matmul(M, T, out=E)
-        if not np.isfinite(Z, out=mask).all():
-            raise DivergenceError("non-finite values in propagation layer output")
-        if relu:  # in place, except that M stays as it is
-            np.maximum(Z, 0.0, out=E)
-        elif Z is not E:  # a = 1 with b = 0: E(l) equals E(0)
-            np.copyto(E, Z)
-        out.mixed_layers.append(M)
-        out.transforms.append(T)
-        out.E_layers.append(E)
-    # E* = sum_k w_k E(k). One layer is a plain scaling: it wakes no BLAS
-    # threads, which keep spinning after a call and take cores from the work
-    # that follows on a small host.
+    out.m, out.E_layers, out.S, out.S_mix, out.margins = params.m, list(stack), S, S_mix, None
+    out.mixed_layers = [out.E_layers[0] if a == 1.0 else ws.get(("M", l), shape) if own_M
+                        else out.E_layers[l] for l in range(1, L + 1)]
+    out.transforms = [None if b == 0.0 else (1.0 - b) * np.eye(shape[1]) + b * W_l
+                      for W_l in params.W_layers]
     out.E_star = ws.get("E_star", shape)
-    if hyper.L == 0:
-        np.multiply(hyper.layer_weights[0], E0, out=out.E_star)
-    else:
-        np.dot(hyper.layer_weights, stack.reshape(hyper.L + 1, -1), out=out.E_star.reshape(-1))
+    scratch = ws.get("D", shape) if L else None  # w_k E(k) before it is added; backward's D
+    W = np.ascontiguousarray(params.W)
+    w = hyper.layer_weights
+
+    def rows(lo, hi, sync):
+        E0 = stack[0, lo:hi]
+        if hyper.embedding_mode == "sw":
+            E0.fill(0.0)
+            add_product(S, W, E0, (lo, hi))
+        else:
+            np.copyto(E0, W[lo:hi])
+        for l in range(1, L + 1):
+            sync()
+            M, T, E = out.mixed_layers[l - 1][lo:hi], out.transforms[l - 1], stack[l, lo:hi]
+            if a != 1.0:
+                if a == 0.0:
+                    M.fill(0.0)
+                else:
+                    np.multiply(a, E0, out=M)
+                add_product(S_mix, stack[l - 1], M, (lo, hi))
+            if T is None:
+                Z = M
+            else:
+                for X, Y in zip(row_blocks(M), row_blocks(E)):
+                    np.matmul(X, T, out=Y)
+                Z = E
+            # any inf or NaN makes the sum non-finite; a finite Z whose sum
+            # overflows passes the exact check
+            with np.errstate(over="ignore"):
+                total = np.sum(Z)
+            if not np.isfinite(total) and not np.isfinite(Z).all():
+                raise DivergenceError("non-finite values in propagation layer output")
+            if relu:  # in place, except that M stays as it is
+                np.maximum(Z, 0.0, out=E)
+            elif a == 1.0 and T is None:  # E(l) equals E(0)
+                np.copyto(E, Z)
+        E_star = out.E_star[lo:hi]
+        np.multiply(w[0], E0, out=E_star)
+        for k in range(1, L + 1):
+            E_star += np.multiply(w[k], stack[k, lo:hi], out=scratch[lo:hi])
+
+    run_ranges(step_partition(S, hyper), rows)
     return out
+
+
+def step_partition(S: sp.csr_array, hyper: Hyperparams) -> tuple[int, ...]:
+    """Bounds of the row ranges forward and backward run in: row_partition(S),
+    or one range when the model has no product to split (L = 0, free mode)."""
+    if hyper.L == 0 and hyper.embedding_mode == "free":
+        return (0, S.shape[0])
+    return row_partition(S)
 
 
 def score_all_items(E_star: np.ndarray, m: int, u: int) -> np.ndarray:

@@ -19,8 +19,8 @@ from scipy.special import expit
 from .data import DatasetSplit, laplacian_for, sample_bpr_triples
 from .errors import ConfigError, DivergenceError
 from .evaluate import evaluate_model
-from .graph import add_product, spmm
-from .model import ForwardTrace, Hyperparams, ModelParams, forward, init_params
+from .graph import BLOCK_ROWS, add_product, row_blocks, run_ranges
+from .model import ForwardTrace, Hyperparams, ModelParams, forward, init_params, step_partition
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
 
@@ -59,6 +59,19 @@ class OptimizerState:
 
 
 MARGIN_CHUNK = 512  # rows per gather in _margins: two (512, d) buffers, not (B, d) temporaries
+
+
+def training_bytes(N: int, d: int, L: int, batch_size: int) -> int:
+    """Bytes that fit holds for an N-node graph, an upper bound over models:
+    2L + 15 (N, d) float arrays (the stack E(0..L), the mixes M(1..L), W, the
+    best parameters' copy, grad_W, Adam's four, E*, G, D, two M_dot, E0_bar
+    and bpr_loss's squared W), the relu mask's (N, d) bytes, one (d, d)
+    partial product per BLOCK_ROWS rows, two (MARGIN_CHUNK, d) margin buffers,
+    and the batch path's 32 values per triple (sampling, margins, the sparse
+    loss gradient; tracemalloc sees about 250 bytes)."""
+    floats = ((2 * L + 15) * N * d + -(-N // BLOCK_ROWS) * d * d
+              + 2 * min(batch_size, MARGIN_CHUNK) * d + 32 * batch_size)
+    return 8 * floats + N * d
 
 
 def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
@@ -136,54 +149,90 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
     T(l) are those of the forward pass, read from the trace; the relu mask
     is E(l) > 0, which equals M(l) T(l) > 0. G = dloss/dE* is one sparse
     product C E* (see _loss_grad_wrt_estar) and D carries dloss/dE(l). Each
-    layer sets D = w(l-1) G and adds S_mix M_dot into it in place, S_mix
-    being symmetric; the initial-residual path sums the M_dot unscaled in
-    E0_bar and scales by a once. Under b = 0, M_dot is dloss/dZ(l) itself, so
-    D and M_dot swap buffers. Every (N, d) temporary, G included, is a buffer
-    of trace.workspace, and the batch adds only arrays of O(B) numbers, no
-    (B, d) rows; the returned gradients are fresh arrays.
+    layer sets D = w(l) G and adds S_mix M_dot(l+1) into it in place, S_mix
+    being symmetric; M_dot(l) = dloss/dM(l) alternates between two buffers,
+    so that a layer writes one while every range reads the other. Under
+    b = 0, M_dot(l) is dloss/dZ(l) itself and D is written there. The
+    initial-residual path sums the M_dot unscaled in E0_bar and scales by a
+    once. M(l)^T dloss/dZ(l) is summed over BLOCK_ROWS-row blocks, each block
+    one small product, in block order.
+
+    As in forward, each range of step_partition runs on its own thread and
+    the ranges meet once per layer (and before the last product S D), so the
+    result does not depend on their number. Every (N, d) temporary, G
+    included, is a buffer of trace.workspace, taken only by the models that
+    read it, and the batch adds only arrays of O(B) numbers, no (B, d) rows;
+    the returned gradients are fresh arrays.
     """
     batch = np.asarray(batch)
     if batch.size == 0:
         raise ValueError("empty batch")
     if len(trace.E_layers) != hyper.L + 1:
         raise ValueError("trace does not match hyper.L")
-    a, b = hyper.alpha, hyper.beta
+    a, b, L = hyper.alpha, hyper.beta, hyper.L
     w = hyper.layer_weights
     G = _loss_grad_wrt_estar(trace, batch)
-    ws = trace.workspace
-    D, M_dot, E0_bar = (ws.get(name, G.shape) for name in ("D", "M_dot", "E0_bar"))
-    mask = ws.get("mask", G.shape, bool)
+    ws, shape = trace.workspace, G.shape
+    D = ws.get("D", shape)
+    M_dots = [ws.get(("M_dot", k), shape) for k in range(min(L, 2))]  # layer l's: (L - l) % 2
+    E0_bar = ws.get("E0_bar", shape) if a != 0.0 and L else None
+    relu = hyper.activation == "relu"
+    mask = ws.get("mask", shape, bool) if relu and L else None
+    partials = (ws.get("partials", (-(-shape[0] // BLOCK_ROWS), shape[1], shape[1]))
+                if b != 0.0 and L else None)
+    W = np.ascontiguousarray(params.W)
+    grad_W = np.empty(shape)
+    grad_W_layers = [2.0 * reg_lambda * Wl for Wl in params.W_layers]  # b = 0
 
-    grad_W_layers: list[np.ndarray] = [None] * hyper.L
-    np.multiply(w[hyper.L], G, out=D)
-    for l in range(hyper.L, 0, -1):
-        Wl = params.W_layers[l - 1]
-        if hyper.activation == "relu":
-            D *= np.greater(trace.E_layers[l], 0.0, out=mask)  # D now holds dloss/dZ(l)
-        if b != 0.0:
-            np.matmul(D, trace.transforms[l - 1].T, out=M_dot)
-            grad_W_layers[l - 1] = b * (trace.mixed_layers[l - 1].T @ D) + 2.0 * reg_lambda * Wl
-        else:
-            grad_W_layers[l - 1] = 2.0 * reg_lambda * Wl
-            D, M_dot = M_dot, D
-        if a != 0.0:  # the top layer starts the sum, saving a zero fill
-            if l == hyper.L:
-                np.copyto(E0_bar, M_dot)
-            else:
-                E0_bar += M_dot
-        np.multiply(w[l - 1], G, out=D)
-        if a != 1.0:
-            spmm(trace.S_mix, M_dot, out=D)
-    if a != 0.0 and hyper.L:
-        E0_bar *= a
-        D += E0_bar  # dloss/dE(0)
-    reg = np.multiply(2.0 * reg_lambda, params.W, out=M_dot)
-    if hyper.embedding_mode == "sw":  # dE0/dW: S^T = S
-        grad_W = spmm(trace.S, D)
-        grad_W += reg
-    else:  # or I
-        grad_W = D + reg
+    def rows(lo, hi, sync):
+        for l in range(L, -1, -1):
+            Dl = (M_dots[(L - l) % 2] if b == 0.0 and l else D)[lo:hi]
+            np.multiply(w[l], G[lo:hi], out=Dl)
+            if l < L and a != 1.0:
+                add_product(trace.S_mix, M_dots[(L - l - 1) % 2], Dl, (lo, hi))
+            if l == 0:
+                break
+            if relu:  # Dl now holds dloss/dZ(l)
+                Dl *= np.greater(trace.E_layers[l][lo:hi], 0.0, out=mask[lo:hi])
+            M_dot = M_dots[(L - l) % 2][lo:hi]
+            if b != 0.0:
+                # a C-contiguous copy of T(l)^T: block products with it are
+                # faster than with the transposed view, and bitwise the same
+                T_t = np.ascontiguousarray(trace.transforms[l - 1].T)
+                first = lo // BLOCK_ROWS
+                for X, Y, M in zip(row_blocks(Dl), row_blocks(M_dot),
+                                   row_blocks(trace.mixed_layers[l - 1][lo:hi])):
+                    np.matmul(X, T_t, out=Y)
+                    if M.ndim == 3:  # whole blocks
+                        np.matmul(M.transpose(0, 2, 1), X, out=partials[first:first + len(M)])
+                        first += len(M)
+                    else:
+                        np.matmul(M.T, X, out=partials[first])
+            if a != 0.0:  # the top layer starts the sum, saving a zero fill
+                if l == L:
+                    np.copyto(E0_bar[lo:hi], M_dot)
+                else:
+                    E0_bar[lo:hi] += M_dot
+            sync()
+        if a != 0.0 and L:
+            E0_bar[lo:hi] *= a
+            Dl += E0_bar[lo:hi]  # dloss/dE(0)
+        out = grad_W[lo:hi]
+        if hyper.embedding_mode == "sw":  # dE0/dW: S^T = S
+            sync()
+            out.fill(0.0)
+            add_product(trace.S, D, out, (lo, hi))
+            out += np.multiply(2.0 * reg_lambda, W[lo:hi], out=G[lo:hi])  # G's rows are spent
+        else:  # or I
+            np.multiply(2.0 * reg_lambda, W[lo:hi], out=out)
+            out += Dl
+
+    def at_sync(j):  # the j-th sync closes layer L - j
+        l = L - j
+        if partials is not None and l > 0:
+            grad_W_layers[l - 1] = b * np.sum(partials, axis=0) + grad_W_layers[l - 1]
+
+    run_ranges(step_partition(trace.S, hyper), rows, at_sync)
     return ModelParams(params.m, params.n, grad_W, grad_W_layers)
 
 

@@ -37,6 +37,14 @@ def row_order_spmm_add(S, E: np.ndarray, out0: np.ndarray) -> np.ndarray:
     return out
 
 
+def layer_order_sum(weights, layers) -> np.ndarray:
+    """E* = w_0 E(0) + w_1 E(1) + ..., each product rounded, added in layer order."""
+    total = weights[0] * layers[0]
+    for w, E in zip(weights[1:], layers[1:]):
+        total = total + w * E
+    return total
+
+
 def dense_normalized_adjacency(m: int, n: int, pairs) -> np.ndarray:
     """D^(-1/2) A D^(-1/2) built with dense arithmetic and explicit loops."""
     N = m + n

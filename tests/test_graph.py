@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dgcf import graph
-from dgcf.graph import InteractionMatrix, spmm
+from dgcf.graph import InteractionMatrix, add_product, spmm
 from helpers import canonical_csr, dense_normalized_adjacency, random_interactions, rel_err, \
     row_order_spmm_add, scipy_laplacian
 
@@ -205,6 +205,15 @@ def test_spmm_out_accumulates_in_row_order(case):
     out = out0.copy()
     assert spmm(S, E, out=out) is out
     assert out.tobytes() == row_order_spmm_add(S, E, out0).tobytes()
+    assert in_two_row_ranges(S, E, out0).tobytes() == out.tobytes()
+
+
+def in_two_row_ranges(S, E, out0):
+    """add_product onto out0 as two calls, on the top and the bottom rows."""
+    out, half = out0.copy(), S.shape[0] // 2
+    for lo, hi in ((0, half), (half, S.shape[0])):
+        assert add_product(S, E, out[lo:hi], (lo, hi)) is not None
+    return out
 
 
 @pytest.mark.parametrize("case", range(len(spmm_out_cases())))
@@ -226,6 +235,7 @@ def test_spmm_out_fallback_without_kernel(case, monkeypatch):
     out = out0.copy()
     spmm(S, E, out=out)
     assert out.size == 0 or rel_err(out, row_order_spmm_add(S, E, out0)) <= 1e-14
+    assert in_two_row_ranges(S, E, out0).tobytes() == out.tobytes()
 
 
 def test_spmm_out_rejects_bad_buffers():

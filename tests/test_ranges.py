@@ -1,0 +1,250 @@
+"""Row ranges: the training step gives bitwise the same numbers whether it
+runs as one range or several, and whatever OpenBLAS's thread count is."""
+
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dgcf import graph
+from dgcf.data import DatasetSplit, laplacian_for, sample_bpr_triples
+from dgcf.errors import DivergenceError
+from dgcf.graph import BLOCK_ROWS, InteractionMatrix, row_partition
+from dgcf.model import forward, init_params, preset
+from dgcf.train import TrainConfig, _loss_grad_wrt_estar, backward, bpr_loss, fit
+from helpers import random_interactions
+
+from conftest import laplacian_from_pairs
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture()
+def ranges(monkeypatch):
+    """force(k) makes row_partition cut any graph of at least k blocks into k ranges."""
+    def force(k):
+        monkeypatch.setattr(graph, "MIN_RANGE_ROWS", BLOCK_ROWS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    return force
+
+
+def small_split(m=150, n=170, seed=0):
+    """N = 320 rows, five blocks: enough for three ranges of whole blocks."""
+    pairs = random_interactions(np.random.default_rng(seed), m, n, 5)
+    return DatasetSplit(InteractionMatrix.from_pairs(m, n, pairs), None, {}, {}, 0)
+
+
+def test_partition_cuts_whole_blocks_at_balanced_work(ranges):
+    S = laplacian_for(small_split())
+    assert row_partition(S) == (0, S.shape[0])  # 320 rows: one range
+    N = S.shape[0]
+    work = S.indptr + graph.ROW_WORK * np.arange(N + 1)  # above each row
+    for k in (2, 3):
+        ranges(k)
+        bounds = row_partition(S)
+        assert len(bounds) == k + 1 and bounds[0] == 0 and bounds[-1] == N
+        for r, cut in enumerate(bounds[1:-1], start=1):
+            # the block boundary nearest to r k-ths of the work
+            gap = np.abs(work[:N:BLOCK_ROWS] - r * work[N] / k)
+            assert cut % BLOCK_ROWS == 0 and gap[cut // BLOCK_ROWS] == gap.min()
+
+
+def refuse_threads(monkeypatch):
+    def refuse(workers):
+        raise AssertionError("a one-range call reached the pool")
+    monkeypatch.setattr(graph._POOL, "executor", refuse)
+
+
+def test_small_graph_starts_no_thread(monkeypatch):
+    refuse_threads(monkeypatch)
+    S = laplacian_from_pairs(300, 400, random_interactions(np.random.default_rng(1), 300, 400, 4))
+    hyper = preset("ours", d=8, L=2)
+    params = init_params(300, 400, hyper, np.random.default_rng(2))
+    trace = forward(params, S, hyper)
+    backward(trace, np.array([[0, 1, 2], [5, 3, 9]]), params, hyper, 1e-4)
+
+
+def test_model_without_products_starts_no_thread(ranges, monkeypatch):
+    # bprmf: L = 0 in free mode, so a step is only elementwise work
+    ranges(3)
+    refuse_threads(monkeypatch)
+    split = small_split()
+    hyper = preset("bprmf", d=8)
+    fit(split, hyper, TrainConfig(epochs=1, batches_per_epoch=2, batch_size=64, eval_every=0))
+
+
+MODES = list(itertools.product((0.0, 0.1, 1.0), (0.0, 0.1), ("relu", "identity"), ("sw", "free"),
+                               (0, 1, 3)))
+
+
+@pytest.mark.parametrize("a,b,act,mode,L", MODES)
+def test_step_and_fit_are_bitwise_equal_for_any_range_count(a, b, act, mode, L, ranges):
+    split = small_split()
+    S = laplacian_for(split)
+    hyper = preset("ours", d=8, L=L, alpha=a, beta=b, activation=act, embedding_mode=mode)
+    rng = np.random.default_rng(3)
+    params = init_params(split.m, split.n, hyper, rng)
+    params.W_layers = [rng.normal(0, 0.3, (8, 8)) for _ in range(L)]
+    batch = sample_bpr_triples(split, 96, rng)
+    config = TrainConfig(lr=0.01, epochs=1, batches_per_epoch=2, batch_size=64, eval_every=0)
+    runs = []
+    for k in (1, 2, 3):
+        ranges(k)
+        assert len(row_partition(S)) == k + 1
+        trace = forward(params, S, hyper)
+        bpr_loss(trace, batch, 1e-3, params)
+        grads = backward(trace, batch, params, hyper, 1e-3)
+        fitted, _ = fit(split, hyper, config)
+        arrays = (trace.E_layers + trace.mixed_layers + [trace.E_star, grads.W] + grads.W_layers
+                  + [fitted.W] + fitted.W_layers)
+        runs.append([x.tobytes() for x in arrays])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_transform_gradient_sums_block_products_in_block_order(ranges):
+    # L = 1: dloss/dZ(1) = (w_1 G) * (E(1) > 0), and grad W(1) is b times the
+    # sum of M(1)[blk]^T dloss/dZ(1)[blk] over 64-row blocks, first to last
+    ranges(3)
+    split = small_split(m=150, n=180)  # 330 rows: five whole blocks and 10 rows
+    S = laplacian_for(split)
+    hyper = preset("ours", d=8, L=1, beta=0.3)
+    rng = np.random.default_rng(7)
+    params = init_params(split.m, split.n, hyper, rng)
+    params.W_layers = [rng.normal(0, 0.3, (8, 8))]
+    batch = sample_bpr_triples(split, 96, rng)
+    trace = forward(params, S, hyper)
+    G = _loss_grad_wrt_estar(trace, batch).copy()
+    dZ = hyper.layer_weights[1] * G * (trace.E_layers[1] > 0)
+    M = trace.mixed_layers[0]
+    total = M[:BLOCK_ROWS].T @ dZ[:BLOCK_ROWS]
+    for lo in range(BLOCK_ROWS, S.shape[0], BLOCK_ROWS):
+        total = total + M[lo:lo + BLOCK_ROWS].T @ dZ[lo:lo + BLOCK_ROWS]
+    want = 0.3 * total + 2.0 * 1e-3 * params.W_layers[0]
+    got = backward(trace, batch, params, hyper, 1e-3).W_layers[0]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_divergence_in_a_worker_range_reaches_the_caller(ranges):
+    ranges(2)
+    split = small_split()
+    S = laplacian_for(split)
+    lo, hi = row_partition(S)[1:3]
+    hyper = preset("ours", d=8, L=2, alpha=1.0, embedding_mode="free")
+    params = init_params(split.m, split.n, hyper, np.random.default_rng(4))
+    good = params.W.copy()
+    params.W[hi - 1, 3] = np.inf  # Z = E(0) T: only range 1 sees it
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
+        forward(params, S, hyper)
+    assert str(err.value) == "non-finite values in propagation layer output"
+    params.W = good  # the pool is free again
+    assert np.isfinite(forward(params, S, hyper).E_star).all()
+
+
+def test_worker_ranges_keep_the_callers_error_state(ranges):
+    # inf * 0 in Z = E(0) T, in range 1 only: under np.errstate(invalid="raise")
+    # it raises as it would on the calling thread
+    split = small_split()
+    S = laplacian_for(split)
+    hyper = preset("ours", d=8, L=1, alpha=1.0, embedding_mode="free")
+    params = init_params(split.m, split.n, hyper, np.random.default_rng(4))
+    params.W[-1, 3] = np.inf
+    for k in (1, 2):
+        ranges(k)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            forward(params, S, hyper)
+
+
+@pytest.mark.parametrize("act", ["relu", "identity"])
+def test_every_non_finite_value_at_a_range_edge_is_caught(act, ranges):
+    # a = 1, b = 0: Z = E(0) = W, so each value reaches the check as it is;
+    # relu would turn -inf into 0 after it
+    ranges(3)
+    split = small_split()
+    S = laplacian_for(split)
+    bounds = row_partition(S)
+    hyper = preset("ours", d=8, L=1, alpha=1.0, beta=0.0, activation=act, embedding_mode="free")
+    params = init_params(split.m, split.n, hyper, np.random.default_rng(5))
+    good = params.W.copy()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for row, value in itertools.product((lo, hi - 1), (-np.inf, np.inf, np.nan)):
+            params.W = good.copy()
+            params.W[row, 7 if row == lo else 0] = value
+            with pytest.raises(DivergenceError):
+                forward(params, S, hyper)
+
+
+def test_finite_layer_whose_sum_overflows_passes(ranges):
+    ranges(3)
+    split = small_split()
+    S = laplacian_for(split)
+    hyper = preset("ours", d=8, L=1, alpha=1.0, beta=0.0, activation="identity",
+                   embedding_mode="free")
+    params = init_params(split.m, split.n, hyper, np.random.default_rng(6))
+    params.W[:] = 1e308
+    trace = forward(params, S, hyper)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(trace.E_layers[1]))
+    assert np.array_equal(trace.E_layers[1], params.W)
+
+
+def test_sync_action_runs_once_per_sync_with_every_range_waiting(ranges):
+    ranges(3)
+    bounds = row_partition(laplacian_for(small_split()))
+    done = np.zeros((3, 4), dtype=int)
+    seen = []
+
+    def body(lo, hi, sync):
+        for j in range(4):
+            done[bounds.index(lo), j] = 1
+            sync()
+
+    def at_sync(j):
+        seen.append((j, done[:, j].sum(), done[:, j + 1:].sum()))
+
+    graph.run_ranges(bounds, body, at_sync)
+    assert seen == [(j, 3, 0) for j in range(4)]
+
+
+# OPENBLAS_NUM_THREADS is read when numpy loads, so each count needs a process
+# of its own. N = 2,600 rows gives two ranges on a host with two cores or more.
+STEP_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from dgcf.data import DatasetSplit, laplacian_for, sample_bpr_triples
+from dgcf.graph import InteractionMatrix
+from dgcf.model import forward, init_params, preset
+from dgcf.modelfile import save_model
+from dgcf.train import TrainConfig, _loss_grad_wrt_estar, backward, bpr_loss, fit
+
+rng = np.random.default_rng(0)
+m, n = 1000, 1600
+pairs = np.stack([rng.integers(0, m, 16000), rng.integers(0, n, 16000)], axis=1)
+split = DatasetSplit(InteractionMatrix.from_pairs(m, n, pairs), None, {}, {}, 0)
+hyper = preset("ours", d=64, L=3)
+params = init_params(m, n, hyper, rng)
+params.W_layers = [rng.normal(0, 0.1, (64, 64)) for _ in range(3)]
+batch = sample_bpr_triples(split, 1024, rng)
+trace = forward(params, laplacian_for(split), hyper)
+bpr_loss(trace, batch, 1e-4, params)
+grads = backward(trace, batch, params, hyper, 1e-4)
+fitted, _ = fit(split, hyper, TrainConfig(epochs=1, batches_per_epoch=3, eval_every=0))
+save_model(sys.argv[1], "ours", fitted, hyper)
+print(hashlib.sha256(b"".join(g.tobytes() for g in [grads.W] + grads.W_layers)).hexdigest())
+"""
+
+
+def test_step_and_model_file_do_not_depend_on_blas_threads(tmp_path):
+    results = []
+    for threads in ("1", "2"):
+        src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        path = tmp_path / f"model-{threads}.dgcf"
+        proc = subprocess.run([sys.executable, "-c", STEP_SCRIPT, str(path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results.append((proc.stdout, path.read_bytes()))
+    assert results[0] == results[1]

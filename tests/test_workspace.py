@@ -1,6 +1,7 @@
 """Buffer reuse: forward(out=trace), the backward workspace and the fused Adam
 step give bitwise the results of fresh arrays, and allocate less."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,9 @@ from dgcf.data import DatasetSplit, laplacian_for, sample_bpr_triples
 from dgcf.graph import InteractionMatrix
 from dgcf.model import ModelParams, forward, init_params, preset
 from dgcf.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState, TrainConfig, \
-    backward, bpr_loss, fit, optimizer_step
-from helpers import finite_diff_grad, random_interactions, rel_err, row_order_spmm_add
+    backward, bpr_loss, fit, optimizer_step, training_bytes
+from helpers import finite_diff_grad, layer_order_sum, random_interactions, rel_err, \
+    row_order_spmm_add
 
 from conftest import laplacian_from_pairs
 
@@ -62,8 +64,8 @@ def assert_follows_definition(trace, params, S, hyper):
     """Every array of the trace recomputed from the definitions, layer by
     layer from the trace's own E(l-1), with fresh arrays throughout and in
     forward's arithmetic order: M(l) = a E(0) + S_mix E(l-1) with
-    S_mix = (1-a) S, accumulated row by row onto a E(0), and E* as one
-    product of the weights with the stacked layers."""
+    S_mix = (1-a) S, accumulated row by row onto a E(0), and E* as the
+    weighted layers added in layer order."""
     a, b, w = hyper.alpha, hyper.beta, hyper.layer_weights
     E0 = S @ params.W if hyper.embedding_mode == "sw" else params.W.copy()
     S_mix = (1.0 - a) * S
@@ -75,9 +77,7 @@ def assert_follows_definition(trace, params, S, hyper):
         Z = M if b == 0.0 else M @ ((1.0 - b) * np.eye(hyper.d) + b * W_l)
         assert trace.mixed_layers[l - 1].tobytes() == M.tobytes()
         want.append(np.maximum(Z, 0.0) if hyper.activation == "relu" else Z)
-    E_star = w[0] * E0 if len(want) == 1 else np.dot(
-        w, np.stack(want).reshape(len(want), -1)).reshape(E0.shape)
-    for got, expected in zip(trace.E_layers + [trace.E_star], want + [E_star]):
+    for got, expected in zip(trace.E_layers + [trace.E_star], want + [layer_order_sum(w, want)]):
         assert got.tobytes() == expected.tobytes()
 
 
@@ -255,6 +255,44 @@ def test_training_step_allocates_only_the_returned_gradient():
     assert peak < 2 * buffer, peak / buffer
 
 
+def test_training_bytes_bound_a_warm_step():
+    """A warm L = 3 step of the model that holds every buffer (sw, relu,
+    0 < a, b < 1): the tracemalloc peak of the step plus what it keeps between
+    steps (workspace, parameters, Adam's state) stays under train.training_bytes."""
+    m, n, B = 600, 900, 1024
+    R = InteractionMatrix.from_pairs(m, n, random_interactions(np.random.default_rng(9), m, n, 6))
+    split = DatasetSplit(R, None, {}, {}, 0)
+    S = laplacian_for(split)
+    hyper = preset("ours", d=64, L=3)
+    rng = np.random.default_rng(0)
+    params = init_params(m, n, hyper, rng)
+    state = OptimizerState()
+    trace = None
+
+    def step():
+        nonlocal trace
+        batch = sample_bpr_triples(split, B, rng)
+        trace = forward(params, S, hyper, out=trace)
+        bpr_loss(trace, batch, 1e-4, params)
+        grads = backward(trace, batch, params, hyper, 1e-4)
+        optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers, 1e-3, state)
+
+    step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = [*trace.workspace._buffers.values(), params.W, *params.W_layers, *state.m, *state.v,
+            *itertools.chain.from_iterable(state.scratch)]
+    used = peak + sum(x.nbytes for x in kept)
+    bound = training_bytes(m + n, hyper.d, hyper.L, B)
+    assert used < bound, (used, bound)
+    assert used > 0.75 * bound, (used, bound)  # and it counts what is there
+
+
 def test_bprmf_step_allocates_less_than_one_batch_of_rows():
     """tracemalloc peak of one bprmf step at B = 8192 (sampling, forward into
     the trace, loss, backward, Adam) after a warm-up step: below one (B, d)
@@ -289,3 +327,22 @@ def test_bprmf_step_allocates_less_than_one_batch_of_rows():
     rows = B * hyper.d * 8
     assert peak < rows, peak / rows
     assert max(buf.shape[0] for buf in trace.workspace._buffers.values()) < B
+    # L = 0, identity, a = 0, b = 0: no layer, mask, residual path or transform
+    assert not {"mask", "E0_bar", "partials", ("M_dot", 0), ("M_dot", 1)} \
+        & trace.workspace._buffers.keys()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_step_takes_only_the_buffers_it_reads(case, ring_split):
+    hyper = hyper_of(case)
+    S = laplacian_for(ring_split)
+    params = random_params(ring_split.m, ring_split.n, hyper, 6)
+    trace = forward(params, S, hyper)
+    backward(trace, sample_bpr_triples(ring_split, 16, np.random.default_rng(7)), params, hyper,
+             0.01)
+    L, a, b = hyper.L, hyper.alpha, hyper.beta
+    taken = trace.workspace._buffers.keys()
+    assert ("mask" in taken) == (hyper.activation == "relu" and L > 0)
+    assert ("E0_bar" in taken) == (a != 0.0 and L > 0)
+    assert ("partials" in taken) == (b != 0.0 and L > 0)
+    assert [("M_dot", k) in taken for k in range(3)] == [L > 0, L > 1, False]
