@@ -152,6 +152,8 @@ def resolve_config(ns: argparse.Namespace, file_cfg: dict[str, str]) -> RunConfi
         if opt.choices and val not in opt.choices:
             raise ConfigError(f"{opt.flag} must be one of {', '.join(opt.choices)}; got {val!r}")
         values[opt.name] = val
+    if values.get("seed", 0) < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"--seed must be >= 0, got {values['seed']}")
     return RunConfig(command=ns.command, **values)
 
 

@@ -80,14 +80,9 @@ class InteractionMatrix:
         return InteractionMatrix(m=m, n=n, indptr=indptr, indices=items)
 
 
-def spmm(S: sp.csr_array, E: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sparse x dense product in float64; the kernel behind every propagation step.
-
-    Without out, returns a fresh S @ E. With out, adds S @ E into out in place
-    and returns it (see add_product).
-    """
-    if out is not None:
-        return add_product(S, E, out)
+def spmm(S: sp.csr_array, E: np.ndarray) -> np.ndarray:
+    """A fresh S @ E in float64. The propagation steps add into their own
+    buffers with add_product instead."""
     E = np.asarray(E, dtype=np.float64)
     if S.shape[1] != E.shape[0]:
         raise ValueError(f"dimension mismatch: {S.shape} @ {E.shape}")

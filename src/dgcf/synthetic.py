@@ -51,10 +51,10 @@ def bipartite_ring(m: int, n: int, extra_per_user: int, seed: int) -> RawInterac
     return RawInteractions(pairs=pairs)
 
 
-def walk_interactions(n_users: int = 1150, grid_side: int = 24, items_per_cell: int = 3,
-                      seed: int = 0, restart: float = 0.25, median_activity: float = 24.0,
-                      activity_sigma: float = 0.5, zipf_s: float = 0.4,
-                      noise: float = 0.03, min_activity: int = 15) -> RawInteractions:
+def walk_interactions(n_users: int = 1300, grid_side: int = 28, items_per_cell: int = 3,
+                      seed: int = 0, restart: float = 0.3, median_activity: float = 22.0,
+                      activity_sigma: float = 0.5, zipf_s: float = 0.3,
+                      noise: float = 0.02, min_activity: int = 15) -> RawInteractions:
     """Corpus over a 2-d torus of topic cells, users as restarting walks.
 
     Items live in grid_side x grid_side cells (items_per_cell each). A user
@@ -63,7 +63,8 @@ def walk_interactions(n_users: int = 1150, grid_side: int = 24, items_per_cell: 
     from each visited cell. Tastes are therefore irregular local patches in a
     2-d geometry: high-resolution position information that propagation over
     the interaction graph preserves but a low-dimensional factorization has
-    to blur.
+    to blur. The defaults are the acceptance corpus of checks 6 and 7
+    (32,734 interactions at seed 0).
     """
     rng = np.random.default_rng(seed)
     n_cells = grid_side * grid_side

@@ -2,14 +2,14 @@
 
 Each test prints one PASS/FAIL line (visible even under output capture) and
 asserts the same condition, so the suite summary and the printed report agree.
-Checks 6 and 7 train real models on a fixed synthetic corpus and take a few
-minutes; they carry the `slow` marker, so `pytest -m "not slow"` skips them.
-Everything else is seconds.
+Checks 6 and 7 train the runs of dgcf.experiments on the acceptance split,
+made as a user makes it with scripts/make_synthetic.py and `dgcf preprocess`.
+They take a few minutes and carry the `slow` marker, so `pytest -m "not slow"`
+skips them. Everything else is seconds.
 """
 
 import hashlib
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,29 +18,17 @@ from dgcf import cli
 from dgcf.baselines import lightgcn_forward
 from dgcf.data import DatasetSplit, RawInteractions, k_core_filter, split_train_test
 from dgcf.evaluate import evaluate_model, oversmoothing_report
+from dgcf.experiments import CHECK_6, CHECK_7, train_and_score
 from dgcf.graph import InteractionMatrix
-from dgcf.model import Hyperparams, forward, init_params, preset
-from dgcf.synthetic import bipartite_ring, walk_interactions
-from dgcf.train import TrainConfig, backward, bpr_loss, fit, laplacian_for
+from dgcf.model import Hyperparams, forward, init_params
+from dgcf.synthetic import bipartite_ring
+from dgcf.train import backward, bpr_loss
 
 from conftest import laplacian_from_pairs
 from helpers import brute_force_k_core, finite_diff_grad, naive_evaluate, \
     random_interactions, rel_err
 
-# Frozen accuracy-comparison setup (checks 6 and 7). The corpus puts items on
-# a 2-D topic torus and lets each user sample along a restarting random walk,
-# so relevance propagates through graph neighborhoods: the regime graph
-# models are built for. All models get the same capacity and budget.
-CORPUS = dict(n_users=1300, grid_side=28, items_per_cell=3, restart=0.3,
-              median_activity=22.0, activity_sigma=0.5, zipf_s=0.3,
-              noise=0.02, min_activity=15, seed=0)
-K_CORE = 10
-TEST_RATIO = 0.2
-SPLIT_SEED = 0
 DIM = 64
-OURS_LR = 3e-4  # the propagation model needs a gentler step than the MF models
-TRAIN_CFG = dict(epochs=200, batch_size=1024, seed=7, eval_every=10,
-                 early_stop_patience=6)
 
 
 def report(check: int, passed: bool, detail: str, capfd) -> None:
@@ -48,43 +36,6 @@ def report(check: int, passed: bool, detail: str, capfd) -> None:
     with capfd.disabled():
         print(line, flush=True)
     assert passed, line
-
-
-def accuracy_hyper(tag: str) -> Hyperparams:
-    """'bprmf', 'lightgcn' (L=3), or '<ours|plain>_L<depth>' as a model preset."""
-    kind, _, depth = tag.partition("_L")
-    fields = dict(d=DIM, L=int(depth or 3), activation="identity")
-    if kind == "ours":
-        fields.update(alpha=0.1, beta=0.1)
-    return preset(kind, **fields)
-
-
-@pytest.fixture(scope="session")
-def accuracy_split():
-    raw = walk_interactions(**CORPUS)
-    return split_train_test(k_core_filter(raw, k=K_CORE), TEST_RATIO, seed=SPLIT_SEED)
-
-
-@pytest.fixture(scope="session")
-def trained(accuracy_split):
-    """Lazy memoized trainer: tag -> (recall@20, wall seconds)."""
-    split = accuracy_split
-    S = laplacian_for(split)
-    config = TrainConfig(**TRAIN_CFG)
-    cache: dict = {}
-
-    def get(tag: str):
-        if tag in cache:
-            return cache[tag]
-        hyper = accuracy_hyper(tag)
-        tag_config = replace(config, lr=OURS_LR) if tag.startswith("ours_") else config
-        t0 = time.monotonic()
-        params, _ = fit(split, hyper, tag_config)
-        recall = evaluate_model(forward(params, S, hyper).E_star, split, k=20).recall_at_k
-        cache[tag] = (recall, time.monotonic() - t0)
-        return cache[tag]
-
-    return get
 
 
 def test_1_gradients_match_finite_differences(capfd):
@@ -222,11 +173,10 @@ def test_5_metrics_match_naive_reimplementation(capfd):
 
 
 @pytest.mark.slow
-def test_6_propagation_beats_factorization(trained, capfd):
-    ours, t_ours = trained("ours_L4")
-    bpr, t_bpr = trained("bprmf")
-    lg, t_lg = trained("lightgcn")
-    wall = t_ours + t_bpr + t_lg
+def test_6_propagation_beats_factorization(acceptance_split, capfd):
+    runs = [train_and_score(acceptance_split, name) for name in CHECK_6]
+    wall = sum(r.wall_s for r in runs)
+    bpr, lg, ours = (r.recall for r in runs)
     ok = ours >= 1.1 * bpr and ours >= 0.95 * lg and wall < 1800.0
     report(6, ok, f"recall@20 ours {ours:.4f} vs bprmf {bpr:.4f} "
                   f"(need >= {1.1 * bpr:.4f}) and lightgcn {lg:.4f} "
@@ -234,12 +184,10 @@ def test_6_propagation_beats_factorization(trained, capfd):
 
 
 @pytest.mark.slow
-def test_7_depth_helps_ours_hurts_plain(trained, capfd):
-    ours2, t1 = trained("ours_L2")
-    ours8, t2 = trained("ours_L8")
-    plain2, t3 = trained("plain_L2")
-    plain8, t4 = trained("plain_L8")
-    wall = t1 + t2 + t3 + t4
+def test_7_depth_helps_ours_hurts_plain(acceptance_split, capfd):
+    runs = [train_and_score(acceptance_split, name) for name in CHECK_7]
+    wall = sum(r.wall_s for r in runs)
+    ours2, ours8, plain2, plain8 = (r.recall for r in runs)
     ok = ours8 >= 0.9 * ours2 and plain8 < plain2 and wall < 1800.0
     report(7, ok, f"recall@20 ours L8 {ours8:.4f} vs L2 {ours2:.4f} "
                   f"(need >= {0.9 * ours2:.4f}); plain L8 {plain8:.4f} vs L2 "

@@ -463,6 +463,24 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["preprocess", "train", "diagnose"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_is_one(self, command, where, raw_file, dataset_dir, tmp_path,
+                                  monkeypatch, capsys):
+        argv = {"preprocess": ["preprocess", "--input", str(raw_file)],
+                "train": ["train", "--data", str(dataset_dir)],
+                "diagnose": ["diagnose", "--data", str(dataset_dir)]}[command]
+        if command != "diagnose":
+            argv += ["--out", str(tmp_path / "out")]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed=-1\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        code, out, err = run_cli(argv, monkeypatch, capsys)
+        assert (code, out, err) == (1, "", "error: --seed must be >= 0, got -1\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,flags", [
         ("train", "--dim, --layers, --batch-size"),
         ("diagnose", "--layers, --dim"),

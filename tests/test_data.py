@@ -16,7 +16,6 @@ from dgcf.graph import InteractionMatrix
 from dgcf.synthetic import walk_interactions
 from helpers import brute_force_k_core, naive_read_adjacency, naive_read_map, \
     naive_train_and_test, whole_batch_sample_bpr_triples
-from test_acceptance import CORPUS, K_CORE, SPLIT_SEED, TEST_RATIO
 
 
 def write(tmp_path, text, name="inter.txt"):
@@ -503,11 +502,24 @@ class TestSavedSplitsTakeTheOnePass:
         assert loaded.user_map == split.user_map and loaded.item_map == split.item_map
 
     def test_acceptance_corpus(self, tmp_path, monkeypatch):
-        raw = k_core_filter(walk_interactions(**CORPUS), k=K_CORE)
-        split = split_train_test(raw, TEST_RATIO, seed=SPLIT_SEED)
-        save_split(split, tmp_path / "ds", k_core=K_CORE)
+        split = acceptance_split_in_memory()
+        save_split(split, tmp_path / "ds", k_core=10)
         refuse_line_by_line(monkeypatch)
         loaded = load_split(tmp_path / "ds")
         assert csr_state(loaded.train) == csr_state(split.train)
         assert loaded.test == split.test
         assert loaded.user_map == split.user_map and loaded.item_map == split.item_map
+
+
+def acceptance_split_in_memory() -> DatasetSplit:
+    """The acceptance split built in memory: walk corpus, 10-core, 20% held out, seed 0."""
+    return split_train_test(k_core_filter(walk_interactions(), 10), 0.2, 0)
+
+
+def test_script_path_gives_the_acceptance_split(acceptance_split):
+    # make_synthetic.py and `dgcf preprocess` at their defaults, as checks 6 and 7 read it
+    want = acceptance_split_in_memory()
+    assert csr_state(acceptance_split.train) == csr_state(want.train)
+    assert acceptance_split.test == want.test
+    assert acceptance_split.user_map == want.user_map
+    assert acceptance_split.item_map == want.item_map

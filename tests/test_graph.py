@@ -181,7 +181,7 @@ def test_spmm_dimension_mismatch():
         spmm(sp.csr_array((3, 3)), np.ones((4, 2)))
 
 
-def spmm_out_cases():
+def add_product_cases():
     """(S, E) pairs: random square and rectangular shapes, an empty matrix, a
     non-contiguous E, a one-column E and a zero-row S."""
     rng = np.random.default_rng(11)
@@ -198,12 +198,12 @@ def spmm_out_cases():
     return cases
 
 
-@pytest.mark.parametrize("case", range(len(spmm_out_cases())))
+@pytest.mark.parametrize("case", range(len(add_product_cases())))
 def test_spmm_out_accumulates_in_row_order(case):
-    S, E = spmm_out_cases()[case]
+    S, E = add_product_cases()[case]
     out0 = np.random.default_rng(case).normal(size=(S.shape[0], E.shape[1]))
     out = out0.copy()
-    assert spmm(S, E, out=out) is out
+    assert add_product(S, E, out) is out
     assert out.tobytes() == row_order_spmm_add(S, E, out0).tobytes()
     assert in_two_row_ranges(S, E, out0).tobytes() == out.tobytes()
 
@@ -216,24 +216,24 @@ def in_two_row_ranges(S, E, out0):
     return out
 
 
-@pytest.mark.parametrize("case", range(len(spmm_out_cases())))
+@pytest.mark.parametrize("case", range(len(add_product_cases())))
 def test_spmm_out_from_zero_is_the_fresh_product(case):
-    S, E = spmm_out_cases()[case]
+    S, E = add_product_cases()[case]
     out = np.zeros((S.shape[0], E.shape[1]))
-    spmm(S, E, out=out)
+    add_product(S, E, out)
     assert out.tobytes() == (S @ E).tobytes() == spmm(S, E).tobytes()
 
 
-@pytest.mark.parametrize("case", range(len(spmm_out_cases())))
+@pytest.mark.parametrize("case", range(len(add_product_cases())))
 def test_spmm_out_fallback_without_kernel(case, monkeypatch):
     monkeypatch.setattr(graph, "_csr_matvecs", lambda: None)
-    S, E = spmm_out_cases()[case]
+    S, E = add_product_cases()[case]
     out = np.zeros((S.shape[0], E.shape[1]))
-    spmm(S, E, out=out)
+    add_product(S, E, out)
     assert out.tobytes() == (S @ E).tobytes()
     out0 = np.random.default_rng(case).normal(size=out.shape)
     out = out0.copy()
-    spmm(S, E, out=out)
+    add_product(S, E, out)
     assert out.size == 0 or rel_err(out, row_order_spmm_add(S, E, out0)) <= 1e-14
     assert in_two_row_ranges(S, E, out0).tobytes() == out.tobytes()
 
@@ -246,13 +246,13 @@ def test_spmm_out_rejects_bad_buffers():
            np.zeros((3, 4)).tolist()]
     for out in bad:
         with pytest.raises(ValueError):
-            spmm(S, E, out=out)
+            add_product(S, E, out)
     frozen = np.zeros((3, 4))
     frozen.flags.writeable = False
     with pytest.raises(ValueError):
-        spmm(S, E, out=frozen)
+        add_product(S, E, frozen)
     with pytest.raises(ValueError):
-        spmm(S, np.ones((3, 4)), out=np.zeros((3, 4)))
+        add_product(S, np.ones((3, 4)), np.zeros((3, 4)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,55 +1,31 @@
-"""Smoke tests of scripts/: each runs end to end on a small ring corpus and
-prints its table."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""scripts/ end to end on the ring corpus: each prints the rows of
+dgcf.experiments.train_and_score on the same split, its runs in table order."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from dgcf.data import load_split
+from dgcf.experiments import CHECK_6, CHECK_7, train_and_score
 
-
-def run(*args: str) -> str:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+from conftest import run_script, script_dataset
 
 
 @pytest.fixture(scope="module")
 def ring_dataset(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("scripts")
-    out = run("scripts/make_synthetic.py", "--generator", "ring", "--out", str(tmp / "ring.tsv"))
-    lines = (tmp / "ring.tsv").read_text().splitlines()
-    assert out == f"wrote {len(lines)} interactions to {tmp / 'ring.tsv'}\n"
-    run("-m", "dgcf.cli", "preprocess", "--input", str(tmp / "ring.tsv"), "--out",
-        str(tmp / "ds"))
-    return tmp / "ds"
+    return script_dataset(tmp_path_factory.mktemp("scripts"), "ring")
+
+
+def assert_prints_runs(script, runs, dataset):
+    out = run_script(script, "--data", str(dataset)).splitlines()
+    assert out[0].split() == ["run", "recall@20", "ndcg@20", "epochs", "wall_s"]
+    split = load_split(dataset)
+    want = [[name, f"{r.recall:.4f}", f"{r.ndcg:.4f}", str(r.epochs)]
+            for name in runs for r in [train_and_score(split, name)]]
+    assert [line.split()[:4] for line in out[1:]] == want
 
 
 def test_run_comparison(ring_dataset):
-    out = run("scripts/run_comparison.py", "--data", str(ring_dataset), "--epochs", "1",
-              "--dim", "4").splitlines()
-    assert out[0].split() == ["model", "recall@20", "ndcg@20", "epochs", "wall_s"]
-    assert [line.split()[0] for line in out[1:]] == ["bprmf", "lightgcn", "ours"]
+    assert_prints_runs("scripts/run_comparison.py", CHECK_6, ring_dataset)
 
 
 def test_depth_study(ring_dataset):
-    out = run("scripts/depth_study.py", "--data", str(ring_dataset), "--depths", "1", "2",
-              "--epochs", "1", "--dim", "4").splitlines()
-    assert out[0].split() == ["model", "L", "recall@20", "ndcg@20", "user_sim", "wall_s"]
-    assert [line.split()[:2] for line in out[1:]] == \
-        [["ours", "1"], ["ours", "2"], ["plain", "1"], ["plain", "2"]]
-
-
-@pytest.mark.parametrize("script", ["scripts/run_comparison.py", "scripts/depth_study.py"])
-@pytest.mark.parametrize("k", ["0", "-1"])
-def test_k_below_one_rejected(script, k):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, script, "--data", "unused", "--k", k], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2
-    assert f"--k must be >= 1, got {k}" in done.stderr
+    assert_prints_runs("scripts/depth_study.py", CHECK_7, ring_dataset)

@@ -116,9 +116,8 @@ class TestScaleAndStructure:
     (1, 32_796, "a9560a600504c3abba21dc0622034b51c7cc500440a90ac10b0fdef04bd66d29"),
 ])
 def test_walk_corpus_is_pinned(seed, count, sha256):
-    # the acceptance corpus, byte for byte as the generator first produced it
-    from test_acceptance import CORPUS
-
-    pairs = walk_interactions(**{**CORPUS, "seed": seed}).pairs
+    # the defaults are the acceptance corpus, byte for byte as the generator
+    # first produced it
+    pairs = walk_interactions(seed=seed).pairs
     text = "".join(f"{u}\t{i}\n" for u, i in pairs)
     assert (len(pairs), hashlib.sha256(text.encode()).hexdigest()) == (count, sha256)
