@@ -17,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from dgcf.cli import entrypoint
 from dgcf.data import load_split
 from dgcf.experiments import CHECK_7, print_runs
 
@@ -29,4 +30,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entrypoint(main))

@@ -10,6 +10,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from dgcf.cli import entrypoint
+from dgcf.errors import ConfigError
 from dgcf.synthetic import bipartite_ring, walk_interactions
 
 GENERATORS = {
@@ -24,6 +26,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True, help="edge-pairs output path")
     args = ap.parse_args()
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
     raw = GENERATORS[args.generator](args.seed)
     out = Path(args.out)
@@ -35,4 +39,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entrypoint(main))

@@ -17,7 +17,7 @@ import sys
 import traceback
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -305,9 +305,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def entrypoint() -> int:
+def entrypoint(run: Callable[[], int] = main) -> int:
+    """run() (the CLI by default) with its exit code: a DgcfError or OSError
+    prints one `error:` line and gives 1, any other exception a traceback and 2."""
     try:
-        return main()
+        return run()
     except (DgcfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -200,11 +200,15 @@ def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Gene
     pos = r.indices[r.indptr[users] + offsets]
     neg = rng.integers(0, split.n, size=batch_size)
     # each round checks only the negatives drawn in the last one: a negative
-    # that passed stays, so the draws are those of re-checking the whole batch
+    # that passed stays, so the draws are those of re-checking the whole batch.
+    # Codes are looked up in ascending order, which walks flat's cache lines
+    # in order, and their positions scattered back: the same loc either way
     todo = np.arange(batch_size)
     while True:
         codes = users[todo] * split.n + neg[todo]
-        loc = np.searchsorted(flat, codes)
+        order = np.argsort(codes)
+        loc = np.empty_like(order)
+        loc[order] = np.searchsorted(flat, codes[order])
         loc[loc >= len(flat)] = len(flat) - 1
         todo = todo[flat[loc] == codes]
         if len(todo) == 0:

@@ -10,18 +10,20 @@ numpy alone. The propagation operator S built from it
 where S is multiplied or, in laplacian_for, wrapped. All values are treated
 as immutable after construction.
 
-The training step splits S's rows among threads (row_partition, run_ranges):
-each thread owns a contiguous range of rows for a whole layer, and every
-dense product runs in blocks of BLOCK_ROWS rows that start at multiples of
-BLOCK_ROWS. Block boundaries do not depend on the ranges, so every result is
-bitwise the same for any number of ranges.
+The training step splits its work among threads (run_ranges). forward and
+backward cut S's rows by work (row_partition): each thread owns a
+contiguous range of rows for a whole layer, and every dense product runs in
+blocks of BLOCK_ROWS rows that start at multiples of BLOCK_ROWS. Adam's
+rows and the batch's triples are cut into equal ranges (even_partition).
+Block boundaries do not depend on the ranges, and no sum runs across a
+range boundary, so every result is bitwise the same for any number of
+ranges.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
-import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -143,12 +145,26 @@ def row_partition(S: sp.csr_array) -> tuple[int, ...]:
     nearest to equal shares of the step's work, a row's stored entries plus
     ROW_WORK."""
     N = S.shape[0]
+    starts = np.arange(0, N, BLOCK_ROWS)
+    return _cut(N, starts, S.indptr[starts] + ROW_WORK * starts, S.nnz + ROW_WORK * N)
+
+
+def even_partition(N: int, step: int = BLOCK_ROWS) -> tuple[int, ...]:
+    """Bounds of ranges of N rows (or triples), as many as row_partition
+    makes of N rows, cut at the multiples of step nearest to equal numbers of rows."""
+    starts = np.arange(0, N, step)
+    return _cut(N, starts, starts, N)
+
+
+def _cut(N: int, starts: np.ndarray, before: np.ndarray, total) -> tuple[int, ...]:
+    """Bounds of one range of N rows per usable core, but no more than one per
+    MIN_RANGE_ROWS rows, range r cut at the start in `starts` whose work
+    before it (`before`, ascending) is nearest to r / count of `total`;
+    coinciding cuts merge."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     count = max(1, min(cores or 1, N // MIN_RANGE_ROWS))
-    starts = np.arange(0, N, BLOCK_ROWS)
-    before = S.indptr[starts] + ROW_WORK * starts  # work above each block
     cuts = set()
-    for share in (S.nnz + ROW_WORK * N) * np.arange(1, count) / count:
+    for share in total * np.arange(1, count) / count:
         k = int(np.searchsorted(before, share))
         if k == len(before) or (k > 0 and share - before[k - 1] < before[k] - share):
             k -= 1
@@ -165,17 +181,16 @@ def row_blocks(X: np.ndarray) -> list[np.ndarray]:
     return parts + [X[q:]] if q < len(X) else parts
 
 
-def run_ranges(bounds: tuple[int, ...], body: Callable[[int, int, Callable[[], None]], None],
-               at_sync: Callable[[int], None] | None = None) -> None:
+def run_ranges(bounds: tuple[int, ...],
+               body: Callable[[int, int, Callable[[], None]], None]) -> None:
     """Run body(lo, hi, sync) once per range lo..hi-1 of bounds: the first on
     the calling thread, the others on worker threads. sync() returns once
-    every range has reached it; at its j-th use, at_sync(j) first runs while
-    all ranges wait. An exception in one range breaks every sync, and the
-    first exception by range order (other than the broken syncs it caused)
-    is raised here once all ranges have stopped."""
+    every range has reached it. An exception in one range breaks every sync,
+    and the first exception by range order (other than the broken syncs it
+    caused) is raised here once all ranges have stopped. Calls do not nest:
+    body must not call run_ranges."""
     count = len(bounds) - 1
-    syncs = itertools.count()
-    barrier = threading.Barrier(count, None if at_sync is None else lambda: at_sync(next(syncs)))
+    barrier = threading.Barrier(count)
 
     def run(r: int) -> None:
         try:

@@ -162,7 +162,7 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
     Each mix M(l) accumulates S_mix E(l-1) in place onto a E(0), or onto
     zeros at a = 0; at a = 1 the product is skipped and M(l) is E(0). b = 0
     skips the transform. E* = w_0 E(0) + w_1 E(1) + ..., added in layer
-    order. Each range of step_partition(S, hyper) runs on its own thread
+    order. Each range of row_partition(S) runs on its own thread
     for the whole pass, and the ranges meet once per layer, when E(l-1) is
     complete. Given `out`, a trace from an earlier call, forward writes this
     pass into it and its workspace buffers and returns it: every array out
@@ -235,16 +235,8 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
         for k in range(1, L + 1):
             E_star += np.multiply(w[k], stack[k, lo:hi], out=scratch[lo:hi])
 
-    run_ranges(step_partition(S, hyper), rows)
+    run_ranges(row_partition(S), rows)
     return out
-
-
-def step_partition(S: sp.csr_array, hyper: Hyperparams) -> tuple[int, ...]:
-    """Bounds of the row ranges forward and backward run in: row_partition(S),
-    or one range when the model has no product to split (L = 0, free mode)."""
-    if hyper.L == 0 and hyper.embedding_mode == "free":
-        return (0, S.shape[0])
-    return row_partition(S)
 
 
 def score_all_items(E_star: np.ndarray, m: int, u: int) -> np.ndarray:

@@ -72,16 +72,21 @@ def save_model(path: str | Path, tag: str, params: ModelParams, hyper: Hyperpara
         _HEAD.pack(MAGIC, VERSION if split is None else GRAPH_VERSION, MODEL_TAGS[tag],
                    ACT_TAGS[hyper.activation], MODE_TAGS[hyper.embedding_mode]),
         _DIMS.pack(params.m, params.n, hyper.d, hyper.L, hyper.alpha, hyper.beta),
-        np.asarray(hyper.layer_weights, dtype="<f8").tobytes(),
-        np.ascontiguousarray(params.W, dtype="<f8").tobytes(),
+        *map(_f8, [hyper.layer_weights, params.W, *params.W_layers]),
     ]
-    parts.extend(np.ascontiguousarray(Wl, dtype="<f8").tobytes() for Wl in params.W_layers)
     if split is not None:
-        parts.append(bytes.fromhex(graph_sha256(split)))
         E_star = forward(params, laplacian_for(split), hyper).E_star
-        parts.append(np.ascontiguousarray(E_star, dtype="<f8").tobytes())
-    body = b"".join(parts)
-    write_atomic_bytes(path, body + _CRC.pack(zlib.crc32(body)))
+        parts += [bytes.fromhex(graph_sha256(split)), _f8(E_star)]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    write_atomic_bytes(path, *parts, _CRC.pack(crc))
+
+
+def _f8(x) -> memoryview:
+    """x's values as little-endian float64 in C order: a view of x's own
+    memory where it is stored so, else of a converted copy."""
+    return np.ascontiguousarray(x, dtype="<f8").data
 
 
 def load_model(path: str | Path) -> ModelRecord:

@@ -19,8 +19,8 @@ from scipy.special import expit
 from .data import DatasetSplit, laplacian_for, sample_bpr_triples
 from .errors import ConfigError, DivergenceError
 from .evaluate import evaluate_model
-from .graph import BLOCK_ROWS, add_product, row_blocks, run_ranges
-from .model import ForwardTrace, Hyperparams, ModelParams, forward, init_params, step_partition
+from .graph import BLOCK_ROWS, add_product, even_partition, row_blocks, row_partition, run_ranges
+from .model import ForwardTrace, Hyperparams, ModelParams, Workspace, forward, init_params
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
 
@@ -55,22 +55,27 @@ class OptimizerState:
     t: int = 0
     m: list[np.ndarray] | None = field(default=None, repr=False)
     v: list[np.ndarray] | None = field(default=None, repr=False)
-    scratch: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
+    scratch: Workspace = field(default_factory=Workspace, repr=False)  # Adam's chunk buffers
 
 
 MARGIN_CHUNK = 512  # rows per gather in _margins: two (512, d) buffers, not (B, d) temporaries
+ADAM_CHUNK = 256  # rows per pass of optimizer_step: two (256, d) buffers per range
 
 
 def training_bytes(N: int, d: int, L: int, batch_size: int) -> int:
     """Bytes that fit holds for an N-node graph, an upper bound over models:
-    2L + 15 (N, d) float arrays (the stack E(0..L), the mixes M(1..L), W, the
-    best parameters' copy, grad_W, Adam's four, E*, G, D, two M_dot, E0_bar
-    and bpr_loss's squared W), the relu mask's (N, d) bytes, one (d, d)
-    partial product per BLOCK_ROWS rows, two (MARGIN_CHUNK, d) margin buffers,
+    2L + 13 (N, d) float arrays (the stack E(0..L), the mixes M(1..L), W, the
+    best parameters' copy, grad_W, Adam's two, E*, G, D, two M_dot, E0_bar
+    and bpr_loss's squared W), the relu mask's (N, d) bytes, two layers' (d, d)
+    partial products per BLOCK_ROWS rows, two (ADAM_CHUNK, d) buffers per
+    range of Adam, two (MARGIN_CHUNK, d) margin buffers per range of triples,
     and the batch path's 32 values per triple (sampling, margins, the sparse
     loss gradient; tracemalloc sees about 250 bytes)."""
-    floats = ((2 * L + 15) * N * d + -(-N // BLOCK_ROWS) * d * d
-              + 2 * min(batch_size, MARGIN_CHUNK) * d + 32 * batch_size)
+    adam_ranges = len(even_partition(N)) - 1
+    margin_ranges = len(even_partition(batch_size, MARGIN_CHUNK)) - 1
+    floats = ((2 * L + 13) * N * d + 2 * -(-N // BLOCK_ROWS) * d * d
+              + 2 * adam_ranges * ADAM_CHUNK * d
+              + 2 * margin_ranges * min(batch_size, MARGIN_CHUNK) * d + 32 * batch_size)
     return 8 * floats + N * d
 
 
@@ -83,24 +88,29 @@ def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
     n = E_star.shape[0] - m
     if batch.min() < 0 or batch[:, 0].max() >= m or batch[:, 1:].max() >= n:
         raise IndexError(f"batch index out of range: users [0, {m}), items [0, {n})")
-    # the rows are gathered MARGIN_CHUNK triples at a time into two workspace
-    # buffers (mode="clip" skips take's own buffer; every index is in range);
+    # each range of triples (cut at multiples of MARGIN_CHUNK) gathers the
+    # rows MARGIN_CHUNK triples at a time into two workspace buffers of its
+    # own (mode="clip" skips take's own buffer; every index is in range);
     # np.sum reduces each row alone, so x is that of one whole gather
     u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
-    B = len(batch)
-    k = min(B, MARGIN_CHUNK)
+    x = np.empty(len(batch))
     ws = trace.workspace
-    rows, other = (ws.get(name, (k, E_star.shape[1])) for name in ("margin_rows", "margin_other"))
-    x = np.empty(B)
-    for lo in range(0, B, k):
-        hi = min(lo + k, B)
-        r, o = rows[:hi - lo], other[:hi - lo]
-        np.take(E_star, i[lo:hi], axis=0, out=r, mode="clip")
-        np.take(E_star, j[lo:hi], axis=0, out=o, mode="clip")
-        r -= o
-        np.take(E_star, u[lo:hi], axis=0, out=o, mode="clip")
-        r *= o
-        np.sum(r, axis=1, out=x[lo:hi])
+
+    def triples(lo, hi, sync):
+        k = min(hi - lo, MARGIN_CHUNK)
+        rows, other = (ws.get((name, lo), (k, E_star.shape[1]))
+                       for name in ("margin_rows", "margin_other"))
+        for start in range(lo, hi, k):
+            end = min(start + k, hi)
+            r, o = rows[:end - start], other[:end - start]
+            np.take(E_star, i[start:end], axis=0, out=r, mode="clip")
+            np.take(E_star, j[start:end], axis=0, out=o, mode="clip")
+            r -= o
+            np.take(E_star, u[start:end], axis=0, out=o, mode="clip")
+            r *= o
+            np.sum(r, axis=1, out=x[start:end])
+
+    run_ranges(even_partition(len(batch), MARGIN_CHUNK), triples)
     trace.margins = (batch.copy(), x)  # a copy, so an edit of batch in place misses
     return x
 
@@ -121,22 +131,20 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
     return rank_term + reg_lambda * reg
 
 
-def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
-    """d(mean softplus term)/d(E_star) = C E_star, one sparse product into the
-    workspace buffer "G". C is the symmetric N x N matrix with entries c_t at
-    (u, m+i) and (m+i, u) and -c_t at (u, m+j) and (m+j, u) per triple t,
-    c_t = dloss/dx_t; csr_array sums repeated entries in a fixed order."""
+def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> sp.csr_array:
+    """The matrix C with d(mean softplus term)/d(E_star) = C E_star, a sparse
+    product that backward forms range by range. C is the symmetric N x N
+    matrix with entries c_t at (u, m+i) and (m+i, u) and -c_t at (u, m+j) and
+    (m+j, u) per triple t, c_t = dloss/dx_t; csr_array sums repeated entries
+    in a fixed order."""
     m = trace.m
-    E = trace.E_star
+    N = trace.E_star.shape[0]
     u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
     c = -expit(-_margins(trace, batch)) / len(batch)  # dloss/dx_t
     rows = np.concatenate([u, u, i, j])
     cols = np.concatenate([i, j, u, u])
     vals = np.concatenate([c, -c, c, -c])
-    C = sp.csr_array((vals, (rows, cols)), shape=(E.shape[0], E.shape[0]))
-    G = trace.workspace.get("G", E.shape)
-    G.fill(0.0)
-    return add_product(C, E, G)
+    return sp.csr_array((vals, (rows, cols)), shape=(N, N))
 
 
 def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
@@ -147,22 +155,25 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
     Reverse pass through E* = sum w_k E(k), E(l) = act(M(l) T(l)),
     M(l) = a E(0) + S_mix E(l-1), E(0) = S W (or W). S, S_mix = (1-a) S and
     T(l) are those of the forward pass, read from the trace; the relu mask
-    is E(l) > 0, which equals M(l) T(l) > 0. G = dloss/dE* is one sparse
+    is E(l) > 0, which equals M(l) T(l) > 0. G = dloss/dE* is the sparse
     product C E* (see _loss_grad_wrt_estar) and D carries dloss/dE(l). Each
     layer sets D = w(l) G and adds S_mix M_dot(l+1) into it in place, S_mix
     being symmetric; M_dot(l) = dloss/dM(l) alternates between two buffers,
     so that a layer writes one while every range reads the other. Under
     b = 0, M_dot(l) is dloss/dZ(l) itself and D is written there. The
     initial-residual path sums the M_dot unscaled in E0_bar and scales by a
-    once. M(l)^T dloss/dZ(l) is summed over BLOCK_ROWS-row blocks, each block
-    one small product, in block order.
+    once. M(l)^T dloss/dZ(l) is one small product per BLOCK_ROWS-row block,
+    into layer l's half of a partials buffer that alternates by layer like
+    M_dot; once layer l is complete, each range sums its own columns of
+    those partials over all blocks, in block order.
 
-    As in forward, each range of step_partition runs on its own thread and
-    the ranges meet once per layer (and before the last product S D), so the
-    result does not depend on their number. Every (N, d) temporary, G
-    included, is a buffer of trace.workspace, taken only by the models that
-    read it, and the batch adds only arrays of O(B) numbers, no (B, d) rows;
-    the returned gradients are fresh arrays.
+    As in forward, each range of row_partition(S) runs on its own thread,
+    from the rows of C E* to those of the gradient, and the ranges meet once
+    per layer (and before the last product S D), so the result does not
+    depend on their number. Every (N, d) temporary, G included, is a buffer
+    of trace.workspace, taken only by the models that read it, and the batch
+    adds only arrays of O(B) numbers, no (B, d) rows; the returned gradients
+    are fresh arrays.
     """
     batch = np.asarray(batch)
     if batch.size == 0:
@@ -171,23 +182,34 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
         raise ValueError("trace does not match hyper.L")
     a, b, L = hyper.alpha, hyper.beta, hyper.L
     w = hyper.layer_weights
-    G = _loss_grad_wrt_estar(trace, batch)
-    ws, shape = trace.workspace, G.shape
+    C = _loss_grad_wrt_estar(trace, batch)
+    ws, shape = trace.workspace, trace.E_star.shape
+    G = ws.get("G", shape)
     D = ws.get("D", shape)
     M_dots = [ws.get(("M_dot", k), shape) for k in range(min(L, 2))]  # layer l's: (L - l) % 2
     E0_bar = ws.get("E0_bar", shape) if a != 0.0 and L else None
     relu = hyper.activation == "relu"
     mask = ws.get("mask", shape, bool) if relu and L else None
-    partials = (ws.get("partials", (-(-shape[0] // BLOCK_ROWS), shape[1], shape[1]))
-                if b != 0.0 and L else None)
+    blocks, d = -(-shape[0] // BLOCK_ROWS), shape[1]
+    partials = ws.get("partials", (min(L, 2), blocks, d, d)) if b != 0.0 and L else None
     W = np.ascontiguousarray(params.W)
     grad_W = np.empty(shape)
-    grad_W_layers = [2.0 * reg_lambda * Wl for Wl in params.W_layers]  # b = 0
+    # C-contiguous, as each range adds into its columns of the flattened array
+    grad_W_layers = [np.multiply(2.0 * reg_lambda, Wl, order="C") for Wl in params.W_layers]
+    bounds = row_partition(trace.S)
+    # a column slice one wide would be summed pairwise, not in block order,
+    # so every range's slice of the d*d columns is at least two wide
+    slices = min(len(bounds) - 1, max(1, d * d // 2))
 
     def rows(lo, hi, sync):
+        G_rows = G[lo:hi]
+        G_rows.fill(0.0)
+        add_product(C, trace.E_star, G_rows, (lo, hi))
+        r = bounds.index(lo)
+        cols = slice(r * d * d // slices, (r + 1) * d * d // slices) if r < slices else slice(0)
         for l in range(L, -1, -1):
             Dl = (M_dots[(L - l) % 2] if b == 0.0 and l else D)[lo:hi]
-            np.multiply(w[l], G[lo:hi], out=Dl)
+            np.multiply(w[l], G_rows, out=Dl)
             if l < L and a != 1.0:
                 add_product(trace.S_mix, M_dots[(L - l - 1) % 2], Dl, (lo, hi))
             if l == 0:
@@ -199,21 +221,26 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
                 # a C-contiguous copy of T(l)^T: block products with it are
                 # faster than with the transposed view, and bitwise the same
                 T_t = np.ascontiguousarray(trace.transforms[l - 1].T)
+                layer = partials[(L - l) % 2]
                 first = lo // BLOCK_ROWS
                 for X, Y, M in zip(row_blocks(Dl), row_blocks(M_dot),
                                    row_blocks(trace.mixed_layers[l - 1][lo:hi])):
                     np.matmul(X, T_t, out=Y)
                     if M.ndim == 3:  # whole blocks
-                        np.matmul(M.transpose(0, 2, 1), X, out=partials[first:first + len(M)])
+                        np.matmul(M.transpose(0, 2, 1), X, out=layer[first:first + len(M)])
                         first += len(M)
                     else:
-                        np.matmul(M.T, X, out=partials[first])
+                        np.matmul(M.T, X, out=layer[first])
             if a != 0.0:  # the top layer starts the sum, saving a zero fill
                 if l == L:
                     np.copyto(E0_bar[lo:hi], M_dot)
                 else:
                     E0_bar[lo:hi] += M_dot
             sync()
+            if b != 0.0:  # layer l's partials are complete; the next layer writes the other half
+                total = np.sum(partials[(L - l) % 2].reshape(blocks, d * d)[:, cols], axis=0)
+                total *= b
+                grad_W_layers[l - 1].reshape(-1)[cols] += total
         if a != 0.0 and L:
             E0_bar[lo:hi] *= a
             Dl += E0_bar[lo:hi]  # dloss/dE(0)
@@ -222,23 +249,22 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
             sync()
             out.fill(0.0)
             add_product(trace.S, D, out, (lo, hi))
-            out += np.multiply(2.0 * reg_lambda, W[lo:hi], out=G[lo:hi])  # G's rows are spent
+            out += np.multiply(2.0 * reg_lambda, W[lo:hi], out=G_rows)  # G's rows are spent
         else:  # or I
             np.multiply(2.0 * reg_lambda, W[lo:hi], out=out)
             out += Dl
 
-    def at_sync(j):  # the j-th sync closes layer L - j
-        l = L - j
-        if partials is not None and l > 0:
-            grad_W_layers[l - 1] = b * np.sum(partials, axis=0) + grad_W_layers[l - 1]
-
-    run_ranges(step_partition(trace.S, hyper), rows, at_sync)
+    run_ranges(bounds, rows)
     return ModelParams(params.m, params.n, grad_W, grad_W_layers)
 
 
 def optimizer_step(arrays: list[np.ndarray], grads: list[np.ndarray], lr: float,
                    state: OptimizerState) -> OptimizerState:
-    """One Adam step of size lr on the arrays, in place; returns the advanced state."""
+    """One Adam step of size lr on the arrays, in place; returns the advanced
+    state. Each array's rows are cut into even_partition's ranges, each run
+    by its own thread ADAM_CHUNK rows at a time through two chunk buffers of
+    state.scratch. Every element takes the same operations in the same
+    order, so the result does not depend on the ranges."""
     if len(arrays) != len(grads):
         raise ValueError("parameter/gradient count mismatch")
     for p, g in zip(arrays, grads):
@@ -247,26 +273,35 @@ def optimizer_step(arrays: list[np.ndarray], grads: list[np.ndarray], lr: float,
     if state.m is None:
         state.m = [np.zeros_like(p) for p in arrays]
         state.v = [np.zeros_like(p) for p in arrays]
-    if state.scratch is None:
-        state.scratch = [(np.empty_like(p), np.empty_like(p)) for p in arrays]
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, mom, vel, (t1, t2) in zip(arrays, grads, state.m, state.v, state.scratch):
-        mom *= ADAM_BETA1
-        mom += np.multiply(1.0 - ADAM_BETA1, g, out=t1)
-        vel *= ADAM_BETA2
-        np.multiply(g, g, out=t2)
-        t2 *= 1.0 - ADAM_BETA2
-        vel += t2
-        # p -= lr * (mom / c1) / (sqrt(vel / c2) + eps), one temporary at a time
-        np.divide(mom, c1, out=t1)
-        t1 *= lr
-        np.divide(vel, c2, out=t2)
-        np.sqrt(t2, out=t2)
-        t2 += ADAM_EPS
-        t1 /= t2
-        p -= t1
+    for p, g, mom, vel in zip(arrays, grads, state.m, state.v):
+        p, g, mom, vel = np.atleast_1d(p, g, mom, vel)  # views; a 0-d array becomes one row
+
+        def rows(lo, hi, sync):
+            t1_chunk, t2_chunk = (state.scratch.get((k, lo), (ADAM_CHUNK,) + p.shape[1:], p.dtype)
+                                  for k in range(2))
+            for start in range(lo, hi, ADAM_CHUNK):
+                end = min(start + ADAM_CHUNK, hi)
+                pc, gc, mc, vc = p[start:end], g[start:end], mom[start:end], vel[start:end]
+                t1, t2 = t1_chunk[:end - start], t2_chunk[:end - start]
+                mc *= ADAM_BETA1
+                mc += np.multiply(1.0 - ADAM_BETA1, gc, out=t1)
+                vc *= ADAM_BETA2
+                np.multiply(gc, gc, out=t2)
+                t2 *= 1.0 - ADAM_BETA2
+                vc += t2
+                # p -= lr * (mom / c1) / (sqrt(vel / c2) + eps), one temporary at a time
+                np.divide(mc, c1, out=t1)
+                t1 *= lr
+                np.divide(vc, c2, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += ADAM_EPS
+                t1 /= t2
+                pc -= t1
+
+        run_ranges(even_partition(len(p)), rows)
     return state
 
 

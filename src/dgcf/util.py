@@ -17,8 +17,9 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def write_atomic_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then os.replace.
+def write_atomic_bytes(path: str | Path, *parts) -> None:
+    """Write the bytes-like parts, one after another, via a temp file in the
+    same directory, then os.replace.
 
     Readers never observe a partial file, even if the process dies mid-write.
     """
@@ -26,7 +27,7 @@ def write_atomic_bytes(path: str | Path, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         try:

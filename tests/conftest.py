@@ -16,12 +16,17 @@ from dgcf.synthetic import bipartite_ring
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(*args: str) -> str:
-    """stdout of `python *args` in the repository root. PYTHONPATH is removed,
-    so a script finds the package through its own sys.path bootstrap."""
+def script_process(*args: str) -> subprocess.CompletedProcess:
+    """The finished `python *args`, run in the repository root. PYTHONPATH is
+    removed, so a script finds the package through its own sys.path bootstrap."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def run_script(*args: str) -> str:
+    """stdout of script_process(*args), which must exit 0."""
+    done = script_process(*args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

@@ -236,6 +236,35 @@ def whole_batch_sample_bpr_triples(split, batch_size: int, rng: np.random.Genera
     return np.stack([users, pos, neg], axis=1).astype(np.int64)
 
 
+def whole_array_adam(arrays, grads, lr: float, state: dict) -> None:
+    """One Adam step in place, each operation over whole arrays on the calling
+    thread, with the per-element operations of train.optimizer_step. state
+    starts as {} and keeps t and the moments."""
+    from dgcf.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+    if not state:
+        state.update(t=0, m=[np.zeros_like(p) for p in arrays],
+                     v=[np.zeros_like(p) for p in arrays])
+    state["t"] += 1
+    c1 = 1.0 - ADAM_BETA1 ** state["t"]
+    c2 = 1.0 - ADAM_BETA2 ** state["t"]
+    for p, g, mom, vel in zip(arrays, grads, state["m"], state["v"]):
+        t1, t2 = np.empty_like(p), np.empty_like(p)
+        mom *= ADAM_BETA1
+        mom += np.multiply(1.0 - ADAM_BETA1, g, out=t1)
+        vel *= ADAM_BETA2
+        np.multiply(g, g, out=t2)
+        t2 *= 1.0 - ADAM_BETA2
+        vel += t2
+        np.divide(mom, c1, out=t1)
+        t1 *= lr
+        np.divide(vel, c2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += ADAM_EPS
+        t1 /= t2
+        p -= t1
+
+
 def one_shot_margins(E_star: np.ndarray, m: int, batch: np.ndarray) -> np.ndarray:
     """x_t = <e_u, e_i - e_j> per triple, each row set gathered whole."""
     rows = E_star[m + batch[:, 1]]

@@ -13,12 +13,11 @@ import pytest
 from dgcf import graph
 from dgcf.data import DatasetSplit, laplacian_for, sample_bpr_triples
 from dgcf.errors import DivergenceError
-from dgcf.graph import BLOCK_ROWS, InteractionMatrix, row_partition
+from dgcf.graph import BLOCK_ROWS, InteractionMatrix, even_partition, row_partition
 from dgcf.model import forward, init_params, preset
-from dgcf.train import TrainConfig, _loss_grad_wrt_estar, backward, bpr_loss, fit
-from helpers import random_interactions
-
-from conftest import laplacian_from_pairs
+from dgcf.train import ADAM_CHUNK, MARGIN_CHUNK, OptimizerState, TrainConfig, \
+    _loss_grad_wrt_estar, backward, bpr_loss, fit, optimizer_step
+from helpers import random_interactions, whole_array_adam
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,21 +59,22 @@ def refuse_threads(monkeypatch):
 
 
 def test_small_graph_starts_no_thread(monkeypatch):
+    # 700 rows and 1,024 triples: every stage of a step is one range
     refuse_threads(monkeypatch)
-    S = laplacian_from_pairs(300, 400, random_interactions(np.random.default_rng(1), 300, 400, 4))
-    hyper = preset("ours", d=8, L=2)
-    params = init_params(300, 400, hyper, np.random.default_rng(2))
-    trace = forward(params, S, hyper)
-    backward(trace, np.array([[0, 1, 2], [5, 3, 9]]), params, hyper, 1e-4)
+    split = small_split(m=300, n=400, seed=1)
+    fit(split, preset("ours", d=8, L=2),
+        TrainConfig(epochs=1, batches_per_epoch=2, batch_size=1024, eval_every=0))
+    theta = [np.zeros((700, 8)), np.zeros((8, 8))]
+    optimizer_step(theta, [np.ones((700, 8)), np.ones((8, 8))], 0.1, OptimizerState())
 
 
-def test_model_without_products_starts_no_thread(ranges, monkeypatch):
-    # bprmf: L = 0 in free mode, so a step is only elementwise work
-    ranges(3)
+def test_model_without_products_starts_no_thread(monkeypatch):
+    # bprmf's step is rows of Adam, C E* and the margins alone; it is split
+    # like any model's rows, so on a small graph it too stays one range
     refuse_threads(monkeypatch)
-    split = small_split()
-    hyper = preset("bprmf", d=8)
-    fit(split, hyper, TrainConfig(epochs=1, batches_per_epoch=2, batch_size=64, eval_every=0))
+    split = small_split(m=300, n=400, seed=1)
+    fit(split, preset("bprmf", d=8),
+        TrainConfig(epochs=1, batches_per_epoch=2, batch_size=1024, eval_every=0))
 
 
 MODES = list(itertools.product((0.0, 0.1, 1.0), (0.0, 0.1), ("relu", "identity"), ("sw", "free"),
@@ -89,12 +89,13 @@ def test_step_and_fit_are_bitwise_equal_for_any_range_count(a, b, act, mode, L, 
     rng = np.random.default_rng(3)
     params = init_params(split.m, split.n, hyper, rng)
     params.W_layers = [rng.normal(0, 0.3, (8, 8)) for _ in range(L)]
-    batch = sample_bpr_triples(split, 96, rng)
-    config = TrainConfig(lr=0.01, epochs=1, batches_per_epoch=2, batch_size=64, eval_every=0)
+    # above 2 x MARGIN_CHUNK triples, so the margins have one range per core too
+    batch = sample_bpr_triples(split, 1600, rng)
+    config = TrainConfig(lr=0.01, epochs=1, batches_per_epoch=2, batch_size=1600, eval_every=0)
     runs = []
     for k in (1, 2, 3):
         ranges(k)
-        assert len(row_partition(S)) == k + 1
+        assert len(row_partition(S)) == len(even_partition(len(batch), MARGIN_CHUNK)) == k + 1
         trace = forward(params, S, hyper)
         bpr_loss(trace, batch, 1e-3, params)
         grads = backward(trace, batch, params, hyper, 1e-3)
@@ -107,25 +108,55 @@ def test_step_and_fit_are_bitwise_equal_for_any_range_count(a, b, act, mode, L, 
 
 def test_transform_gradient_sums_block_products_in_block_order(ranges):
     # L = 1: dloss/dZ(1) = (w_1 G) * (E(1) > 0), and grad W(1) is b times the
-    # sum of M(1)[blk]^T dloss/dZ(1)[blk] over 64-row blocks, first to last
+    # sum of M(1)[blk]^T dloss/dZ(1)[blk] over 64-row blocks, first to last.
+    # At d = 2 the 4 columns split over 3 ranges, and 10 blocks are enough
+    # for a one-column slice to be summed pairwise instead; without the L2
+    # term, which would round such a difference away, and at a seed whose
+    # sums differ in those two orders
     ranges(3)
-    split = small_split(m=150, n=180)  # 330 rows: five whole blocks and 10 rows
-    S = laplacian_for(split)
-    hyper = preset("ours", d=8, L=1, beta=0.3)
-    rng = np.random.default_rng(7)
-    params = init_params(split.m, split.n, hyper, rng)
-    params.W_layers = [rng.normal(0, 0.3, (8, 8))]
-    batch = sample_bpr_triples(split, 96, rng)
-    trace = forward(params, S, hyper)
-    G = _loss_grad_wrt_estar(trace, batch).copy()
-    dZ = hyper.layer_weights[1] * G * (trace.E_layers[1] > 0)
-    M = trace.mixed_layers[0]
-    total = M[:BLOCK_ROWS].T @ dZ[:BLOCK_ROWS]
-    for lo in range(BLOCK_ROWS, S.shape[0], BLOCK_ROWS):
-        total = total + M[lo:lo + BLOCK_ROWS].T @ dZ[lo:lo + BLOCK_ROWS]
-    want = 0.3 * total + 2.0 * 1e-3 * params.W_layers[0]
-    got = backward(trace, batch, params, hyper, 1e-3).W_layers[0]
-    assert got.tobytes() == want.tobytes()
+    # 330 rows: five whole blocks and 10 rows; 630 rows: nine and 54
+    for d, m, n, reg, seed in ((8, 150, 180, 1e-3, 7), (2, 300, 330, 0.0, 4)):
+        split = small_split(m=m, n=n)
+        S = laplacian_for(split)
+        hyper = preset("ours", d=d, L=1, beta=0.3)
+        rng = np.random.default_rng(seed)
+        params = init_params(split.m, split.n, hyper, rng)
+        params.W_layers = [rng.normal(0, 0.3, (d, d))]
+        batch = sample_bpr_triples(split, 96, rng)
+        trace = forward(params, S, hyper)
+        G = _loss_grad_wrt_estar(trace, batch) @ trace.E_star
+        dZ = hyper.layer_weights[1] * G * (trace.E_layers[1] > 0)
+        M = trace.mixed_layers[0]
+        total = M[:BLOCK_ROWS].T @ dZ[:BLOCK_ROWS]
+        for lo in range(BLOCK_ROWS, S.shape[0], BLOCK_ROWS):
+            total = total + M[lo:lo + BLOCK_ROWS].T @ dZ[lo:lo + BLOCK_ROWS]
+        want = 0.3 * total + 2.0 * reg * params.W_layers[0]
+        got = backward(trace, batch, params, hyper, reg).W_layers[0]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fit_under_fast_thread_switching_is_bitwise_one_range(ranges):
+    # four ranges on any core count, the GIL handed over every microsecond:
+    # each fit starts from a fresh trace, so the ranges take their margin and
+    # Adam buffers from one Workspace at once, and add into disjoint columns
+    # of the same grad W(l)
+    split = small_split()
+    hyper = preset("ours", d=8, L=3)
+    batch_size = 2100  # four ranges of triples, cut at 512, 1024 and 1536
+    config = TrainConfig(lr=0.01, epochs=1, batches_per_epoch=3, batch_size=batch_size,
+                         eval_every=0)
+    runs = []
+    interval = sys.getswitchinterval()
+    for k in (1, 4, 4, 4):
+        ranges(k)
+        assert len(even_partition(batch_size, MARGIN_CHUNK)) == k + 1
+        sys.setswitchinterval(1e-6)
+        try:
+            fitted, log = fit(split, hyper, config)
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append([log[0]["loss"]] + [x.tobytes() for x in [fitted.W] + fitted.W_layers])
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 def test_divergence_in_a_worker_range_reaches_the_caller(ranges):
@@ -191,7 +222,7 @@ def test_finite_layer_whose_sum_overflows_passes(ranges):
     assert np.array_equal(trace.E_layers[1], params.W)
 
 
-def test_sync_action_runs_once_per_sync_with_every_range_waiting(ranges):
+def test_sync_returns_once_every_range_has_reached_it(ranges):
     ranges(3)
     bounds = row_partition(laplacian_for(small_split()))
     done = np.zeros((3, 4), dtype=int)
@@ -201,12 +232,29 @@ def test_sync_action_runs_once_per_sync_with_every_range_waiting(ranges):
         for j in range(4):
             done[bounds.index(lo), j] = 1
             sync()
+            seen.append((j, done[:, j].sum()))
 
-    def at_sync(j):
-        seen.append((j, done[:, j].sum(), done[:, j + 1:].sum()))
+    graph.run_ranges(bounds, body)
+    assert sorted(seen) == [(j, 3) for j in range(4) for _ in range(3)]
 
-    graph.run_ranges(bounds, body, at_sync)
-    assert seen == [(j, 3, 0) for j in range(4)]
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_adam_is_bitwise_the_whole_array_step_for_any_range_count(k, ranges):
+    # 1,000 rows: ranges cut at multiples of 64, and the last chunk of each
+    # range is shorter than ADAM_CHUNK; a 1-d array and a (d, d) one ride along
+    ranges(k)
+    assert len(even_partition(1000)) == k + 1 and 1000 % ADAM_CHUNK
+    rng = np.random.default_rng(8)
+    shapes = [(1000, 8), (8, 8), (300,)]
+    ranged = [rng.normal(size=s) for s in shapes]
+    whole = [p.copy() for p in ranged]
+    state, oracle = OptimizerState(), {}
+    for _ in range(4):
+        grads = [rng.normal(size=s) for s in shapes]
+        optimizer_step(ranged, grads, 0.05, state)
+        whole_array_adam(whole, grads, 0.05, oracle)
+        assert [p.tobytes() for p in ranged + state.m + state.v] == \
+            [p.tobytes() for p in whole + oracle["m"] + oracle["v"]]
 
 
 # OPENBLAS_NUM_THREADS is read when numpy loads, so each count needs a process

@@ -175,7 +175,7 @@ class TestBatchPath:
     def test_gradient_matches_per_triple_scatter(self, case):
         m, n, E, batch = case
         trace = bprmf_trace(m, n, E)
-        got = _loss_grad_wrt_estar(trace, batch)
+        got = _loss_grad_wrt_estar(trace, batch) @ trace.E_star
         want = scatter_loss_grad(E, m, batch)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= scatter_bound(E, m, batch))

@@ -1,7 +1,6 @@
 """Buffer reuse: forward(out=trace), the backward workspace and the fused Adam
 step give bitwise the results of fresh arrays, and allocate less."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -229,7 +228,7 @@ def test_reused_forward_allocates_a_fraction_of_fresh():
 
 def test_training_step_allocates_only_the_returned_gradient():
     """tracemalloc peak of one L=8 step (forward into the trace, loss,
-    backward) after a warm-up step: below two (N, d) float64 arrays, so
+    backward, Adam) after a warm-up step: below two (N, d) float64 arrays, so
     nothing of that size but the returned grad_W. It counts bytes, so the
     bound holds on any machine. N is large enough that the (d, d) arrays
     (each T(l) and the returned W(l) gradients) stay small beside (N, d)."""
@@ -238,15 +237,22 @@ def test_training_step_allocates_only_the_returned_gradient():
     hyper = preset("ours", d=64, L=8)
     params = random_params(m, n, hyper, 10)
     batch = np.stack([np.arange(64) % m, np.arange(64) % n, (np.arange(64) + 7) % n], axis=1)
-    trace = forward(params, S, hyper)
-    bpr_loss(trace, batch, 1e-4, params)
-    backward(trace, batch, params, hyper, 1e-4)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    state = OptimizerState()
+    trace = None
+
+    def step():
+        nonlocal trace
         trace = forward(params, S, hyper, out=trace)
         bpr_loss(trace, batch, 1e-4, params)
         grads = backward(trace, batch, params, hyper, 1e-4)
+        optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers, 1e-3, state)
+        return grads
+
+    step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads = step()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -286,7 +292,7 @@ def test_training_bytes_bound_a_warm_step():
     finally:
         tracemalloc.stop()
     kept = [*trace.workspace._buffers.values(), params.W, *params.W_layers, *state.m, *state.v,
-            *itertools.chain.from_iterable(state.scratch)]
+            *state.scratch._buffers.values()]
     used = peak + sum(x.nbytes for x in kept)
     bound = training_bytes(m + n, hyper.d, hyper.L, B)
     assert used < bound, (used, bound)
