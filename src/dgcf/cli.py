@@ -199,6 +199,10 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 def cmd_train(cfg: RunConfig) -> None:
     from .train import TrainConfig, fit, training_bytes  # here: serving never imports training
 
+    log_path = cfg.log or cfg.out + ".log.jsonl"
+    for path in map(Path, (cfg.out, log_path)):  # before training, not after it
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
     split = load_split(cfg.data)
     # a d < 1 is left to Hyperparams
     check_memory(training_bytes(split.m + split.n, max(cfg.dim, 0),
@@ -212,7 +216,6 @@ def cmd_train(cfg: RunConfig) -> None:
                    activation=cfg.activation, embedding_mode=cfg.embedding_mode)
     params, log = fit(split, hyper, tcfg)
     save_model(cfg.out, cfg.model, params, hyper, split)
-    log_path = cfg.log or cfg.out + ".log.jsonl"
     write_atomic_text(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
     # the echo states the saved model, whose preset may have overridden options
     saved = RunConfig(**{**vars(cfg), "dim": hyper.d, "layers": hyper.L, "alpha": hyper.alpha,

@@ -128,11 +128,11 @@ class ForwardTrace:
     holds T(l) = (1-b) I + b W(l-1), or None when b = 0, so that
     E(l) = act(M(l) T(l)). E_layers are the rows of one (L+1, N, d) stack in
     workspace, so E(0) is a copy of params.W in free mode, and E* is the
-    weighted sum of its rows. Arrays alias where the model makes them
-    equal: M(l) is E(0) when a = 1, and M(l) is E(l) under identity with
-    b = 0. workspace owns the buffers behind the stack, M(l), E*, S_mix's
-    values and the scratch of forward and backward; passing the trace back to
-    forward as `out` overwrites all of them. margins is (batch, x), the BPR
+    weighted sum of its rows. M(l) is E(l) under identity with b = 0, where
+    the model makes them equal, and has its own buffer otherwise. workspace
+    owns the buffers behind the stack, M(l), E*, S_mix's values and the
+    scratch of forward and backward; passing the trace back to forward as
+    `out` overwrites all of them. margins is (batch, x), the BPR
     margins of the last batch scored on E*, which the loss and the backward
     pass of one step share; forward clears it.
     """
@@ -160,8 +160,8 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
     """Full forward pass on the graph S: E(0), L propagation layers, E*.
 
     Each mix M(l) accumulates S_mix E(l-1) in place onto a E(0), or onto
-    zeros at a = 0; at a = 1 the product is skipped and M(l) is E(0). b = 0
-    skips the transform. E* = w_0 E(0) + w_1 E(1) + ..., added in layer
+    zeros at a = 0; at a = 1 S_mix's values are zeros, so M(l) equals E(0).
+    b = 0 skips the transform. E* = w_0 E(0) + w_1 E(1) + ..., added in layer
     order. Each range of row_partition(S) runs on its own thread
     for the whole pass, and the ranges meet once per layer, when E(l-1) is
     complete. Given `out`, a trace from an earlier call, forward writes this
@@ -187,10 +187,10 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
         data = np.multiply(1.0 - a, S.data, out=ws.get("S_mix", S.data.shape))
         S_mix = sp.csr_array((data, S.indices, S.indptr), shape=S.shape)
     relu = hyper.activation == "relu"
-    own_M = a != 1.0 and (b != 0.0 or relu)  # else M(l) is E(l)
+    own_M = b != 0.0 or relu  # else M(l) is E(l)
     out.m, out.E_layers, out.S, out.S_mix, out.margins = params.m, list(stack), S, S_mix, None
-    out.mixed_layers = [out.E_layers[0] if a == 1.0 else ws.get(("M", l), shape) if own_M
-                        else out.E_layers[l] for l in range(1, L + 1)]
+    out.mixed_layers = [ws.get(("M", l), shape) if own_M else out.E_layers[l]
+                        for l in range(1, L + 1)]
     out.transforms = [None if b == 0.0 else (1.0 - b) * np.eye(shape[1]) + b * W_l
                       for W_l in params.W_layers]
     out.E_star = ws.get("E_star", shape)
@@ -208,12 +208,11 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
         for l in range(1, L + 1):
             sync()
             M, T, E = out.mixed_layers[l - 1][lo:hi], out.transforms[l - 1], stack[l, lo:hi]
-            if a != 1.0:
-                if a == 0.0:
-                    M.fill(0.0)
-                else:
-                    np.multiply(a, E0, out=M)
-                add_product(S_mix, stack[l - 1], M, (lo, hi))
+            if a == 0.0:
+                M.fill(0.0)
+            else:
+                np.multiply(a, E0, out=M)
+            add_product(S_mix, stack[l - 1], M, (lo, hi))
             if T is None:
                 Z = M
             else:
@@ -228,8 +227,6 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
                 raise DivergenceError("non-finite values in propagation layer output")
             if relu:  # in place, except that M stays as it is
                 np.maximum(Z, 0.0, out=E)
-            elif a == 1.0 and T is None:  # E(l) equals E(0)
-                np.copyto(E, Z)
         E_star = out.E_star[lo:hi]
         np.multiply(w[0], E0, out=E_star)
         for k in range(1, L + 1):

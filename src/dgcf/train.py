@@ -210,7 +210,7 @@ def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
         for l in range(L, -1, -1):
             Dl = (M_dots[(L - l) % 2] if b == 0.0 and l else D)[lo:hi]
             np.multiply(w[l], G_rows, out=Dl)
-            if l < L and a != 1.0:
+            if l < L:
                 add_product(trace.S_mix, M_dots[(L - l - 1) % 2], Dl, (lo, hi))
             if l == 0:
                 break

@@ -24,7 +24,10 @@ def write_atomic_bytes(path: str | Path, *parts) -> None:
     Readers never observe a partial file, even if the process dies mid-write.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:  # the temp file's random name means nothing to the caller
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(parts)

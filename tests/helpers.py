@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from dgcf.errors import DataError, ParseError
+from dgcf.graph import spmm
 from dgcf.model import ModelParams
 from dgcf.util import read_text
 
@@ -44,6 +45,27 @@ def layer_order_sum(weights, layers) -> np.ndarray:
         total = total + w * E
     return total
 
+
+
+def lightgcn_forward(E0: np.ndarray, S: sp.csr_array, L: int) -> np.ndarray:
+    """E(l) = S E(l-1) for l = 1..L; returns the uniform mean over E(0)..E(L).
+
+    The independent LightGCN propagation: the model configured with alpha=0,
+    beta=0, identity activation and free embeddings must reproduce it. E0
+    here is a free embedding table, per the reference model's convention.
+    """
+    if L < 0:
+        raise ValueError(f"L must be >= 0, got {L}")
+    if S.shape[0] != E0.shape[0]:
+        raise ValueError(f"S {S.shape} does not match E0 {E0.shape}")
+    if L == 0:
+        return E0.copy()
+    acc = E0.copy()
+    E = E0
+    for _ in range(L):
+        E = spmm(S, E)
+        acc += E
+    return acc / (L + 1)
 
 def dense_normalized_adjacency(m: int, n: int, pairs) -> np.ndarray:
     """D^(-1/2) A D^(-1/2) built with dense arithmetic and explicit loops."""

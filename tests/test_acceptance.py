@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from dgcf import cli
-from dgcf.baselines import lightgcn_forward
 from dgcf.data import DatasetSplit, RawInteractions, k_core_filter, split_train_test
 from dgcf.evaluate import evaluate_model, oversmoothing_report
 from dgcf.experiments import CHECK_6, CHECK_7, train_and_score
@@ -25,8 +24,8 @@ from dgcf.synthetic import bipartite_ring
 from dgcf.train import backward, bpr_loss
 
 from conftest import laplacian_from_pairs
-from helpers import brute_force_k_core, finite_diff_grad, naive_evaluate, \
-    random_interactions, rel_err
+from helpers import brute_force_k_core, finite_diff_grad, lightgcn_forward, \
+    naive_evaluate, random_interactions, rel_err
 
 DIM = 64
 

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dgcf.baselines import lightgcn_forward
 from dgcf.data import RawInteractions, split_train_test
 from dgcf.evaluate import evaluate_model
 from dgcf.model import ModelParams, forward, preset, score_all_items
 from dgcf.train import TrainConfig, backward, bpr_loss, fit, laplacian_for
-from helpers import finite_diff_grad, rel_err
+from helpers import finite_diff_grad, lightgcn_forward, rel_err
 
 from conftest import laplacian_from_pairs
 

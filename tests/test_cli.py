@@ -481,6 +481,21 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", "error: --seed must be >= 0, got -1\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_train_into_missing_directory_is_one_before_training(self, flag, dataset_dir,
+                                                                 tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr("dgcf.train.fit", never)
+        missing = tmp_path / "missing" / "m.dgcf"
+        argv = ["train", "--data", str(dataset_dir), "--epochs", "1",
+                "--out", str(tmp_path / "m.dgcf"), flag, str(missing)]  # the last --out wins
+        code, out, err = run_cli(argv, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {missing}: {missing.parent} is not a directory\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command,flags", [
         ("train", "--dim, --layers, --batch-size"),
         ("diagnose", "--layers, --dim"),

@@ -260,3 +260,10 @@ class TestAtomicity:
         write_atomic_bytes(path, b"one")
         write_atomic_bytes(path, b"two")
         assert path.read_bytes() == b"two"
+
+    def test_missing_directory_names_the_destination(self, tmp_path):
+        # not the temp file, whose name the caller never gave
+        missing = tmp_path / "missing" / "f.bin"
+        with pytest.raises(FileNotFoundError) as err:
+            write_atomic_bytes(missing, b"one")
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{missing}'"

@@ -14,10 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dgcf"
 
 # Definitions allowed to have only tests as callers, with the reason.
-EXEMPT = {
-    "dgcf.baselines.lightgcn_forward": "perfbench/spans.py imports dgcf.baselines without a "
-                                       "guard, so the module stays until the benchmark changes",
-}
+EXEMPT: dict[str, str] = {}
 
 
 def is_package(module: str | None, level: int) -> bool:

@@ -167,7 +167,10 @@ def test_divergence_in_a_worker_range_reaches_the_caller(ranges):
     hyper = preset("ours", d=8, L=2, alpha=1.0, embedding_mode="free")
     params = init_params(split.m, split.n, hyper, np.random.default_rng(4))
     good = params.W.copy()
-    params.W[hi - 1, 3] = np.inf  # Z = E(0) T: only range 1 sees it
+    # a user of range 1, whose items are in range 1 too: no row of range 0
+    # reads it, so only range 1 sees the inf (in M(1) and Z = M(1) T)
+    assert lo < split.m and not S[:lo].toarray()[:, lo].any()
+    params.W[lo, 3] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
         forward(params, S, hyper)
     assert str(err.value) == "non-finite values in propagation layer output"
@@ -176,11 +179,11 @@ def test_divergence_in_a_worker_range_reaches_the_caller(ranges):
 
 
 def test_worker_ranges_keep_the_callers_error_state(ranges):
-    # inf * 0 in Z = E(0) T, in range 1 only: under np.errstate(invalid="raise")
+    # inf * 0 in E* = 0 E(0), in range 1 only: under np.errstate(invalid="raise")
     # it raises as it would on the calling thread
     split = small_split()
     S = laplacian_for(split)
-    hyper = preset("ours", d=8, L=1, alpha=1.0, embedding_mode="free")
+    hyper = preset("ours", d=8, L=0, layer_weights=[0.0], embedding_mode="free")
     params = init_params(split.m, split.n, hyper, np.random.default_rng(4))
     params.W[-1, 3] = np.inf
     for k in (1, 2):
@@ -191,12 +194,18 @@ def test_worker_ranges_keep_the_callers_error_state(ranges):
 
 @pytest.mark.parametrize("act", ["relu", "identity"])
 def test_every_non_finite_value_at_a_range_edge_is_caught(act, ranges):
-    # a = 1, b = 0: Z = E(0) = W, so each value reaches the check as it is;
-    # relu would turn -inf into 0 after it
+    # a = 1, b = 0: Z = E(0) = W on rows without neighbours, so each value
+    # reaches its own range's check as it is, and no other row reads it;
+    # relu would turn -inf into 0 after the check
     ranges(3)
-    split = small_split()
+    m, n = 150, 170
+    bounds = row_partition(laplacian_for(small_split(m, n)))
+    edges = {r for lo, hi in zip(bounds[:-1], bounds[1:]) for r in (lo, hi - 1)}
+    pairs = [(u, i) for u, i in random_interactions(np.random.default_rng(0), m, n, 5)
+             if u not in edges and m + i not in edges]  # small_split's pairs
+    split = DatasetSplit(InteractionMatrix.from_pairs(m, n, pairs), None, {}, {}, 0)
     S = laplacian_for(split)
-    bounds = row_partition(S)
+    assert row_partition(S) == bounds
     hyper = preset("ours", d=8, L=1, alpha=1.0, beta=0.0, activation=act, embedding_mode="free")
     params = init_params(split.m, split.n, hyper, np.random.default_rng(5))
     good = params.W.copy()

@@ -16,8 +16,8 @@ from helpers import finite_diff_grad, layer_order_sum, random_interactions, rel_
 
 from conftest import laplacian_from_pairs
 
-# every preset in both embedding modes (lightgcn and bprmf pin free), and the
-# endpoints where arrays alias: a = 1 (M is E(0)), b = 0 under identity (M is E(l))
+# every preset in both embedding modes (lightgcn and bprmf pin free), the
+# endpoint a = 1 (S_mix's values are zeros), and b = 0 under identity (M is E(l))
 CASES = {
     "ours-sw": ("ours", {}),
     "ours-free": ("ours", dict(embedding_mode="free")),
@@ -71,8 +71,7 @@ def assert_follows_definition(trace, params, S, hyper):
     want = [E0]
     for l, W_l in enumerate(params.W_layers, start=1):
         E_prev = trace.E_layers[l - 1]
-        M = E0 if a == 1.0 else S @ E_prev if a == 0.0 else row_order_spmm_add(
-            S_mix, E_prev, a * E0)
+        M = S @ E_prev if a == 0.0 else row_order_spmm_add(S_mix, E_prev, a * E0)
         Z = M if b == 0.0 else M @ ((1.0 - b) * np.eye(hyper.d) + b * W_l)
         assert trace.mixed_layers[l - 1].tobytes() == M.tobytes()
         want.append(np.maximum(Z, 0.0) if hyper.activation == "relu" else Z)
@@ -81,16 +80,14 @@ def assert_follows_definition(trace, params, S, hyper):
 
 
 def assert_aliasing(trace, params, hyper):
-    """E(0)..E(L) are the rows of one stack, E(0) never is W, M(l) is E(0) at
-    a = 1 and E(l) under identity with b = 0, and has its own buffer otherwise."""
+    """E(0)..E(L) are the rows of one stack, E(0) never is W, and M(l) is E(l)
+    under identity with b = 0 and has its own buffer otherwise, a = 1 included."""
     stack = trace.E_layers[0].base
     assert stack is not None and stack.shape == (hyper.L + 1,) + params.W.shape
     assert all(E.base is stack for E in trace.E_layers)
     assert not np.shares_memory(trace.E_layers[0], params.W)
     for l, M in enumerate(trace.mixed_layers, start=1):
-        if hyper.alpha == 1.0:
-            assert M is trace.E_layers[0]
-        elif hyper.beta == 0.0 and hyper.activation == "identity":
+        if hyper.beta == 0.0 and hyper.activation == "identity":
             assert M is trace.E_layers[l]
         else:
             assert not np.shares_memory(M, stack)
@@ -113,8 +110,8 @@ def test_forward_into_previous_trace_is_bitwise_fresh(case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_forward_into_trace_of_other_model(case):
-    # the workspace holds buffers by role, so a trace whose arrays alias most
-    # (a = 1, b = 0, identity) can take any model's pass, and back
+    # the workspace holds buffers by role, so a trace whose M(l) are its E(l)
+    # (b = 0, identity) can take any model's pass, and back
     S = laplacian_from_pairs(7, 8, random_interactions(np.random.default_rng(1), 7, 8, 3))
     aliasing = hyper_of("alpha1-beta0-identity-free")
     hyper = hyper_of(case)
