@@ -200,9 +200,11 @@ def cmd_train(cfg: RunConfig) -> None:
     from .train import TrainConfig, fit, training_bytes  # here: serving never imports training
 
     log_path = cfg.log or cfg.out + ".log.jsonl"
-    for path in map(Path, (cfg.out, log_path)):  # before training, not after it
+    for path in map(Path, (cfg.out, log_path, cfg.out + ".config")):  # before training
         if not path.parent.is_dir():
             raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
     split = load_split(cfg.data)
     # a d < 1 is left to Hyperparams
     check_memory(training_bytes(split.m + split.n, max(cfg.dim, 0),

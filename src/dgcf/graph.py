@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .errors import DgcfError
+
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
@@ -93,41 +95,45 @@ def spmm(S: sp.csr_array, E: np.ndarray) -> np.ndarray:
 
 def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray,
                 rows: tuple[int, int] | None = None) -> np.ndarray:
-    """out += S @ E in place, for a C-contiguous float64 out; returns out.
-    With rows = (lo, hi), out holds rows lo..hi-1 only and receives S[lo:hi] @ E.
+    """out += S @ E in place, for a float64 CSR S and a C-contiguous float64
+    out; returns out. With rows = (lo, hi), out holds rows lo..hi-1 only and
+    receives S[lo:hi] @ E.
 
-    A CSR S runs scipy's csr_matvecs, the kernel that S @ E runs after
-    np.zeros: each output row adds its entries' products in stored order, so
-    a zero-filled out receives exactly S @ E, and a row's result does not
+    It runs scipy's csr_matvecs, the kernel that S @ E runs after np.zeros:
+    each output row adds its entries' products in stored order, so a
+    zero-filled out receives exactly S @ E, and a row's result does not
     depend on the rows asked for. The kernel is private scipy API, the
-    package's one use of it; without it (or for another format) this falls
-    back to out += S[lo:hi] @ E, which rounds the sum before adding it.
+    package's one use of it. No other product rounds the same onto a
+    non-zero out, so without the kernel this raises DgcfError.
     """
     lo, hi = (0, S.shape[0]) if rows is None else rows
     E = np.asarray(E, dtype=np.float64)
     if E.ndim not in (1, 2) or S.shape[1] != E.shape[0]:
         raise ValueError(f"dimension mismatch: {S.shape} @ {E.shape}")
+    if not 0 <= lo <= hi <= S.shape[0]:  # the kernel would read past S.indptr
+        raise ValueError(f"rows {rows} out of range for {S.shape[0]} rows")
+    if S.format != "csr" or S.dtype != np.float64:
+        raise ValueError(f"S must be a float64 CSR matrix, got {S.dtype} {S.format}")
     want = (hi - lo,) + E.shape[1:]
     if not (isinstance(out, np.ndarray) and out.shape == want and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {want}")
-    kernel = _csr_matvecs()
-    if kernel is None or S.format != "csr" or S.dtype != np.float64:
-        out += S[lo:hi] @ E if rows is not None else S @ E
-    else:
-        n_vecs = E.shape[1] if E.ndim == 2 else 1
-        kernel(hi - lo, S.shape[1], n_vecs, S.indptr[lo:hi + 1], S.indices, S.data,
-               np.ascontiguousarray(E).ravel(), out.ravel())
+    n_vecs = E.shape[1] if E.ndim == 2 else 1
+    _csr_matvecs()(hi - lo, S.shape[1], n_vecs, S.indptr[lo:hi + 1], S.indices, S.data,
+                   np.ascontiguousarray(E).ravel(), out.ravel())
     return out
 
 
 @functools.cache
 def _csr_matvecs():
-    """scipy's private csr_matvecs kernel, loaded on first use; None without it."""
+    """scipy's private csr_matvecs kernel, loaded on first use."""
     try:
         from scipy.sparse._sparsetools import csr_matvecs
-    except ImportError:  # private scipy API: add_product falls back to S @ E
-        return None
+    except ImportError:
+        import scipy
+
+        raise DgcfError(f"scipy {scipy.__version__} has no scipy.sparse._sparsetools."
+                        "csr_matvecs, the kernel of every sparse product") from None
     return csr_matvecs
 
 

@@ -132,9 +132,7 @@ class ForwardTrace:
     the model makes them equal, and has its own buffer otherwise. workspace
     owns the buffers behind the stack, M(l), E*, S_mix's values and the
     scratch of forward and backward; passing the trace back to forward as
-    `out` overwrites all of them. margins is (batch, x), the BPR
-    margins of the last batch scored on E*, which the loss and the backward
-    pass of one step share; forward clears it.
+    `out` overwrites all of them.
     """
 
     m: int
@@ -145,7 +143,6 @@ class ForwardTrace:
     S: sp.csr_array | None = field(repr=False, default=None)
     S_mix: sp.csr_array | None = field(repr=False, default=None)
     workspace: Workspace = field(repr=False, default_factory=Workspace)
-    margins: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 
 
 def init_params(m: int, n: int, hyper: Hyperparams, rng: np.random.Generator) -> ModelParams:
@@ -188,7 +185,7 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
         S_mix = sp.csr_array((data, S.indices, S.indptr), shape=S.shape)
     relu = hyper.activation == "relu"
     own_M = b != 0.0 or relu  # else M(l) is E(l)
-    out.m, out.E_layers, out.S, out.S_mix, out.margins = params.m, list(stack), S, S_mix, None
+    out.m, out.E_layers, out.S, out.S_mix = params.m, list(stack), S, S_mix
     out.mixed_layers = [ws.get(("M", l), shape) if own_M else out.E_layers[l]
                         for l in range(1, L + 1)]
     out.transforms = [None if b == 0.0 else (1.0 - b) * np.eye(shape[1]) + b * W_l

@@ -69,8 +69,8 @@ def training_bytes(N: int, d: int, L: int, batch_size: int) -> int:
     and bpr_loss's squared W), the relu mask's (N, d) bytes, two layers' (d, d)
     partial products per BLOCK_ROWS rows, two (ADAM_CHUNK, d) buffers per
     range of Adam, two (MARGIN_CHUNK, d) margin buffers per range of triples,
-    and the batch path's 32 values per triple (sampling, margins, the sparse
-    loss gradient; tracemalloc sees about 250 bytes)."""
+    and the batch path's 32 values per triple (sampling, margins, bpr_loss's
+    seed C; tracemalloc sees about 250 bytes)."""
     adam_ranges = len(even_partition(N)) - 1
     margin_ranges = len(even_partition(batch_size, MARGIN_CHUNK)) - 1
     floats = ((2 * L + 13) * N * d + 2 * -(-N // BLOCK_ROWS) * d * d
@@ -80,10 +80,7 @@ def training_bytes(N: int, d: int, L: int, batch_size: int) -> int:
 
 
 def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
-    """x_t = <e_u, e_i> - <e_u, e_j> per triple on trace.E_star, computed once
-    per forward pass and batch: bpr_loss and backward of a step share it."""
-    if trace.margins is not None and np.array_equal(trace.margins[0], batch):
-        return trace.margins[1]
+    """x_t = <e_u, e_i> - <e_u, e_j> per triple on trace.E_star."""
     E_star, m = trace.E_star, trace.m
     n = E_star.shape[0] - m
     if batch.min() < 0 or batch[:, 0].max() >= m or batch[:, 1:].max() >= n:
@@ -111,13 +108,16 @@ def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
             np.sum(r, axis=1, out=x[start:end])
 
     run_ranges(even_partition(len(batch), MARGIN_CHUNK), triples)
-    trace.margins = (batch.copy(), x)  # a copy, so an edit of batch in place misses
     return x
 
 
 def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
-             params: ModelParams) -> float:
-    """Mean softplus(-margin) plus L2 penalty on all parameter matrices."""
+             params: ModelParams) -> tuple[float, sp.csr_array]:
+    """Mean softplus(-margin) plus L2 penalty on all parameter matrices, and
+    the seed C of backward, with d(mean softplus term)/d(E_star) = C E_star.
+    C is the symmetric N x N matrix with entries c_t at (u, m+i) and (m+i, u)
+    and -c_t at (u, m+j) and (m+j, u) per triple t, c_t = dloss/dx_t;
+    csr_array sums repeated entries in a fixed order."""
     batch = np.asarray(batch)
     if batch.size == 0:
         raise ValueError("empty batch")
@@ -128,61 +128,51 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
     reg = float(np.sum(W_sq))
     for Wl in params.W_layers:
         reg += float(np.sum(Wl * Wl))
-    return rank_term + reg_lambda * reg
-
-
-def _loss_grad_wrt_estar(trace: ForwardTrace, batch: np.ndarray) -> sp.csr_array:
-    """The matrix C with d(mean softplus term)/d(E_star) = C E_star, a sparse
-    product that backward forms range by range. C is the symmetric N x N
-    matrix with entries c_t at (u, m+i) and (m+i, u) and -c_t at (u, m+j) and
-    (m+j, u) per triple t, c_t = dloss/dx_t; csr_array sums repeated entries
-    in a fixed order."""
-    m = trace.m
-    N = trace.E_star.shape[0]
+    m, N = trace.m, trace.E_star.shape[0]
     u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
-    c = -expit(-_margins(trace, batch)) / len(batch)  # dloss/dx_t
+    c = -expit(-x) / len(batch)  # dloss/dx_t
     rows = np.concatenate([u, u, i, j])
     cols = np.concatenate([i, j, u, u])
     vals = np.concatenate([c, -c, c, -c])
-    return sp.csr_array((vals, (rows, cols)), shape=(N, N))
+    return rank_term + reg_lambda * reg, sp.csr_array((vals, (rows, cols)), shape=(N, N))
 
 
-def backward(trace: ForwardTrace, batch: np.ndarray, params: ModelParams,
+def backward(trace: ForwardTrace, C: sp.csr_array, params: ModelParams,
              hyper: Hyperparams, reg_lambda: float) -> ModelParams:
-    """Exact gradient of bpr_loss(trace, batch, reg_lambda, params) with respect
-    to W and every W(l), returned in the shape of params.
+    """Exact gradient with respect to W and every W(l) of a loss whose
+    gradient with respect to E* is C E*, plus reg_lambda times the squared
+    norms of W and the W(l), returned in the shape of params. With the C of
+    bpr_loss(trace, batch, reg_lambda, params), that is bpr_loss's gradient.
+    C is a float64 CSR matrix of S's shape.
 
     Reverse pass through E* = sum w_k E(k), E(l) = act(M(l) T(l)),
     M(l) = a E(0) + S_mix E(l-1), E(0) = S W (or W). S, S_mix = (1-a) S and
     T(l) are those of the forward pass, read from the trace; the relu mask
     is E(l) > 0, which equals M(l) T(l) > 0. G = dloss/dE* is the sparse
-    product C E* (see _loss_grad_wrt_estar) and D carries dloss/dE(l). Each
-    layer sets D = w(l) G and adds S_mix M_dot(l+1) into it in place, S_mix
-    being symmetric; M_dot(l) = dloss/dM(l) alternates between two buffers,
-    so that a layer writes one while every range reads the other. Under
-    b = 0, M_dot(l) is dloss/dZ(l) itself and D is written there. The
-    initial-residual path sums the M_dot unscaled in E0_bar and scales by a
-    once. M(l)^T dloss/dZ(l) is one small product per BLOCK_ROWS-row block,
-    into layer l's half of a partials buffer that alternates by layer like
-    M_dot; once layer l is complete, each range sums its own columns of
-    those partials over all blocks, in block order.
+    product C E*, and D carries dloss/dE(l). Each layer sets D = w(l) G and
+    adds S_mix M_dot(l+1) into it in place, S_mix being symmetric;
+    M_dot(l) = dloss/dM(l) alternates between two buffers, so that a layer
+    writes one while every range reads the other. Under b = 0, M_dot(l) is
+    dloss/dZ(l) itself and D is written there. The initial-residual path
+    sums the M_dot unscaled in E0_bar and scales by a once. M(l)^T
+    dloss/dZ(l) is one small product per BLOCK_ROWS-row block, into layer
+    l's half of a partials buffer that alternates by layer like M_dot; once
+    layer l is complete, each range sums its own columns of those partials
+    over all blocks, in block order.
 
     As in forward, each range of row_partition(S) runs on its own thread,
     from the rows of C E* to those of the gradient, and the ranges meet once
     per layer (and before the last product S D), so the result does not
     depend on their number. Every (N, d) temporary, G included, is a buffer
-    of trace.workspace, taken only by the models that read it, and the batch
-    adds only arrays of O(B) numbers, no (B, d) rows; the returned gradients
-    are fresh arrays.
+    of trace.workspace, taken only by the models that read it; the returned
+    gradients are fresh arrays.
     """
-    batch = np.asarray(batch)
-    if batch.size == 0:
-        raise ValueError("empty batch")
+    if C.shape != trace.S.shape:
+        raise ValueError(f"C {C.shape} does not match S {trace.S.shape}")
     if len(trace.E_layers) != hyper.L + 1:
         raise ValueError("trace does not match hyper.L")
     a, b, L = hyper.alpha, hyper.beta, hyper.L
     w = hyper.layer_weights
-    C = _loss_grad_wrt_estar(trace, batch)
     ws, shape = trace.workspace, trace.E_star.shape
     G = ws.get("G", shape)
     D = ws.get("D", shape)
@@ -328,10 +318,10 @@ def fit(split: DatasetSplit, hyper: Hyperparams, config: TrainConfig,
         for _ in range(bpe):
             batch = sample_bpr_triples(split, config.batch_size, rng)
             trace = forward(params, S, hyper, out=trace)
-            loss = bpr_loss(trace, batch, config.reg_lambda, params)
+            loss, C = bpr_loss(trace, batch, config.reg_lambda, params)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads = backward(trace, batch, params, hyper, config.reg_lambda)
+            grads = backward(trace, C, params, hyper, config.reg_lambda)
             optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers,
                            config.lr, state)
             total += loss

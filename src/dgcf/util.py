@@ -32,11 +32,13 @@ def write_atomic_bytes(path: str | Path, *parts) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(parts)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.filename == tmp:  # os.replace: name the destination
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes helpers importable
 
-from dgcf import cli
+from dgcf import cli, graph
 from dgcf.data import DatasetSplit, laplacian_for, load_split, split_train_test
 from dgcf.graph import InteractionMatrix
 from dgcf.synthetic import bipartite_ring
@@ -63,3 +63,13 @@ def rng():
 def acceptance_split(tmp_path_factory):
     """The split of checks 6 and 7: the walk corpus, 10-core, 20% held out, seed 0."""
     return load_split(script_dataset(tmp_path_factory.mktemp("acceptance"), "walk"))
+
+
+@pytest.fixture()
+def without_sparse_kernel(monkeypatch):
+    """scipy as a release without scipy.sparse._sparsetools would be: the
+    module cannot be imported, and add_product loads its kernel afresh."""
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
+    graph._csr_matvecs.cache_clear()
+    yield
+    graph._csr_matvecs.cache_clear()  # the next call loads the real kernel

@@ -54,9 +54,11 @@ def test_1_gradients_match_finite_differences(capfd):
                     B = 6
                     batch = np.stack([rng.integers(0, m, B), rng.integers(0, n, B),
                                       rng.integers(0, n, B)], axis=1)
-                    got = backward(forward(params, S, hyper), batch, params, hyper, reg)
+                    trace = forward(params, S, hyper)
+                    _, C = bpr_loss(trace, batch, reg, params)
+                    got = backward(trace, C, params, hyper, reg)
                     want = finite_diff_grad(
-                        params, lambda p: bpr_loss(forward(p, S, hyper), batch, reg, p),
+                        params, lambda p: bpr_loss(forward(p, S, hyper), batch, reg, p)[0],
                         step=1e-6)
                     worst = max(worst, rel_err(got.W, want.W))
                     for g, w in zip(got.W_layers, want.W_layers):

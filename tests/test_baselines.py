@@ -24,7 +24,7 @@ def bprmf_instance(P, Q):
 
 
 def bprmf_loss(params, S, hyper, batch, reg=0.0):
-    return bpr_loss(forward(params, S, hyper), batch, reg, params)
+    return bpr_loss(forward(params, S, hyper), batch, reg, params)[0]
 
 
 class TestPredict:
@@ -46,7 +46,8 @@ class TestGrads:
         batch = np.stack([rng.integers(0, 4, 8), rng.integers(0, 6, 8),
                           rng.integers(0, 6, 8)], axis=1)
         params, S, hyper = bprmf_instance(P, Q)
-        got = backward(forward(params, S, hyper), batch, params, hyper, 0.02)
+        trace = forward(params, S, hyper)
+        got = backward(trace, bpr_loss(trace, batch, 0.02, params)[1], params, hyper, 0.02)
         want = finite_diff_grad(params, lambda p: bprmf_loss(p, S, hyper, batch, 0.02),
                                 step=1e-6)
         assert got.W_layers == []
@@ -56,7 +57,8 @@ class TestGrads:
         rng = np.random.default_rng(0)
         params, S, hyper = bprmf_instance(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)))
         batch = np.array([[0, 2, 2], [1, 3, 3]])
-        grads = backward(forward(params, S, hyper), batch, params, hyper, 0.5)
+        trace = forward(params, S, hyper)
+        grads = backward(trace, bpr_loss(trace, batch, 0.5, params)[1], params, hyper, 0.5)
         assert np.allclose(grads.W, params.W, atol=1e-15)  # 2 * 0.5 * W
 
     def test_loss_at_zero_margin(self):

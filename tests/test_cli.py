@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from dgcf import cli
@@ -481,19 +482,37 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", "error: --seed must be >= 0, got -1\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", ["--out", "--log"])
-    def test_train_into_missing_directory_is_one_before_training(self, flag, dataset_dir,
-                                                                 tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("flag,directory", [("--out", False), ("--log", False),
+                                                ("--out", True), ("--log", True)],
+                             ids=["--out", "--log", "--out-directory", "--log-directory"])
+    def test_train_into_missing_directory_is_one_before_training(self, flag, directory,
+                                                                 dataset_dir, tmp_path,
+                                                                 monkeypatch, capsys):
+        # a path that is a directory is refused up front too, not once
+        # training is over, when os.replace fails onto it
         def never(*args, **kwargs):
             raise AssertionError("fit ran")
 
         monkeypatch.setattr("dgcf.train.fit", never)
-        missing = tmp_path / "missing" / "m.dgcf"
+        target = tmp_path / "d" if directory else tmp_path / "missing" / "m.dgcf"
+        if directory:
+            target.mkdir()
         argv = ["train", "--data", str(dataset_dir), "--epochs", "1",
-                "--out", str(tmp_path / "m.dgcf"), flag, str(missing)]  # the last --out wins
+                "--out", str(tmp_path / "m.dgcf"), flag, str(target)]  # the last --out wins
         code, out, err = run_cli(argv, monkeypatch, capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: cannot write {missing}: {missing.parent} is not a directory\n"
+        reason = "it is a directory" if directory else f"{target.parent} is not a directory"
+        assert err == f"error: cannot write {target}: {reason}\n"
+        assert list(tmp_path.rglob("*")) == ([target] if directory else [])
+
+    def test_train_without_sparse_kernel_is_one(self, dataset_dir, tmp_path, monkeypatch,
+                                                capsys, without_sparse_kernel):
+        argv = ["train", "--data", str(dataset_dir), "--epochs", "1", "--dim", "4",
+                "--layers", "1", "--out", str(tmp_path / "m.dgcf")]
+        code, out, err = run_cli(argv, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: scipy {scipy.__version__} has no scipy.sparse._sparsetools."
+                       "csr_matvecs, the kernel of every sparse product\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command,flags", [

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dgcf import graph
+from dgcf.errors import DgcfError
 from dgcf.graph import InteractionMatrix, add_product, spmm
-from helpers import canonical_csr, dense_normalized_adjacency, random_interactions, rel_err, \
+from helpers import canonical_csr, dense_normalized_adjacency, random_interactions, \
     row_order_spmm_add, scipy_laplacian
 
 from conftest import laplacian_from_pairs
@@ -225,17 +226,15 @@ def test_spmm_out_from_zero_is_the_fresh_product(case):
 
 
 @pytest.mark.parametrize("case", range(len(add_product_cases())))
-def test_spmm_out_fallback_without_kernel(case, monkeypatch):
-    monkeypatch.setattr(graph, "_csr_matvecs", lambda: None)
+def test_add_product_without_kernel_is_an_error(case, without_sparse_kernel):
+    # no other product rounds as the kernel does onto a non-zero out
     S, E = add_product_cases()[case]
-    out = np.zeros((S.shape[0], E.shape[1]))
-    add_product(S, E, out)
-    assert out.tobytes() == (S @ E).tobytes()
-    out0 = np.random.default_rng(case).normal(size=out.shape)
-    out = out0.copy()
-    add_product(S, E, out)
-    assert out.size == 0 or rel_err(out, row_order_spmm_add(S, E, out0)) <= 1e-14
-    assert in_two_row_ranges(S, E, out0).tobytes() == out.tobytes()
+    out = np.random.default_rng(case).normal(size=(S.shape[0], E.shape[1]))
+    before = out.copy()
+    with pytest.raises(DgcfError, match=rf"^scipy {scipy.__version__} has no "
+                                        r"scipy\.sparse\._sparsetools\.csr_matvecs"):
+        add_product(S, E, out)
+    assert out.tobytes() == before.tobytes()
 
 
 def test_spmm_out_rejects_bad_buffers():
@@ -253,6 +252,22 @@ def test_spmm_out_rejects_bad_buffers():
         add_product(S, E, frozen)
     with pytest.raises(ValueError):
         add_product(S, np.ones((3, 4)), np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("S", [sp.csr_array(np.eye(3, dtype=np.float32)),
+                               sp.csr_array(np.eye(3, dtype=np.int64)),
+                               sp.csc_array(np.eye(3)), sp.coo_array(np.eye(3))])
+def test_add_product_takes_only_float64_csr(S):
+    with pytest.raises(ValueError, match="float64 CSR"):
+        add_product(S, np.ones((3, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("rows", [(-1, 2), (2, 4), (3, 2)])
+def test_add_product_refuses_rows_outside_S(rows):
+    # the kernel would read past S.indptr
+    out = np.zeros((max(rows[1] - rows[0], 0), 2))
+    with pytest.raises(ValueError, match="out of range"):
+        add_product(sp.csr_array(np.eye(3)), np.ones((3, 2)), out, rows)
 
 
 @settings(max_examples=30, deadline=None)

@@ -261,6 +261,15 @@ class TestAtomicity:
         write_atomic_bytes(path, b"two")
         assert path.read_bytes() == b"two"
 
+    def test_replace_onto_a_directory_names_the_destination(self, tmp_path):
+        # os.replace fails, and the error names the path given, not the temp file
+        target = tmp_path / "d"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            write_atomic_bytes(target, b"one")
+        assert str(err.value) == f"[Errno 21] Is a directory: '{target}'"
+        assert list(tmp_path.rglob("*")) == [target]
+
     def test_missing_directory_names_the_destination(self, tmp_path):
         # not the temp file, whose name the caller never gave
         missing = tmp_path / "missing" / "f.bin"

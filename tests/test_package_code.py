@@ -4,10 +4,12 @@ Code that only tests call belongs in tests/ (an oracle goes to helpers.py).
 A name counts as used when package code other than its own definition,
 scripts/ or perfbench/ refers to it: as a name, an attribute of a dgcf
 module, an import, or a string that is exactly the name (perfbench's TARGETS
-table).
+table). And every dgcf name that perfbench imports or reads exists.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,16 +23,28 @@ def is_package(module: str | None, level: int) -> bool:
     return level > 0 or (module or "").split(".")[0] == "dgcf"
 
 
-def references(tree: ast.Module) -> list[set[str]]:
-    """Per top-level node of tree, the names it refers to. An attribute counts
-    only on a name bound to a dgcf module, so `metrics.recall_at_k` is not a
-    use of a function recall_at_k."""
-    modules = set()
+def package_bindings(tree: ast.Module) -> dict[str, str]:
+    """Each name an import in tree binds to dgcf or to a name in it, with the
+    dotted path it stands for: `from dgcf import train` binds train to
+    dgcf.train, `import dgcf.cli` binds dgcf to dgcf. A relative import's
+    path starts with its dots."""
+    bound = {}
     for sub in ast.walk(tree):
         if isinstance(sub, ast.ImportFrom) and is_package(sub.module, sub.level):
-            modules |= {a.asname or a.name for a in sub.names}  # may be modules; harmless
+            base = "." * sub.level + (sub.module + "." if sub.module else "")
+            bound |= {a.asname or a.name: base + a.name for a in sub.names}
         elif isinstance(sub, ast.Import):
-            modules |= {a.asname for a in sub.names if a.asname and is_package(a.name, 0)}
+            bound |= {a.asname or a.name.split(".")[0]: a.name if a.asname else "dgcf"
+                      for a in sub.names if is_package(a.name, 0)}
+    return bound
+
+
+def references(tree: ast.Module) -> list[set[str]]:
+    """Per top-level node of tree, the names it refers to. An attribute counts
+    only on a name bound to dgcf or a name in it (may be a function;
+    harmless), so `metrics.recall_at_k` is not a use of a function
+    recall_at_k."""
+    modules = set(package_bindings(tree))
     out = []
     for node in tree.body:
         found = set()
@@ -62,3 +76,29 @@ def test_src_has_no_test_only_code():
     unused = [qualname for qualname, name, own in definitions
               if name not in outside.union(*nodes[:own], *nodes[own + 1:])]
     assert unused == sorted(EXEMPT), "only tests use these; move them to tests/"
+
+
+def resolves(path: str) -> bool:
+    """Whether the dotted path is a module or an attribute of one."""
+    try:
+        importlib.import_module(path)
+    except ImportError:
+        module, _, attr = path.rpartition(".")
+        return bool(module) and resolves(module) and hasattr(sys.modules[module], attr)
+    return True
+
+
+def test_perfbench_reads_only_names_that_exist():
+    # every `from dgcf... import name` and `<dgcf module>.attr` in perfbench:
+    # a refactor that breaks one fails here, not in the benchmark run.
+    # TARGETS' strings are not checked: a missing one is skipped on purpose
+    missing = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = package_bindings(tree)
+        names = set(bound.values()) | {
+            f"{bound[sub.value.id]}.{sub.attr}" for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+            and sub.value.id in bound}
+        missing += [f"{path.name}: {name}" for name in sorted(names) if not resolves(name)]
+    assert missing == []

@@ -16,7 +16,7 @@ from dgcf.errors import DivergenceError
 from dgcf.graph import BLOCK_ROWS, InteractionMatrix, even_partition, row_partition
 from dgcf.model import forward, init_params, preset
 from dgcf.train import ADAM_CHUNK, MARGIN_CHUNK, OptimizerState, TrainConfig, \
-    _loss_grad_wrt_estar, backward, bpr_loss, fit, optimizer_step
+    backward, bpr_loss, fit, optimizer_step
 from helpers import random_interactions, whole_array_adam
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,8 +97,8 @@ def test_step_and_fit_are_bitwise_equal_for_any_range_count(a, b, act, mode, L, 
         ranges(k)
         assert len(row_partition(S)) == len(even_partition(len(batch), MARGIN_CHUNK)) == k + 1
         trace = forward(params, S, hyper)
-        bpr_loss(trace, batch, 1e-3, params)
-        grads = backward(trace, batch, params, hyper, 1e-3)
+        _, C = bpr_loss(trace, batch, 1e-3, params)
+        grads = backward(trace, C, params, hyper, 1e-3)
         fitted, _ = fit(split, hyper, config)
         arrays = (trace.E_layers + trace.mixed_layers + [trace.E_star, grads.W] + grads.W_layers
                   + [fitted.W] + fitted.W_layers)
@@ -124,14 +124,15 @@ def test_transform_gradient_sums_block_products_in_block_order(ranges):
         params.W_layers = [rng.normal(0, 0.3, (d, d))]
         batch = sample_bpr_triples(split, 96, rng)
         trace = forward(params, S, hyper)
-        G = _loss_grad_wrt_estar(trace, batch) @ trace.E_star
+        _, C = bpr_loss(trace, batch, reg, params)
+        G = C @ trace.E_star
         dZ = hyper.layer_weights[1] * G * (trace.E_layers[1] > 0)
         M = trace.mixed_layers[0]
         total = M[:BLOCK_ROWS].T @ dZ[:BLOCK_ROWS]
         for lo in range(BLOCK_ROWS, S.shape[0], BLOCK_ROWS):
             total = total + M[lo:lo + BLOCK_ROWS].T @ dZ[lo:lo + BLOCK_ROWS]
         want = 0.3 * total + 2.0 * reg * params.W_layers[0]
-        got = backward(trace, batch, params, hyper, reg).W_layers[0]
+        got = backward(trace, C, params, hyper, reg).W_layers[0]
         assert got.tobytes() == want.tobytes()
 
 
@@ -275,7 +276,7 @@ from dgcf.data import DatasetSplit, laplacian_for, sample_bpr_triples
 from dgcf.graph import InteractionMatrix
 from dgcf.model import forward, init_params, preset
 from dgcf.modelfile import save_model
-from dgcf.train import TrainConfig, _loss_grad_wrt_estar, backward, bpr_loss, fit
+from dgcf.train import TrainConfig, backward, bpr_loss, fit
 
 rng = np.random.default_rng(0)
 m, n = 1000, 1600
@@ -286,8 +287,8 @@ params = init_params(m, n, hyper, rng)
 params.W_layers = [rng.normal(0, 0.1, (64, 64)) for _ in range(3)]
 batch = sample_bpr_triples(split, 1024, rng)
 trace = forward(params, laplacian_for(split), hyper)
-bpr_loss(trace, batch, 1e-4, params)
-grads = backward(trace, batch, params, hyper, 1e-4)
+_, C = bpr_loss(trace, batch, 1e-4, params)
+grads = backward(trace, C, params, hyper, 1e-4)
 fitted, _ = fit(split, hyper, TrainConfig(epochs=1, batches_per_epoch=3, eval_every=0))
 save_model(sys.argv[1], "ours", fitted, hyper)
 print(hashlib.sha256(b"".join(g.tobytes() for g in [grads.W] + grads.W_layers)).hexdigest())

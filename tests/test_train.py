@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit
 
 from dgcf.data import RawInteractions, split_train_test
 from dgcf.errors import ConfigError
 from dgcf.graph import InteractionMatrix
-from dgcf.model import Hyperparams, ModelParams, forward, init_params, preset
-from dgcf.train import ADAM_EPS, MARGIN_CHUNK, OptimizerState, TrainConfig, \
-    _loss_grad_wrt_estar, _margins, backward, bpr_loss, fit, laplacian_for, optimizer_step
+from dgcf.model import Hyperparams, ModelParams, forward, init_params, preset, score_all_items
+from dgcf.train import ADAM_EPS, MARGIN_CHUNK, OptimizerState, TrainConfig, _margins, \
+    backward, bpr_loss, fit, laplacian_for, optimizer_step
 from helpers import finite_diff_grad, one_shot_margins, random_interactions, rel_err, \
     scatter_loss_grad
 
@@ -42,7 +43,7 @@ class TestBprLoss:
         from dgcf.model import ForwardTrace
         trace = ForwardTrace(m=2, E_layers=[E], mixed_layers=[], transforms=[], E_star=E)
         batch = np.array([[0, 0, 1], [1, 2, 3]])
-        assert bpr_loss(trace, batch, 0.0, params) == pytest.approx(math.log(2), abs=1e-12)
+        assert bpr_loss(trace, batch, 0.0, params)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_margin_ln3(self):
         # single triple with margin ln 3: loss = -ln sigmoid(ln 3) = -ln(3/4)
@@ -53,7 +54,7 @@ class TestBprLoss:
         E[2, 0] = 0.0  # item 1
         trace = ForwardTrace(m=1, E_layers=[E], mixed_layers=[], transforms=[], E_star=E)
         params = ModelParams(1, 2, np.zeros((3, 1)), [])
-        loss = bpr_loss(trace, np.array([[0, 0, 1]]), 0.0, params)
+        loss, _ = bpr_loss(trace, np.array([[0, 0, 1]]), 0.0, params)
         assert loss == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_monotone_in_margin_with_reg_floor(self):
@@ -67,7 +68,7 @@ class TestBprLoss:
             E[0, 0] = 1.0
             E[1, 0] = margin
             trace = ForwardTrace(m=1, E_layers=[E], mixed_layers=[], transforms=[], E_star=E)
-            losses.append(bpr_loss(trace, np.array([[0, 0, 1]]), reg, params))
+            losses.append(bpr_loss(trace, np.array([[0, 0, 1]]), reg, params)[0])
         assert all(a > b for a, b in zip(losses, losses[1:]))
         assert losses[-1] == pytest.approx(reg_term, abs=1e-10)
 
@@ -80,37 +81,37 @@ class TestBprLoss:
             bpr_loss(trace, np.empty((0, 3), dtype=int), 0.0, params)
 
 
-class TestSharedMargins:
-    def test_loss_and_backward_of_a_step_share_one_margin_pass(self):
-        S, hyper, params, batch = tiny_instance(3)
-        trace = forward(params, S, hyper)
-        loss = bpr_loss(trace, batch, REG, params)
-        shared = trace.margins[1]
-        grads = backward(trace, batch, params, hyper, REG)
-        assert trace.margins[1] is shared
-        fresh = forward(params, S, hyper)
-        assert loss == bpr_loss(fresh, batch, REG, params)
-        want = backward(forward(params, S, hyper), batch, params, hyper, REG)
-        for a, b in zip([grads.W] + grads.W_layers, [want.W] + want.W_layers):
-            assert a.tobytes() == b.tobytes()
+def one_entry_seed(N, row, col):
+    """The seed C with a single 1 at (row, col)."""
+    return sp.csr_array(([1.0], ([row], [col])), shape=(N, N))
 
-    def test_batch_edited_in_place_is_scored_afresh(self):
-        S, hyper, params, batch = tiny_instance(4)
-        trace = forward(params, S, hyper)
-        bpr_loss(trace, batch, REG, params)
-        batch[:, 2] = (batch[:, 2] + 1) % 4
-        got = backward(trace, batch, params, hyper, REG)
-        want = backward(forward(params, S, hyper), batch, params, hyper, REG)
-        assert got.W.tobytes() == want.W.tobytes()
 
-    def test_forward_clears_the_margins(self):
-        S, hyper, params, batch = tiny_instance(5)
+class TestSeed:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", [(3, 4, 2, 2), (5, 5, 3, 3)])
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("mode", ["sw", "free"])
+    def test_one_entry_seed_splits_the_score_over_nodes(self, seed, shape, activation, mode):
+        # E* is positively homogeneous of degree 1 in W (linear maps and relu,
+        # no bias), so by Euler's theorem sum_v <W[v], d<E*[u], q>/dW[v]> is
+        # <E*[u], q>; the seed with a 1 at (u, m+i) makes q = E*[m+i]. The
+        # sum came within 1.5e-15 of sum_v |c_v|; a wrong term misses by far more
+        m, n, d, L = shape
+        S, hyper, params, _ = tiny_instance(seed, m, n, d, L, activation, mode)
         trace = forward(params, S, hyper)
-        bpr_loss(trace, batch, REG, params)
-        params.W += 0.5
-        assert forward(params, S, hyper, out=trace).margins is None
-        assert bpr_loss(trace, batch, REG, params) == \
-            bpr_loss(forward(params, S, hyper), batch, REG, params)
+        for u in range(m):
+            scores = score_all_items(trace.E_star, m, u)
+            for i in range(n):
+                grads = backward(trace, one_entry_seed(m + n, u, m + i), params, hyper, 0.0)
+                c = np.sum(params.W * grads.W, axis=1)  # each node's share
+                assert abs(c.sum() - scores[i]) <= 1e-13 * np.abs(c).sum()
+
+    @pytest.mark.parametrize("C_shape", [(11, 12), (12, 11), (1, 1), (13, 13)])
+    def test_seed_of_another_shape_is_refused(self, C_shape):
+        S, hyper, params, _ = tiny_instance(2, 5, 7, 2, 2)
+        trace = forward(params, S, hyper)
+        with pytest.raises(ValueError, match="does not match S"):
+            backward(trace, sp.csr_array(C_shape), params, hyper, REG)
 
 
 def bprmf_trace(m, n, E_star):
@@ -120,7 +121,7 @@ def bprmf_trace(m, n, E_star):
 
 
 def scatter_bound(E, m, batch):
-    """Per entry, delta >= |_loss_grad_wrt_estar - scatter_loss_grad|. Row r
+    """Per entry, delta >= |C E* - scatter_loss_grad|, C bpr_loss's seed. Row r
     of either sums at most K products of a coefficient and an E row, the
     coefficients c_t (e_i - e_j) or sums of repeated c_t formed first; two
     such float sums differ by at most 2 gamma_K A, A the row's sum of
@@ -175,7 +176,8 @@ class TestBatchPath:
     def test_gradient_matches_per_triple_scatter(self, case):
         m, n, E, batch = case
         trace = bprmf_trace(m, n, E)
-        got = _loss_grad_wrt_estar(trace, batch) @ trace.E_star
+        _, C = bpr_loss(trace, batch, 0.0, ModelParams(m, n, E, []))
+        got = C @ trace.E_star
         want = scatter_loss_grad(E, m, batch)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= scatter_bound(E, m, batch))
@@ -184,10 +186,8 @@ class TestBatchPath:
     def test_out_of_range_batch_is_refused(self, bad):
         S, hyper, params, batch = tiny_instance(6)
         batch[2] = bad
-        for step in (lambda t: bpr_loss(t, batch, REG, params),
-                     lambda t: backward(t, batch, params, hyper, REG)):
-            with pytest.raises(IndexError, match="batch index out of range"):
-                step(forward(params, S, hyper))
+        with pytest.raises(IndexError, match="batch index out of range"):
+            bpr_loss(forward(params, S, hyper), batch, REG, params)
 
 
 class TestBackward:
@@ -195,7 +195,8 @@ class TestBackward:
         S, hyper, params, _ = tiny_instance(0, activation="identity")
         batch = np.array([[0, 1, 1], [2, 3, 3]])  # i == j in every triple
         trace = forward(params, S, hyper)
-        grads = backward(trace, batch, params, hyper, 0.0)
+        _, C = bpr_loss(trace, batch, 0.0, params)
+        grads = backward(trace, C, params, hyper, 0.0)
         assert np.max(np.abs(grads.W)) == 0.0
         for g in grads.W_layers:
             assert np.max(np.abs(g)) == 0.0
@@ -205,7 +206,8 @@ class TestBackward:
         params.W[:] = 0.0  # all scores 0, expit(0) scatter still cancels i==j
         batch = np.array([[0, 0, 0], [1, 2, 2]])
         trace = forward(params, S, hyper)
-        grads = backward(trace, batch, params, hyper, 0.05)
+        _, C = bpr_loss(trace, batch, 0.05, params)
+        grads = backward(trace, C, params, hyper, 0.05)
         assert np.allclose(grads.W, 2 * 0.05 * params.W, atol=1e-15)
         for g, Wl in zip(grads.W_layers, params.W_layers):
             assert np.allclose(g, 2 * 0.05 * Wl, atol=1e-15)
@@ -218,10 +220,11 @@ class TestBackward:
         m, n, d, L = shape
         S, hyper, params, batch = tiny_instance(seed, m, n, d, L, activation, mode)
         trace = forward(params, S, hyper)
-        got = backward(trace, batch, params, hyper, REG)
+        _, C = bpr_loss(trace, batch, REG, params)
+        got = backward(trace, C, params, hyper, REG)
 
         def closure(p):
-            return bpr_loss(forward(p, S, hyper), batch, REG, p)
+            return bpr_loss(forward(p, S, hyper), batch, REG, p)[0]
 
         want = finite_diff_grad(params, closure, step=1e-6)
         assert rel_err(got.W, want.W) <= 1e-4
@@ -236,14 +239,13 @@ class TestBackward:
         # permute graph, params, and batch consistently
         perm = np.concatenate([pu, m + pi])
         Sd = S.toarray()[np.ix_(perm, perm)]
-        import scipy.sparse as sp
         S2 = sp.csr_array(Sd)
         inv_u = np.argsort(pu)
         inv_i = np.argsort(pi)
         params2 = ModelParams(m, n, params.W[perm], params.W_layers)
         batch2 = np.stack([inv_u[batch[:, 0]], inv_i[batch[:, 1]], inv_i[batch[:, 2]]], axis=1)
-        l1 = bpr_loss(forward(params, S, hyper), batch, REG, params)
-        l2 = bpr_loss(forward(params2, S2, hyper), batch2, REG, params2)
+        l1, _ = bpr_loss(forward(params, S, hyper), batch, REG, params)
+        l2, _ = bpr_loss(forward(params2, S2, hyper), batch2, REG, params2)
         assert l2 == pytest.approx(l1, rel=1e-12)
 
 
@@ -335,11 +337,11 @@ class TestFit:
             lr = 1e-4
             batch = np.array([[0, 1, 2]])
             trace = forward(params, S, hyper)
-            before = bpr_loss(trace, batch, 0.0, params)
-            grads = backward(trace, batch, params, hyper, 0.0)
+            before, C = bpr_loss(trace, batch, 0.0, params)
+            grads = backward(trace, C, params, hyper, 0.0)
             for p, g in zip([params.W] + params.W_layers, [grads.W] + grads.W_layers):
                 p -= lr * g
-            after = bpr_loss(forward(params, S, hyper), batch, 0.0, params)
+            after, _ = bpr_loss(forward(params, S, hyper), batch, 0.0, params)
             assert after < before
 
     def test_log_has_metrics_on_eval_epochs(self, ring_split):

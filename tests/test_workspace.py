@@ -140,8 +140,9 @@ def test_fit_steps_equal_hand_run_fresh_steps(case, ring_split):
     for _ in range(3):
         batch = sample_bpr_triples(ring_split, config.batch_size, rng)
         trace = forward(params, S, hyper)
-        total += bpr_loss(trace, batch, config.reg_lambda, params)
-        grads = backward(trace, batch, params, hyper, config.reg_lambda)
+        loss, C = bpr_loss(trace, batch, config.reg_lambda, params)
+        total += loss
+        grads = backward(trace, C, params, hyper, config.reg_lambda)
         optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers, config.lr,
                        state)
     assert log[0]["loss"] == total / 3
@@ -157,8 +158,9 @@ def test_backward_matches_finite_differences_at_every_case(case):
     hyper = hyper_of(case, d=3, L=3)
     params = random_params(4, 5, hyper, 13)
     batch = np.array([[0, 1, 2], [1, 0, 4], [3, 2, 0], [2, 4, 3], [0, 3, 1]])
-    got = backward(forward(params, S, hyper), batch, params, hyper, 0.01)
-    want = finite_diff_grad(params, lambda p: bpr_loss(forward(p, S, hyper), batch, 0.01, p),
+    trace = forward(params, S, hyper)
+    got = backward(trace, bpr_loss(trace, batch, 0.01, params)[1], params, hyper, 0.01)
+    want = finite_diff_grad(params, lambda p: bpr_loss(forward(p, S, hyper), batch, 0.01, p)[0],
                             step=1e-6)
     for g, w in zip([got.W] + got.W_layers, [want.W] + want.W_layers):
         assert rel_err(g, w) <= 1e-4
@@ -171,9 +173,11 @@ def test_backward_leaves_earlier_gradients_alone(ring_split):
     params = random_params(ring_split.m, ring_split.n, hyper, 6)
     trace = forward(params, S, hyper)
     rng = np.random.default_rng(7)
-    first = backward(trace, sample_bpr_triples(ring_split, 16, rng), params, hyper, 0.01)
+    seeds = [bpr_loss(trace, sample_bpr_triples(ring_split, 16, rng), 0.01, params)[1]
+             for _ in range(2)]
+    first = backward(trace, seeds[0], params, hyper, 0.01)
     kept = ModelParams(first.m, first.n, first.W.copy(), [g.copy() for g in first.W_layers])
-    backward(trace, sample_bpr_triples(ring_split, 16, rng), params, hyper, 0.01)
+    backward(trace, seeds[1], params, hyper, 0.01)
     for a, b in zip([first.W] + first.W_layers, [kept.W] + kept.W_layers):
         assert np.array_equal(a, b)
 
@@ -240,8 +244,8 @@ def test_training_step_allocates_only_the_returned_gradient():
     def step():
         nonlocal trace
         trace = forward(params, S, hyper, out=trace)
-        bpr_loss(trace, batch, 1e-4, params)
-        grads = backward(trace, batch, params, hyper, 1e-4)
+        _, C = bpr_loss(trace, batch, 1e-4, params)
+        grads = backward(trace, C, params, hyper, 1e-4)
         optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers, 1e-3, state)
         return grads
 
@@ -276,8 +280,8 @@ def test_training_bytes_bound_a_warm_step():
         nonlocal trace
         batch = sample_bpr_triples(split, B, rng)
         trace = forward(params, S, hyper, out=trace)
-        bpr_loss(trace, batch, 1e-4, params)
-        grads = backward(trace, batch, params, hyper, 1e-4)
+        _, C = bpr_loss(trace, batch, 1e-4, params)
+        grads = backward(trace, C, params, hyper, 1e-4)
         optimizer_step([params.W] + params.W_layers, [grads.W] + grads.W_layers, 1e-3, state)
 
     step()
@@ -315,8 +319,8 @@ def test_bprmf_step_allocates_less_than_one_batch_of_rows():
         nonlocal trace
         batch = sample_bpr_triples(split, B, rng)
         trace = forward(params, S, hyper, out=trace)
-        bpr_loss(trace, batch, 1e-4, params)
-        grads = backward(trace, batch, params, hyper, 1e-4)
+        _, C = bpr_loss(trace, batch, 1e-4, params)
+        grads = backward(trace, C, params, hyper, 1e-4)
         optimizer_step([params.W], [grads.W], 1e-3, state)
 
     step()
@@ -341,8 +345,8 @@ def test_step_takes_only_the_buffers_it_reads(case, ring_split):
     S = laplacian_for(ring_split)
     params = random_params(ring_split.m, ring_split.n, hyper, 6)
     trace = forward(params, S, hyper)
-    backward(trace, sample_bpr_triples(ring_split, 16, np.random.default_rng(7)), params, hyper,
-             0.01)
+    batch = sample_bpr_triples(ring_split, 16, np.random.default_rng(7))
+    backward(trace, bpr_loss(trace, batch, 0.01, params)[1], params, hyper, 0.01)
     L, a, b = hyper.L, hyper.alpha, hyper.beta
     taken = trace.workspace._buffers.keys()
     assert ("mask" in taken) == (hyper.activation == "relu" and L > 0)
