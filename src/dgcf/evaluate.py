@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import DatasetSplit, laplacian_for
 from .errors import DataError
-from .graph import InteractionMatrix
+from .graph import BLOCK_ROWS, InteractionMatrix, even_partition, row_blocks, run_ranges
 from .model import forward, init_params, preset, score_all_items
 
 
@@ -75,7 +75,26 @@ def rank_items(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
 
 # Scores per block of users in evaluate_model: 2 MB of float64, whatever n.
 _BLOCK_SCORES = 1 << 18
-_product = np.matmul  # the filter's BLAS product; any within the rounding bound will do
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b, the filter's BLAS product, for a (U, d), a (d, n) b and a
+    C-contiguous (U, n) out; any product within _rounding_bound will do. It
+    runs as GEMMs of at most BLOCK_ROWS rows of a by BLOCK_ROWS columns of b,
+    one numpy call per stack of them, written into out: at d <= 64 OpenBLAS
+    runs each on the calling thread, where a larger one would wake OpenBLAS's
+    own threads beside the ranges."""
+    d, n = b.shape
+    t = n // BLOCK_ROWS
+    q = t * BLOCK_ROWS
+    tiles = b[:, :q].reshape(d, t, BLOCK_ROWS).swapaxes(0, 1)  # (t, d, BLOCK_ROWS)
+    for X, Y in zip(row_blocks(a), row_blocks(out)):
+        if X.ndim == 2:  # the rest, one block of fewer rows
+            X, Y = X[None], Y[None]
+        B, R = Y.shape[:2]  # B blocks of R <= BLOCK_ROWS rows
+        np.matmul(X[:, None], tiles, out=Y[..., :q].reshape(B, R, t, BLOCK_ROWS).swapaxes(1, 2))
+        np.matmul(X, b[:, q:], out=Y[..., q:])
+    return out
 
 
 def _rounding_bound(user_rows: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +125,14 @@ def _top_k(e_star: np.ndarray, split: DatasetSplit, users: np.ndarray, k: int) -
     the exact top k, ties included, has np.sum score >= tau_u, so A >= tau_u -
     delta_u. Only those candidates are scored, by score_all_items' arithmetic,
     and ranked. Users whose delta is not safely finite, and e_star other than
-    C-contiguous float64, take the per-user reference."""
+    C-contiguous float64, take the per-user reference, on the calling thread.
+    The blocks are cut into even_partition's ranges, a user's n scores
+    counting as n / d rows, and each range ranks its blocks on its own
+    thread; a block's lists do not depend on the other blocks, so they do not
+    depend on the number of ranges."""
     m = split.m
     items = e_star[m:]
-    n = len(items)
+    n, d = items.shape
     delta, ok = _rounding_bound(e_star[users], items)
     ok &= e_star.dtype == np.float64 and e_star.flags.c_contiguous
     tops: list = [None] * len(users)
@@ -118,23 +141,34 @@ def _top_k(e_star: np.ndarray, split: DatasetSplit, users: np.ndarray, k: int) -
         tops[j] = rank_items(score_all_items(e_star, m, u), split.train.user_items(u), k)
     pos, kk = np.flatnonzero(ok), min(k, n)
     per = max(1, _BLOCK_SCORES // n)
-    A_buf, lo_buf = np.empty((2, min(per, len(pos)), n))
-    for b0 in range(0, len(pos), per):
-        block = pos[b0:b0 + per]
-        U, du = users[block], delta[block][:, None]
-        A = _product(e_star[U], items.T, out=A_buf[:len(U)])
-        lo = np.subtract(A, du, out=lo_buf[:len(U)])
-        train = _block_offsets(split.train, U)
-        lo.reshape(-1)[train] = -np.inf
-        lo.partition(n - kk, axis=1)  # tau: column n - kk; -inf if fewer than kk rankable
-        keep = A >= lo[:, n - kk:n - kk + 1] - du
-        keep.reshape(-1)[train] = False
-        r, c = np.divmod(np.flatnonzero(keep), n)
-        s = np.sum(items[c] * e_star[U[r]], axis=1)
-        order = c[np.lexsort((c, -s, r))]
-        cand = np.bincount(r, minlength=len(U))
-        for j, start, size in zip(block.tolist(), (np.cumsum(cand) - cand).tolist(), cand.tolist()):
-            tops[j] = order[start:start + min(k, size)]
+    items_T = np.ascontiguousarray(items.T)  # _product's tiles of it are plain BLAS operands
+    bounds = even_partition(len(pos), per, rows=len(pos) * n / max(d, 1))
+    # each range's A and lo buffers, allocated on this thread: memory a worker
+    # thread frees stays in that thread's malloc arena, where later work on
+    # this thread cannot reuse it
+    bufs = np.empty((len(bounds) - 1, 2, min(per, len(pos)), n))
+
+    def blocks(first, end, sync):  # no traced name (rank_items, score_all_items) runs here
+        A_buf, lo_buf = bufs[bounds.index(first)]
+        for b0 in range(first, end, per):
+            block = pos[b0:b0 + per]
+            U, du = users[block], delta[block][:, None]
+            A = _product(e_star[U], items_T, out=A_buf[:len(U)])
+            lo = np.subtract(A, du, out=lo_buf[:len(U)])
+            train = _block_offsets(split.train, U)
+            lo.reshape(-1)[train] = -np.inf
+            lo.partition(n - kk, axis=1)  # tau: column n - kk; -inf if fewer than kk rankable
+            keep = A >= lo[:, n - kk:n - kk + 1] - du
+            keep.reshape(-1)[train] = False
+            r, c = np.divmod(np.flatnonzero(keep), n)
+            s = np.sum(items[c] * e_star[U[r]], axis=1)
+            order = c[np.lexsort((c, -s, r))]
+            cand = np.bincount(r, minlength=len(U))
+            for j, start, size in zip(block.tolist(), (np.cumsum(cand) - cand).tolist(),
+                                      cand.tolist()):
+                tops[j] = order[start:start + min(k, size)]
+
+    run_ranges(bounds, blocks)
     return tops
 
 
@@ -144,8 +178,10 @@ def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> Rank
     Each user's list is bitwise rank_items(score_all_items(...)) with the
     user's train items excluded. It comes from a BLAS product that only picks
     a certified superset of the top k, whose members alone are scored exactly
-    (see _top_k). The means run in user order, so the metrics do not depend on
-    the BLAS build, its thread count or the block size.
+    (see _top_k). Blocks of users are ranked on the row-range threads
+    (graph.run_ranges), and the means run in user order, so the metrics do
+    not depend on the BLAS build, its thread count, the block size or the
+    number of ranges.
     """
     _check_k(k)
     if split.test is None:

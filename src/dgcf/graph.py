@@ -10,14 +10,15 @@ numpy alone. The propagation operator S built from it
 where S is multiplied or, in laplacian_for, wrapped. All values are treated
 as immutable after construction.
 
-The training step splits its work among threads (run_ranges). forward and
-backward cut S's rows by work (row_partition): each thread owns a
-contiguous range of rows for a whole layer, and every dense product runs in
-blocks of BLOCK_ROWS rows that start at multiples of BLOCK_ROWS. Adam's
-rows and the batch's triples are cut into equal ranges (even_partition).
-Block boundaries do not depend on the ranges, and no sum runs across a
-range boundary, so every result is bitwise the same for any number of
-ranges.
+The training step and evaluation split their work among threads
+(run_ranges). forward and backward cut S's rows by work (row_partition):
+each thread owns a contiguous range of rows for a whole layer, and every
+dense product runs in blocks of BLOCK_ROWS rows that start at multiples of
+BLOCK_ROWS. Adam's rows, the batch's triples and evaluation's blocks of
+users are cut into equal ranges (even_partition). Block boundaries do not
+depend on the ranges, and no sum runs across a range boundary, so every
+result, a trained model file and evaluate_model's metrics included, is
+bitwise the same for any number of ranges.
 """
 
 from __future__ import annotations
@@ -152,23 +153,24 @@ def row_partition(S: sp.csr_array) -> tuple[int, ...]:
     ROW_WORK."""
     N = S.shape[0]
     starts = np.arange(0, N, BLOCK_ROWS)
-    return _cut(N, starts, S.indptr[starts] + ROW_WORK * starts, S.nnz + ROW_WORK * N)
+    return _cut(N, starts, S.indptr[starts] + ROW_WORK * starts, S.nnz + ROW_WORK * N, N)
 
 
-def even_partition(N: int, step: int = BLOCK_ROWS) -> tuple[int, ...]:
-    """Bounds of ranges of N rows (or triples), as many as row_partition
-    makes of N rows, cut at the multiples of step nearest to equal numbers of rows."""
+def even_partition(N: int, step: int = BLOCK_ROWS, rows: float | None = None) -> tuple[int, ...]:
+    """Bounds of ranges of N rows (or triples, or users), as many as
+    row_partition makes of `rows` rows (N by default), cut at the multiples of
+    step nearest to equal numbers of rows."""
     starts = np.arange(0, N, step)
-    return _cut(N, starts, starts, N)
+    return _cut(N, starts, starts, N, N if rows is None else rows)
 
 
-def _cut(N: int, starts: np.ndarray, before: np.ndarray, total) -> tuple[int, ...]:
-    """Bounds of one range of N rows per usable core, but no more than one per
-    MIN_RANGE_ROWS rows, range r cut at the start in `starts` whose work
-    before it (`before`, ascending) is nearest to r / count of `total`;
-    coinciding cuts merge."""
+def _cut(N: int, starts: np.ndarray, before: np.ndarray, total, rows: float) -> tuple[int, ...]:
+    """Bounds of ranges of N rows whose work is that of `rows` rows: one range
+    per usable core, but no more than one per MIN_RANGE_ROWS of those rows,
+    range r cut at the start in `starts` whose work before it (`before`,
+    ascending) is nearest to r / count of `total`; coinciding cuts merge."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    count = max(1, min(cores or 1, N // MIN_RANGE_ROWS))
+    count = max(1, min(cores or 1, int(rows // MIN_RANGE_ROWS)))
     cuts = set()
     for share in total * np.arange(1, count) / count:
         k = int(np.searchsorted(before, share))
@@ -183,7 +185,7 @@ def row_blocks(X: np.ndarray) -> list[np.ndarray]:
     """X's rows as views, a (q, BLOCK_ROWS, ...) stack of whole blocks and then
     the rest, if any; a matmul over each runs one BLAS call per block."""
     q = len(X) // BLOCK_ROWS * BLOCK_ROWS
-    parts = [X[:q].reshape((-1, BLOCK_ROWS) + X.shape[1:])] if q else []
+    parts = [X[:q].reshape((q // BLOCK_ROWS, BLOCK_ROWS) + X.shape[1:])] if q else []
     return parts + [X[q:]] if q < len(X) else parts
 
 

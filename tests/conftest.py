@@ -73,3 +73,14 @@ def without_sparse_kernel(monkeypatch):
     graph._csr_matvecs.cache_clear()
     yield
     graph._csr_matvecs.cache_clear()  # the next call loads the real kernel
+
+
+@pytest.fixture()
+def ranges(monkeypatch):
+    """force(k) gives k usable cores and next to no least work per range, so
+    row_partition cuts any graph of at least k blocks into k ranges, and
+    evaluation cuts two or more blocks of users into 2 to k ranges."""
+    def force(k):
+        monkeypatch.setattr(graph, "MIN_RANGE_ROWS", 1e-6)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    return force

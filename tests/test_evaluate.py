@@ -1,13 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dgcf import evaluate
+from dgcf import evaluate, graph
 from dgcf.data import DatasetSplit, RawInteractions, split_train_test
 from dgcf.errors import ConfigError, DataError
 from dgcf.evaluate import evaluate_model, oversmoothing_report, rank_items, report_tsv, \
@@ -316,6 +317,36 @@ class TestBlockedTopK:
         assert got == _reference(e_star, split, k)
         assert fallback == (split.m if kind == "huge" else 0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's overflow
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "cancelling", "huge"])
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # force() is idempotent
+    def test_same_lists_and_metrics_for_any_range_count(self, ranges, count, kind, seed):
+        ranges(count)
+        rng = np.random.default_rng(seed)
+        e_star, split, k = _blocked_fixture(rng, kind)
+        split.test = [sorted(rng.choice(split.n, size=int(rng.integers(0, min(4, split.n + 1))),
+                                        replace=False).tolist()) for _ in range(split.m)]
+        split.test[0] = split.test[0] or [0]
+        block_users = int(rng.integers(1, split.m + 2))
+        used = []
+
+        def run_ranges(bounds, body):
+            used.append(len(bounds) - 1)
+            return graph.run_ranges(bounds, body)
+
+        with mock.patch.object(evaluate, "run_ranges", run_ranges):
+            got, fallback = _blocked(e_star, split, k, block_users)
+            assert got == _reference(e_star, split, k)
+            blocks = -(-(split.m - fallback) // block_users)
+            assert used == [1] if count == 1 or blocks < 2 else 2 <= used[0] <= min(count, blocks)
+            with mock.patch.object(evaluate, "_BLOCK_SCORES", block_users * split.n):
+                metrics = evaluate_model(e_star, split, k)
+        assert (metrics.recall_at_k, metrics.ndcg_at_k, metrics.users_evaluated) == \
+            naive_evaluate(e_star, split, k)
+
     def test_cancelling_rows_round_differently_in_blas(self):
         # the fixtures above do exercise BLAS scores that differ from np.sum's
         e_star, split, _ = _blocked_fixture(np.random.default_rng(3), "cancelling", d=64)
@@ -385,6 +416,29 @@ class TestBlockedTopK:
         with mock.patch.object(evaluate, "_product", product):
             got, fallback = _blocked(e_star, split, k, int(rng.integers(1, split.m + 2)))
         assert got == _reference(e_star, split, k) and fallback == 0
+
+
+@pytest.mark.parametrize("d", [0, 1, 8, 64])
+def test_product_is_a_at_b_in_gemms_of_at_most_a_block(d, monkeypatch):
+    # every size around BLOCK_ROWS = 64, of users and of items, and zero-width rows
+    rng = np.random.default_rng(d)
+    shapes = []
+    real = np.matmul
+
+    def matmul(x, y, out):
+        shapes.append((x.shape[-2], y.shape[-1]))
+        return real(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    for U, n in itertools.product((1, 63, 64, 65, 129), (1, 63, 64, 65, 200)):
+        a = rng.normal(size=(U, d)) * 10.0 ** rng.integers(-3, 4, size=(U, 1))
+        items = rng.normal(size=(n, d))
+        out = np.full((U, n), np.nan)
+        shapes.clear()
+        assert evaluate._product(a, np.ascontiguousarray(items.T), out) is out
+        assert shapes and max(max(s) for s in shapes) <= graph.BLOCK_ROWS
+        delta = evaluate._rounding_bound(a, items)[0][:, None]
+        assert np.all(np.abs(out - real(a, items.T)) <= delta)
 
 
 class TestSmoothness:

@@ -1,16 +1,21 @@
 """Row ranges: the training step gives bitwise the same numbers whether it
-runs as one range or several, and whatever OpenBLAS's thread count is."""
+runs as one range or several, and whatever OpenBLAS's thread count is; no
+name that perfbench traces runs on a range's worker thread."""
 
+import ast
+import functools
+import importlib
 import itertools
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgcf import graph
+from dgcf import evaluate, graph, model, train
 from dgcf.data import DatasetSplit, laplacian_for, sample_bpr_triples
 from dgcf.errors import DivergenceError
 from dgcf.graph import BLOCK_ROWS, InteractionMatrix, even_partition, row_partition
@@ -22,19 +27,65 @@ from helpers import random_interactions, whole_array_adam
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture()
-def ranges(monkeypatch):
-    """force(k) makes row_partition cut any graph of at least k blocks into k ranges."""
-    def force(k):
-        monkeypatch.setattr(graph, "MIN_RANGE_ROWS", BLOCK_ROWS)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-    return force
-
-
 def small_split(m=150, n=170, seed=0):
     """N = 320 rows, five blocks: enough for three ranges of whole blocks."""
     pairs = random_interactions(np.random.default_rng(seed), m, n, 5)
     return DatasetSplit(InteractionMatrix.from_pairs(m, n, pairs), None, {}, {}, 0)
+
+
+def traced_targets() -> list[tuple[str, str, str]]:
+    """perfbench/spans.py's TARGETS, (module, attribute, span name), read
+    without importing perfbench."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS")
+
+
+def test_no_traced_name_runs_on_a_range_thread(ranges, monkeypatch):
+    # perfbench's Tracer keeps one span stack per process, so a traced name
+    # called from a worker range would break the nesting of every span
+    calls, counts = [], []
+
+    def on_main_thread(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr, name in traced_targets():
+        try:
+            target = importlib.import_module(module)
+        except ImportError:  # a module the package no longer has
+            continue
+        if hasattr(target, attr):
+            monkeypatch.setattr(target, attr, on_main_thread(name, getattr(target, attr)))
+    for caller in (model, train, evaluate):
+        def counted(bounds, body, caller=caller):
+            counts.append((caller.__name__, len(bounds) - 1))
+            return graph.run_ranges(bounds, body)
+        monkeypatch.setattr(caller, "run_ranges", counted)
+    ranges(2)
+    monkeypatch.setattr(evaluate, "_BLOCK_SCORES", 40 * 170)  # blocks of 40 users
+    rng = np.random.default_rng(2)
+    train_split = small_split()
+    # one test item per user, outside its train items
+    test = [[int(rng.choice(np.setdiff1d(np.arange(170), train_split.train.user_items(u))))]
+            for u in range(150)]
+    split = DatasetSplit(train_split.train, test, {}, {}, 0)
+    hyper = preset("ours", d=8, L=2)
+    params, log = train.fit(split, hyper, TrainConfig(epochs=2, batches_per_epoch=2,
+                                                      batch_size=1024, eval_every=1))
+    assert "recall@20" in log[-1]
+    e_star = forward(params, laplacian_for(split), hyper).E_star
+    e_star[3] = np.nan  # a user ranked by the traced reference pair
+    evaluate.evaluate_model(e_star, split, k=20)
+    assert {name for name, _ in calls} >= {"train.fit", "model.forward", "train.backward",
+                                           "evaluate.evaluate_model", "evaluate.rank_items",
+                                           "model.score_all_items"}
+    assert all(main for _, main in calls)
+    assert {caller for caller, count in counts if count == 2} == \
+        {"dgcf.model", "dgcf.train", "dgcf.evaluate"}
 
 
 def test_partition_cuts_whole_blocks_at_balanced_work(ranges):
