@@ -24,7 +24,8 @@ import numpy as np
 from .data import FORMATS, DatasetSplit, k_core_filter, laplacian_for, load_split, \
     parse_interactions, save_split, split_train_test
 from .errors import ConfigError, DataError, DgcfError
-from .evaluate import evaluate_model, oversmoothing_report, rank_items, report_tsv
+from .evaluate import evaluate_model, oversmoothing_bytes, oversmoothing_report, rank_items, \
+    report_tsv
 from .model import ACTIVATIONS, EMBEDDING_MODES, PRESETS, forward, preset, score_all_items
 from .modelfile import ModelRecord, graph_sha256, load_model, save_model
 from .util import read_text, write_atomic_text
@@ -206,9 +207,6 @@ def cmd_train(cfg: RunConfig) -> None:
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
     split = load_split(cfg.data)
-    # a d < 1 is left to Hyperparams
-    check_memory(training_bytes(split.m + split.n, max(cfg.dim, 0),
-                                PRESETS[cfg.model].get("L", cfg.layers), cfg.batch_size))
     tcfg = TrainConfig(lr=cfg.lr, reg_lambda=cfg.reg_lambda, epochs=cfg.epochs,
                        batch_size=cfg.batch_size, batches_per_epoch=cfg.batches_per_epoch,
                        seed=cfg.seed, eval_every=cfg.eval_every,
@@ -216,6 +214,7 @@ def cmd_train(cfg: RunConfig) -> None:
     hyper = preset(cfg.model, d=cfg.dim, L=cfg.layers, alpha=cfg.alpha, beta=cfg.beta,
                    layer_weights=_parse_layer_weights(cfg.layer_weights),
                    activation=cfg.activation, embedding_mode=cfg.embedding_mode)
+    check_memory(training_bytes(split.m + split.n, hyper.d, hyper.L, tcfg.batch_size))
     params, log = fit(split, hyper, tcfg)
     save_model(cfg.out, cfg.model, params, hyper, split)
     write_atomic_text(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
@@ -281,8 +280,8 @@ def cmd_diagnose(cfg: RunConfig) -> None:
     tags = [t.strip() for t in cfg.models.split(",") if t.strip()]
     if not tags:
         raise ConfigError("--models must name at least one model tag")
-    L = max(PRESETS.get(t, {}).get("L", cfg.layers) for t in tags)
-    check_memory((L + 1) * (split.m + split.n) * max(cfg.dim, 0) * 8)  # the forward stack
+    L = max(preset(tag, d=cfg.dim, L=cfg.layers).L for tag in tags)
+    check_memory(oversmoothing_bytes(split, cfg.dim, L))
     grid = [(tag, cfg.layers) for tag in tags]
     reports = oversmoothing_report(split, grid, cfg.seed, d=cfg.dim)
     sys.stdout.write(report_tsv(reports))

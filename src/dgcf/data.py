@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -33,14 +33,15 @@ class RawInteractions:
 
 @dataclass(eq=False)
 class DatasetSplit:
-    """Per-user train/test partition over contiguously re-indexed tokens."""
+    """Per-user train/test partition over contiguously re-indexed tokens.
+    State derived from train, such as the sampler's pair codes (train.codes),
+    is kept on the immutable matrix, not here."""
 
     train: InteractionMatrix
     test: list[list[int]] | None  # per user, ascending held-out items; None if not read
     user_map: dict[str, int]
     item_map: dict[str, int]
     seed: int
-    _train_flat: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -49,12 +50,6 @@ class DatasetSplit:
     @property
     def n(self) -> int:
         return self.train.n
-
-    def train_flat(self) -> np.ndarray:
-        """Sorted u*n+i codes of all train pairs, for O(log nnz) membership tests."""
-        if self._train_flat is None:
-            self._train_flat = self.train.codes()
-        return self._train_flat
 
 
 def parse_interactions(path: str | Path, fmt: str) -> RawInteractions:
@@ -194,7 +189,7 @@ def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Gene
     eligible = np.flatnonzero((deg >= 1) & (deg < split.n))
     if len(eligible) == 0:
         raise DataError("no sampleable users: every user has no or all items in train")
-    flat = split.train_flat()
+    flat = r.codes
     users = eligible[rng.integers(0, len(eligible), size=batch_size)]
     offsets = rng.integers(0, deg[users])
     pos = r.indices[r.indptr[users] + offsets]

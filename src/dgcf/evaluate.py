@@ -3,7 +3,6 @@ embedding smoothness diagnostic used to measure over-smoothing versus depth."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,19 +33,6 @@ class SmoothnessReport:
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-
-@functools.lru_cache(maxsize=8)
-def _discounts(size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Rank discounts 1/log2(r + 2) for r < size, and the ideal DCG of j hits,
-    idcg[j], summed left to right from the first j discounts. Each entry is
-    computed by the scalar expression and in the order a per-user sum uses, so
-    a table lookup is bitwise that sum."""
-    discount = tuple(float(1.0 / np.log2(r + 2)) for r in range(size))
-    idcg = [0.0]
-    for x in discount:
-        idcg.append(idcg[-1] + x)
-    return discount, tuple(idcg)
 
 
 def rank_items(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
@@ -198,7 +184,10 @@ def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> Rank
     if not len(users):
         raise DataError("no users with test interactions to evaluate")
     n_test, kk = n_test[users], min(k, n)
-    discount, idcg = (np.array(t) for t in _discounts(1 << (kk - 1).bit_length()))
+    # rank discounts 1/log2(r + 2) by the scalar expression of a per-user sum,
+    # and the ideal DCG of j hits, idcg[j], summed left to right by cumsum
+    discount = np.array([float(1.0 / np.log2(r + 2)) for r in range(kk)])
+    idcg = np.concatenate(([0.0], np.cumsum(discount)))
     tops = _top_k(e_star, split, users, k)
     recalls, ndcgs = np.empty((2, len(users)))
     per = max(1, _BLOCK_SCORES // n)
@@ -213,7 +202,7 @@ def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> Rank
         hits[r, c] = is_test[r * n + np.concatenate(block)]
         recalls[b0:b0 + per] = hits.sum(axis=1) / size
         # a per-user sum of the hit discounts, left to right: adding a miss's 0.0 is exact
-        dcg = np.cumsum(hits * discount[:kk], axis=1)[:, -1]
+        dcg = np.cumsum(hits * discount, axis=1)[:, -1]
         ndcgs[b0:b0 + per] = dcg / idcg[np.minimum(size, k)]
     return RankingMetrics(recall_at_k=float(np.mean(recalls)), ndcg_at_k=float(np.mean(ndcgs)),
                           k=k, users_evaluated=len(users))
@@ -239,6 +228,16 @@ def smoothness(E_block: np.ndarray) -> float:
     return float(np.clip(val, -1.0, 1.0))
 
 
+def oversmoothing_bytes(split: DatasetSplit, d: int, L: int) -> int:
+    """Bytes that oversmoothing_report holds for configurations of at most L
+    layers, an upper bound: 2L + 6 (N, d) float arrays (W, the stack
+    E(0..L), the mixes M(1..L), E*, D, and smoothness' two copies of one
+    side's rows), the L (d, d) transforms, and S: its row pointers and three
+    values per stored entry (values, column indices and S_mix's values)."""
+    N = split.m + split.n
+    return 8 * ((2 * L + 6) * N * d + L * d * d + N + 1 + 6 * split.train.nnz)
+
+
 def oversmoothing_report(split: DatasetSplit, hyper_grid: list[tuple[str, int]],
                          seed: int, d: int = 64) -> list[SmoothnessReport]:
     """Per-layer user/item smoothness for each (model tag, depth) configuration.
@@ -250,10 +249,11 @@ def oversmoothing_report(split: DatasetSplit, hyper_grid: list[tuple[str, int]],
     S = laplacian_for(split)
     m = split.m
     out: list[SmoothnessReport] = []
+    trace = None  # each forward reuses the previous trace's buffers
     for tag, L in hyper_grid:
         hyper = preset(tag, d=d, L=L)
         params = init_params(split.m, split.n, hyper, np.random.default_rng(seed))
-        trace = forward(params, S, hyper)
+        trace = forward(params, S, hyper, out=trace)
         for layer, E in enumerate(trace.E_layers):
             out.append(SmoothnessReport(model=tag, layer=layer,
                                         user_sim=smoothness(E[:m]),

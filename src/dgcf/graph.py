@@ -58,9 +58,14 @@ class InteractionMatrix:
         """Ascending item indices user u interacted with."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
+    @functools.cached_property
     def codes(self) -> np.ndarray:
-        """u*n + i of every stored pair: ascending, as the rows are canonical."""
-        return np.repeat(np.arange(self.m) * self.n, np.diff(self.indptr)) + self.indices
+        """u*n + i of every stored pair: ascending, as the rows are canonical, so
+        a code is found in O(log nnz). Computed on first read and kept, read-only,
+        as the matrix is immutable."""
+        codes = np.repeat(np.arange(self.m) * self.n, np.diff(self.indptr)) + self.indices
+        codes.flags.writeable = False
+        return codes
 
     @staticmethod
     def from_pairs(m: int, n: int, pairs) -> "InteractionMatrix":
@@ -95,32 +100,30 @@ def spmm(S: sp.csr_array, E: np.ndarray) -> np.ndarray:
 
 
 def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray,
-                rows: tuple[int, int] | None = None) -> np.ndarray:
-    """out += S @ E in place, for a float64 CSR S and a C-contiguous float64
-    out; returns out. With rows = (lo, hi), out holds rows lo..hi-1 only and
-    receives S[lo:hi] @ E.
+                rows: tuple[int, int]) -> np.ndarray:
+    """out += S[lo:hi] @ E in place for rows = (lo, hi), a float64 CSR S, a 2-d
+    E and a C-contiguous float64 out of rows lo..hi-1 only; returns out.
 
     It runs scipy's csr_matvecs, the kernel that S @ E runs after np.zeros:
     each output row adds its entries' products in stored order, so a
-    zero-filled out receives exactly S @ E, and a row's result does not
-    depend on the rows asked for. The kernel is private scipy API, the
-    package's one use of it. No other product rounds the same onto a
-    non-zero out, so without the kernel this raises DgcfError.
+    zero-filled out receives exactly rows lo..hi-1 of S @ E, and a row's
+    result does not depend on the rows asked for. The kernel is private
+    scipy API, the package's one use of it. No other product rounds the same
+    onto a non-zero out, so without the kernel this raises DgcfError.
     """
-    lo, hi = (0, S.shape[0]) if rows is None else rows
+    lo, hi = rows
     E = np.asarray(E, dtype=np.float64)
-    if E.ndim not in (1, 2) or S.shape[1] != E.shape[0]:
+    if E.ndim != 2 or S.shape[1] != E.shape[0]:
         raise ValueError(f"dimension mismatch: {S.shape} @ {E.shape}")
     if not 0 <= lo <= hi <= S.shape[0]:  # the kernel would read past S.indptr
         raise ValueError(f"rows {rows} out of range for {S.shape[0]} rows")
     if S.format != "csr" or S.dtype != np.float64:
         raise ValueError(f"S must be a float64 CSR matrix, got {S.dtype} {S.format}")
-    want = (hi - lo,) + E.shape[1:]
+    want = (hi - lo, E.shape[1])
     if not (isinstance(out, np.ndarray) and out.shape == want and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {want}")
-    n_vecs = E.shape[1] if E.ndim == 2 else 1
-    _csr_matvecs()(hi - lo, S.shape[1], n_vecs, S.indptr[lo:hi + 1], S.indices, S.data,
+    _csr_matvecs()(hi - lo, S.shape[1], E.shape[1], S.indptr[lo:hi + 1], S.indices, S.data,
                    np.ascontiguousarray(E).ravel(), out.ravel())
     return out
 

@@ -81,12 +81,16 @@ PRESETS = {
 
 def preset(tag: str, **fields) -> Hyperparams:
     """Hyperparams of model `tag`: its PRESETS fields over `fields`. Unless
-    given layer_weights, "plain" reads out only its last layer."""
+    given layer_weights, "plain" reads out only its last layer. A depth whose
+    L + 1 layer weights numpy cannot even size raises MemoryError, as a
+    smaller depth too large to allocate does, not numpy's ValueError."""
     if tag not in PRESETS:
         raise ConfigError(f"unknown model tag {tag!r}, expected one of {tuple(PRESETS)}")
     fields.update(PRESETS[tag])
+    L = fields.get("L", Hyperparams.L)
+    if L >= np.iinfo(np.intp).max // 8:
+        raise MemoryError
     if tag == "plain" and fields.get("layer_weights") is None:
-        L = fields.get("L", Hyperparams.L)
         fields["layer_weights"] = np.arange(L + 1) == L
     return Hyperparams(**fields)
 

@@ -182,7 +182,6 @@ def backward(trace: ForwardTrace, C: sp.csr_array, params: ModelParams,
     mask = ws.get("mask", shape, bool) if relu and L else None
     blocks, d = -(-shape[0] // BLOCK_ROWS), shape[1]
     partials = ws.get("partials", (min(L, 2), blocks, d, d)) if b != 0.0 and L else None
-    W = np.ascontiguousarray(params.W)
     grad_W = np.empty(shape)
     # C-contiguous, as each range adds into its columns of the flattened array
     grad_W_layers = [np.multiply(2.0 * reg_lambda, Wl, order="C") for Wl in params.W_layers]
@@ -239,9 +238,9 @@ def backward(trace: ForwardTrace, C: sp.csr_array, params: ModelParams,
             sync()
             out.fill(0.0)
             add_product(trace.S, D, out, (lo, hi))
-            out += np.multiply(2.0 * reg_lambda, W[lo:hi], out=G_rows)  # G's rows are spent
+            out += np.multiply(2.0 * reg_lambda, params.W[lo:hi], out=G_rows)  # G's rows are spent
         else:  # or I
-            np.multiply(2.0 * reg_lambda, W[lo:hi], out=out)
+            np.multiply(2.0 * reg_lambda, params.W[lo:hi], out=out)
             out += Dl
 
     run_ranges(bounds, rows)
@@ -267,8 +266,6 @@ def optimizer_step(arrays: list[np.ndarray], grads: list[np.ndarray], lr: float,
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, mom, vel in zip(arrays, grads, state.m, state.v):
-        p, g, mom, vel = np.atleast_1d(p, g, mom, vel)  # views; a 0-d array becomes one row
-
         def rows(lo, hi, sync):
             t1_chunk, t2_chunk = (state.scratch.get((k, lo), (ADAM_CHUNK,) + p.shape[1:], p.dtype)
                                   for k in range(2))

@@ -243,7 +243,7 @@ def whole_batch_sample_bpr_triples(split, batch_size: int, rng: np.random.Genera
     eligible = np.flatnonzero((deg >= 1) & (deg < split.n))
     if len(eligible) == 0:
         raise DataError("no sampleable users: every user has no or all items in train")
-    flat = split.train_flat()
+    flat = r.codes
     users = eligible[rng.integers(0, len(eligible), size=batch_size)]
     offsets = rng.integers(0, deg[users])
     pos = r.indices[r.indptr[users] + offsets]

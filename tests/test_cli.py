@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,14 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from dgcf import cli
 from dgcf.cli import build_parser, entrypoint, main
-from dgcf.data import load_split
+from dgcf.data import DatasetSplit, load_split, save_split
 from dgcf.errors import ConfigError, DataError
-from dgcf.evaluate import evaluate_model
+from dgcf.evaluate import evaluate_model, oversmoothing_bytes
+from dgcf.graph import InteractionMatrix
 from dgcf.model import forward
 from dgcf.modelfile import load_model
 from dgcf.synthetic import bipartite_ring
 from dgcf.train import laplacian_for
-from helpers import write_v1_model
+from helpers import random_interactions, write_v1_model
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +351,30 @@ class TestDiagnose:
         assert len(lines) == 1 + 3 + 3
         assert lines[1].split("\t")[0] == "ours"
         assert lines[4].split("\t")[0] == "plain"
+
+    def test_memory_check_bounds_a_run(self, tmp_path, capsys):
+        """The tracemalloc peak of a warm diagnose run at its default models
+        (ours, then plain) stays under evaluate.oversmoothing_bytes, the
+        bytes its memory check asks for, and that bound counts what is there."""
+        m, n = 600, 900
+        pairs = random_interactions(np.random.default_rng(9), m, n, 6)
+        split = DatasetSplit(InteractionMatrix.from_pairs(m, n, pairs), [[]] * m,
+                             {f"u{u}": u for u in range(m)}, {f"i{i}": i for i in range(n)}, 0)
+        save_split(split, tmp_path, k_core=1)
+        argv = ["diagnose", "--data", str(tmp_path), "--layers", "3"]
+        main(argv)  # the first call's imports and caches
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 4
+        bound = oversmoothing_bytes(split, 64, 3)
+        assert peak < bound, (peak, bound)
+        assert peak > 0.75 * bound, (peak, bound)
 
     def test_bad_range(self, dataset_dir, monkeypatch, capsys):
         # a depth, not a range: LOW..HIGH is a usage error

@@ -154,7 +154,7 @@ class TestSampling:
         rng = np.random.default_rng(2)
         batch = sample_bpr_triples(ring_split, 500, rng)
         assert batch.shape == (500, 3)
-        flat = ring_split.train_flat()
+        flat = ring_split.train.codes
         codes_pos = batch[:, 0] * ring_split.n + batch[:, 1]
         codes_neg = batch[:, 0] * ring_split.n + batch[:, 2]
         pos_in = np.isin(codes_pos, flat)

@@ -44,7 +44,8 @@ def test_from_pairs_matches_scipy_canonical_form(m, n, data):
         assert R.indptr.dtype == R.indices.dtype == np.int64
         assert R.indptr.tolist() == want.indptr.tolist()
         assert R.indices.tolist() == want.indices.tolist()
-        assert R.codes().tolist() == sorted({u * n + i for u, i in pairs})
+        assert R.codes.tolist() == sorted({u * n + i for u, i in pairs})
+        assert R.codes is R.codes and not R.codes.flags.writeable  # computed once, read-only
 
 
 @pytest.mark.parametrize("m,n", [(0, 0), (3, 0), (0, 4), (3, 4)])
@@ -204,7 +205,7 @@ def test_spmm_out_accumulates_in_row_order(case):
     S, E = add_product_cases()[case]
     out0 = np.random.default_rng(case).normal(size=(S.shape[0], E.shape[1]))
     out = out0.copy()
-    assert add_product(S, E, out) is out
+    assert add_product(S, E, out, (0, S.shape[0])) is out
     assert out.tobytes() == row_order_spmm_add(S, E, out0).tobytes()
     assert in_two_row_ranges(S, E, out0).tobytes() == out.tobytes()
 
@@ -221,7 +222,7 @@ def in_two_row_ranges(S, E, out0):
 def test_spmm_out_from_zero_is_the_fresh_product(case):
     S, E = add_product_cases()[case]
     out = np.zeros((S.shape[0], E.shape[1]))
-    add_product(S, E, out)
+    add_product(S, E, out, (0, S.shape[0]))
     assert out.tobytes() == (S @ E).tobytes() == spmm(S, E).tobytes()
 
 
@@ -233,7 +234,7 @@ def test_add_product_without_kernel_is_an_error(case, without_sparse_kernel):
     before = out.copy()
     with pytest.raises(DgcfError, match=rf"^scipy {scipy.__version__} has no "
                                         r"scipy\.sparse\._sparsetools\.csr_matvecs"):
-        add_product(S, E, out)
+        add_product(S, E, out, (0, S.shape[0]))
     assert out.tobytes() == before.tobytes()
 
 
@@ -245,13 +246,15 @@ def test_spmm_out_rejects_bad_buffers():
            np.zeros((3, 4)).tolist()]
     for out in bad:
         with pytest.raises(ValueError):
-            add_product(S, E, out)
+            add_product(S, E, out, (0, 3))
     frozen = np.zeros((3, 4))
     frozen.flags.writeable = False
     with pytest.raises(ValueError):
-        add_product(S, E, frozen)
+        add_product(S, E, frozen, (0, 3))
     with pytest.raises(ValueError):
-        add_product(S, np.ones((3, 4)), np.zeros((3, 4)))
+        add_product(S, np.ones((3, 4)), np.zeros((3, 4)), (0, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):  # E is (N, d), never a vector
+        add_product(S, np.ones(2), np.zeros(3), (0, 3))
 
 
 @pytest.mark.parametrize("S", [sp.csr_array(np.eye(3, dtype=np.float32)),
@@ -259,7 +262,7 @@ def test_spmm_out_rejects_bad_buffers():
                                sp.csc_array(np.eye(3)), sp.coo_array(np.eye(3))])
 def test_add_product_takes_only_float64_csr(S):
     with pytest.raises(ValueError, match="float64 CSR"):
-        add_product(S, np.ones((3, 2)), np.zeros((3, 2)))
+        add_product(S, np.ones((3, 2)), np.zeros((3, 2)), (0, 3))
 
 
 @pytest.mark.parametrize("rows", [(-1, 2), (2, 4), (3, 2)])
