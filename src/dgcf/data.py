@@ -180,7 +180,8 @@ def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Gene
 
     u is uniform over users with at least one train interaction and at least
     one non-interacted item; i_pos uniform over u's train items; j_neg uniform
-    over items outside u's train set, by rejection.
+    over items outside u's train set, by rejection: a round redraws the
+    negatives that train.contains finds among u's pairs.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -189,23 +190,15 @@ def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Gene
     eligible = np.flatnonzero((deg >= 1) & (deg < split.n))
     if len(eligible) == 0:
         raise DataError("no sampleable users: every user has no or all items in train")
-    flat = r.codes
     users = eligible[rng.integers(0, len(eligible), size=batch_size)]
     offsets = rng.integers(0, deg[users])
     pos = r.indices[r.indptr[users] + offsets]
     neg = rng.integers(0, split.n, size=batch_size)
     # each round checks only the negatives drawn in the last one: a negative
-    # that passed stays, so the draws are those of re-checking the whole batch.
-    # Codes are looked up in ascending order, which walks flat's cache lines
-    # in order, and their positions scattered back: the same loc either way
+    # that passed stays, so the draws are those of re-checking the whole batch
     todo = np.arange(batch_size)
     while True:
-        codes = users[todo] * split.n + neg[todo]
-        order = np.argsort(codes)
-        loc = np.empty_like(order)
-        loc[order] = np.searchsorted(flat, codes[order])
-        loc[loc >= len(flat)] = len(flat) - 1
-        todo = todo[flat[loc] == codes]
+        todo = todo[r.contains(users[todo] * split.n + neg[todo])]
         if len(todo) == 0:
             break
         neg[todo] = rng.integers(0, split.n, size=len(todo))

@@ -59,7 +59,7 @@ def rank_items(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
     return top[key[top] < np.inf]
 
 
-# Scores per block of users in evaluate_model: 2 MB of float64, whatever n.
+# Scores per block of users in _top_k: 2 MB of float64, whatever n.
 _BLOCK_SCORES = 1 << 18
 
 
@@ -104,28 +104,30 @@ def _block_offsets(R, U: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(U)) * R.n, count) + R.indices[pos]
 
 
-def _top_k(e_star: np.ndarray, split: DatasetSplit, users: np.ndarray, k: int) -> list:
-    """rank_items(score_all_items(e_star, m, u), u's train items, k) for each
-    u in users, bitwise. Per block of users, one BLAS product A filters: with
+def _top_k(e_star: np.ndarray, split: DatasetSplit, users: np.ndarray, k: int) -> np.ndarray:
+    """An int64 (len(users), min(k, n)) matrix: row j is rank_items(
+    score_all_items(e_star, m, u), u's train items, k) for u = users[j],
+    bitwise, then -1s. Per block of users, one BLAS product A filters: with
     tau_u the k-th largest A - delta_u over u's rankable items, every item of
     the exact top k, ties included, has np.sum score >= tau_u, so A >= tau_u -
     delta_u. Only those candidates are scored, by score_all_items' arithmetic,
-    and ranked. Users whose delta is not safely finite, and e_star other than
-    C-contiguous float64, take the per-user reference, on the calling thread.
-    The blocks are cut into even_partition's ranges, a user's n scores
-    counting as n / d rows, and each range ranks its blocks on its own
-    thread; a block's lists do not depend on the other blocks, so they do not
-    depend on the number of ranges."""
+    and ranked into the block's rows. Users whose delta is not safely finite,
+    and e_star other than C-contiguous float64, take the per-user reference,
+    on the calling thread. The blocks are cut into even_partition's ranges, a
+    user's n scores counting as n / d rows, and each range ranks its blocks on
+    its own thread; a block's rows do not depend on the other blocks, so they
+    do not depend on the number of ranges."""
     m = split.m
     items = e_star[m:]
     n, d = items.shape
     delta, ok = _rounding_bound(e_star[users], items)
     ok &= e_star.dtype == np.float64 and e_star.flags.c_contiguous
-    tops: list = [None] * len(users)
+    pos, kk = np.flatnonzero(ok), min(k, n)
+    tops = np.full((len(users), kk), -1, dtype=np.int64)
     for j in np.flatnonzero(~ok):
         u = int(users[j])
-        tops[j] = rank_items(score_all_items(e_star, m, u), split.train.user_items(u), k)
-    pos, kk = np.flatnonzero(ok), min(k, n)
+        top = rank_items(score_all_items(e_star, m, u), split.train.user_items(u), k)
+        tops[j, :len(top)] = top
     per = max(1, _BLOCK_SCORES // n)
     items_T = np.ascontiguousarray(items.T)  # _product's tiles of it are plain BLAS operands
     bounds = even_partition(len(pos), per, rows=len(pos) * n / max(d, 1))
@@ -146,13 +148,12 @@ def _top_k(e_star: np.ndarray, split: DatasetSplit, users: np.ndarray, k: int) -
             lo.partition(n - kk, axis=1)  # tau: column n - kk; -inf if fewer than kk rankable
             keep = A >= lo[:, n - kk:n - kk + 1] - du
             keep.reshape(-1)[train] = False
-            r, c = np.divmod(np.flatnonzero(keep), n)
+            r, c = np.divmod(np.flatnonzero(keep), n)  # r ascending; the lexsort keeps it
             s = np.sum(items[c] * e_star[U[r]], axis=1)
             order = c[np.lexsort((c, -s, r))]
-            cand = np.bincount(r, minlength=len(U))
-            for j, start, size in zip(block.tolist(), (np.cumsum(cand) - cand).tolist(),
-                                      cand.tolist()):
-                tops[j] = order[start:start + min(k, size)]
+            rank = np.arange(len(r)) - np.searchsorted(r, r)  # within the user's candidates
+            top = rank < kk
+            tops[block[r[top]], rank[top]] = order[top]
 
     run_ranges(bounds, blocks)
     return tops
@@ -165,9 +166,10 @@ def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> Rank
     user's train items excluded. It comes from a BLAS product that only picks
     a certified superset of the top k, whose members alone are scored exactly
     (see _top_k). Blocks of users are ranked on the row-range threads
-    (graph.run_ranges), and the means run in user order, so the metrics do
-    not depend on the BLAS build, its thread count, the block size or the
-    number of ranges.
+    (graph.run_ranges), one contains call finds every list's held-out items,
+    each user's sums run left to right and the means in user order, so the
+    metrics do not depend on the BLAS build, its thread count, the block size
+    or the number of ranges.
     """
     _check_k(k)
     if split.test is None:
@@ -183,27 +185,18 @@ def evaluate_model(e_star: np.ndarray, split: DatasetSplit, k: int = 20) -> Rank
     users = np.flatnonzero(n_test)
     if not len(users):
         raise DataError("no users with test interactions to evaluate")
-    n_test, kk = n_test[users], min(k, n)
+    n_test = n_test[users]
     # rank discounts 1/log2(r + 2) by the scalar expression of a per-user sum,
     # and the ideal DCG of j hits, idcg[j], summed left to right by cumsum
-    discount = np.array([float(1.0 / np.log2(r + 2)) for r in range(kk)])
+    discount = np.array([float(1.0 / np.log2(r + 2)) for r in range(min(k, n))])
     idcg = np.concatenate(([0.0], np.cumsum(discount)))
     tops = _top_k(e_star, split, users, k)
-    recalls, ndcgs = np.empty((2, len(users)))
-    per = max(1, _BLOCK_SCORES // n)
-    for b0 in range(0, len(users), per):
-        U, block, size = users[b0:b0 + per], tops[b0:b0 + per], n_test[b0:b0 + per]
-        count = np.array([len(top) for top in block])
-        r = np.repeat(np.arange(len(U)), count)  # row and rank of each listed item
-        c = np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count)
-        is_test = np.zeros(len(U) * n, dtype=bool)
-        is_test[_block_offsets(held, U)] = True
-        hits = np.zeros((len(U), kk))  # short lists end in misses
-        hits[r, c] = is_test[r * n + np.concatenate(block)]
-        recalls[b0:b0 + per] = hits.sum(axis=1) / size
-        # a per-user sum of the hit discounts, left to right: adding a miss's 0.0 is exact
-        dcg = np.cumsum(hits * discount, axis=1)[:, -1]
-        ndcgs[b0:b0 + per] = dcg / idcg[np.minimum(size, k)]
+    listed = tops >= 0
+    hits = np.zeros(tops.shape)  # short lists end in misses
+    hits[listed] = held.contains((users[:, None] * n + tops)[listed])
+    recalls = hits.sum(axis=1) / n_test
+    # a per-user sum of the hit discounts, left to right: adding a miss's 0.0 is exact
+    ndcgs = np.cumsum(hits * discount, axis=1)[:, -1] / idcg[np.minimum(n_test, k)]
     return RankingMetrics(recall_at_k=float(np.mean(recalls)), ndcg_at_k=float(np.mean(ndcgs)),
                           k=k, users_evaluated=len(users))
 

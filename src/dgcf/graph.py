@@ -61,11 +61,21 @@ class InteractionMatrix:
     @functools.cached_property
     def codes(self) -> np.ndarray:
         """u*n + i of every stored pair: ascending, as the rows are canonical, so
-        a code is found in O(log nnz). Computed on first read and kept, read-only,
-        as the matrix is immutable."""
+        contains finds a code in O(log nnz). Computed on first read and kept,
+        read-only, as the matrix is immutable."""
         codes = np.repeat(np.arange(self.m) * self.n, np.diff(self.indptr)) + self.indices
         codes.flags.writeable = False
         return codes
+
+    def contains(self, codes: np.ndarray) -> np.ndarray:
+        """Whether each code u*n + i, in any order, is a stored pair; the
+        matrix must hold one at least, as the sampler's and evaluate_model's
+        do. The codes are looked up in ascending order, which walks
+        self.codes' cache lines in order, and the answers scattered back."""
+        order = np.argsort(codes)
+        loc = np.empty_like(order)
+        loc[order] = np.searchsorted(self.codes, codes[order])
+        return self.codes[np.minimum(loc, self.nnz - 1)] == codes
 
     @staticmethod
     def from_pairs(m: int, n: int, pairs) -> "InteractionMatrix":
@@ -159,6 +169,12 @@ def row_partition(S: sp.csr_array) -> tuple[int, ...]:
     return _cut(N, starts, S.indptr[starts] + ROW_WORK * starts, S.nnz + ROW_WORK * N, N)
 
 
+def range_count(rows: float) -> int:
+    """Ranges for `rows` rows of work: one per usable core, at most one per MIN_RANGE_ROWS."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, int(rows // MIN_RANGE_ROWS)))
+
+
 def even_partition(N: int, step: int = BLOCK_ROWS, rows: float | None = None) -> tuple[int, ...]:
     """Bounds of ranges of N rows (or triples, or users), as many as
     row_partition makes of `rows` rows (N by default), cut at the multiples of
@@ -168,12 +184,10 @@ def even_partition(N: int, step: int = BLOCK_ROWS, rows: float | None = None) ->
 
 
 def _cut(N: int, starts: np.ndarray, before: np.ndarray, total, rows: float) -> tuple[int, ...]:
-    """Bounds of ranges of N rows whose work is that of `rows` rows: one range
-    per usable core, but no more than one per MIN_RANGE_ROWS of those rows,
-    range r cut at the start in `starts` whose work before it (`before`,
-    ascending) is nearest to r / count of `total`; coinciding cuts merge."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    count = max(1, min(cores or 1, int(rows // MIN_RANGE_ROWS)))
+    """Bounds of range_count(rows) ranges of N rows, range r cut at the start
+    in `starts` whose work before it (`before`, ascending) is nearest to
+    r / count of `total`; coinciding cuts merge."""
+    count = range_count(rows)
     cuts = set()
     for share in total * np.arange(1, count) / count:
         k = int(np.searchsorted(before, share))

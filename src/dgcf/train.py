@@ -19,7 +19,8 @@ from scipy.special import expit
 from .data import DatasetSplit, laplacian_for, sample_bpr_triples
 from .errors import ConfigError, DivergenceError
 from .evaluate import evaluate_model
-from .graph import BLOCK_ROWS, add_product, even_partition, row_blocks, row_partition, run_ranges
+from .graph import (BLOCK_ROWS, add_product, even_partition, range_count, row_blocks,
+                    row_partition, run_ranges)
 from .model import ForwardTrace, Hyperparams, ModelParams, Workspace, forward, init_params
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
@@ -71,11 +72,9 @@ def training_bytes(N: int, d: int, L: int, batch_size: int) -> int:
     range of Adam, two (MARGIN_CHUNK, d) margin buffers per range of triples,
     and the batch path's 32 values per triple (sampling, margins, bpr_loss's
     seed C; tracemalloc sees about 250 bytes)."""
-    adam_ranges = len(even_partition(N)) - 1
-    margin_ranges = len(even_partition(batch_size, MARGIN_CHUNK)) - 1
     floats = ((2 * L + 13) * N * d + 2 * -(-N // BLOCK_ROWS) * d * d
-              + 2 * adam_ranges * ADAM_CHUNK * d
-              + 2 * margin_ranges * min(batch_size, MARGIN_CHUNK) * d + 32 * batch_size)
+              + 2 * range_count(N) * ADAM_CHUNK * d
+              + 2 * range_count(batch_size) * min(batch_size, MARGIN_CHUNK) * d + 32 * batch_size)
     return 8 * floats + N * d
 
 

@@ -302,7 +302,10 @@ def _blocked(e_star, split, k, block_users) -> tuple[list[list[int]], int]:
     with mock.patch.object(evaluate, "_BLOCK_SCORES", block_users * split.n), \
             mock.patch.object(evaluate, "score_all_items", scores):
         tops = evaluate._top_k(e_star, split, np.arange(split.m), k)
-    return [t.tolist() for t in tops], len(fallback)
+    assert tops.dtype == np.int64 and tops.shape == (split.m, min(k, split.n))
+    lists = [row[:np.sum(row >= 0)] for row in tops]  # each row: its list, then only -1s
+    assert all((top >= 0).all() and (row[len(top):] == -1).all() for row, top in zip(tops, lists))
+    return [top.tolist() for top in lists], len(fallback)
 
 
 class TestBlockedTopK:

@@ -48,6 +48,18 @@ def test_from_pairs_matches_scipy_canonical_form(m, n, data):
         assert R.codes is R.codes and not R.codes.flags.writeable  # computed once, read-only
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_contains_agrees_with_a_set_of_pairs(m, n, data):
+    # codes in any order with repeats, users without pairs, and the last code m*n - 1
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                               min_size=1, max_size=30))
+    codes = data.draw(st.lists(st.integers(0, m * n - 1), max_size=40)) + [m * n - 1, 0]
+    R = InteractionMatrix.from_pairs(m, n, pairs)
+    got, want = R.contains(np.array(codes, dtype=np.int64)), set(pairs)
+    assert got.dtype == bool and got.tolist() == [divmod(c, n) in want for c in codes]
+
+
 @pytest.mark.parametrize("m,n", [(0, 0), (3, 0), (0, 4), (3, 4)])
 def test_from_pairs_of_no_pairs(m, n):
     R = InteractionMatrix.from_pairs(m, n, np.empty(0))  # shape (0,): no pairs

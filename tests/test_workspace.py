@@ -153,7 +153,8 @@ def test_fit_steps_equal_hand_run_fresh_steps(case, ring_split):
 @pytest.mark.parametrize("case", CASES)
 def test_backward_matches_finite_differences_at_every_case(case):
     # the endpoints take their own branches in backward: a = 0 multiplies by S
-    # itself, a = 1 skips the product, and b = 0 swaps the D and M_dot buffers
+    # itself and b = 0 swaps the D and M_dot buffers; a = 1 runs the product
+    # on S_mix's zero values
     S = laplacian_from_pairs(4, 5, random_interactions(np.random.default_rng(12), 4, 5, 3))
     hyper = hyper_of(case, d=3, L=3)
     params = random_params(4, 5, hyper, 13)
@@ -298,6 +299,17 @@ def test_training_bytes_bound_a_warm_step():
     bound = training_bytes(m + n, hyper.d, hyper.L, B)
     assert used < bound, (used, bound)
     assert used > 0.75 * bound, (used, bound)  # and it counts what is there
+
+
+def test_training_bytes_allocates_nothing_in_proportion_to_the_batch():
+    # the memory check of a batch far too large to train must not itself allocate it
+    tracemalloc.start()
+    try:
+        training_bytes(3308, 64, 8, 2 ** 33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_bprmf_step_allocates_less_than_one_batch_of_rows():
