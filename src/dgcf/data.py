@@ -150,29 +150,10 @@ def split_train_test(raw: RawInteractions, test_ratio: float, seed: int) -> Data
 
 
 def laplacian_for(split: DatasetSplit) -> sp.csr_array:
-    """Normalized adjacency S of the split's train graph, the propagation operator:
-    the (m+n) x (m+n) block matrix [[0, R], [R^T, 0]] with S_ij = 1 / sqrt(d_i d_j)
-    on each edge, for node degrees d; isolated nodes (d = 0) keep all-zero rows.
-    An item's row lists its users ascending, and each value is one product of
-    the two scale factors, so S equals its transpose exactly."""
-    import scipy.sparse as sp
-
-    R = split.train
-    m, n = R.m, R.n
-    user_deg = np.diff(R.indptr)
-    item_deg = np.bincount(R.indices, minlength=n)
-    deg = np.concatenate((user_deg, item_deg))
-    inv_sqrt = np.zeros(m + n)
-    nz = deg > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    users = np.repeat(np.arange(m), user_deg)  # the user of each stored pair
-    items = m + R.indices
-    edge = inv_sqrt[users] * inv_sqrt[items]
-    by_item = np.argsort(R.indices * m + users)  # by item, then user: the keys are unique
-    data = np.concatenate((edge, edge[by_item]))
-    indices = np.concatenate((items, users[by_item]))
-    indptr = np.concatenate((R.indptr, R.nnz + np.cumsum(item_deg)))
-    return sp.csr_array((data, indices, indptr), shape=(m + n, m + n))
+    """The propagation operator S of the split's train graph
+    (InteractionMatrix.laplacian): built once per train matrix, so training,
+    saving and serving on one split share it."""
+    return split.train.laplacian
 
 
 def sample_bpr_triples(split: DatasetSplit, batch_size: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,9 +6,9 @@ Node index layout is fixed everywhere in this package: users occupy rows
 The interaction matrix R is plain numpy CSR arrays, so a reader of the
 train matrix (sampling, evaluation, the model file's fingerprint) needs
 numpy alone. The propagation operator S built from it
-(data.laplacian_for) is a scipy CSR array (float64); scipy is imported only
-where S is multiplied or, in laplacian_for, wrapped. All values are treated
-as immutable after construction.
+(InteractionMatrix.laplacian) is a scipy CSR array (float64); scipy is
+imported only where S is multiplied or, in that property, wrapped. All
+values are treated as immutable after construction.
 
 The training step and evaluation split their work among threads
 (run_ranges). forward and backward cut S's rows by work (row_partition):
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import importlib
 import os
 import threading
 from dataclasses import dataclass
@@ -66,6 +67,36 @@ class InteractionMatrix:
         codes = np.repeat(np.arange(self.m) * self.n, np.diff(self.indptr)) + self.indices
         codes.flags.writeable = False
         return codes
+
+    @functools.cached_property
+    def laplacian(self) -> sp.csr_array:
+        """Normalized adjacency S of this graph, the propagation operator: the
+        (m+n) x (m+n) block matrix [[0, R], [R^T, 0]] with S_ij = 1 / sqrt(d_i d_j)
+        on each edge, for node degrees d; isolated nodes (d = 0) keep all-zero
+        rows. An item's row lists its users ascending, and each value is one
+        product of the two scale factors, so S equals its transpose exactly.
+        Built on first read and kept, its arrays read-only, as the matrix is
+        immutable."""
+        import scipy.sparse as sp
+
+        m, n = self.m, self.n
+        user_deg = np.diff(self.indptr)
+        item_deg = np.bincount(self.indices, minlength=n)
+        deg = np.concatenate((user_deg, item_deg))
+        inv_sqrt = np.zeros(m + n)
+        nz = deg > 0
+        inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+        users = np.repeat(np.arange(m), user_deg)  # the user of each stored pair
+        items = m + self.indices
+        edge = inv_sqrt[users] * inv_sqrt[items]
+        by_item = np.argsort(self.indices * m + users)  # by item, then user: the keys are unique
+        data = np.concatenate((edge, edge[by_item]))
+        indices = np.concatenate((items, users[by_item]))
+        indptr = np.concatenate((self.indptr, self.nnz + np.cumsum(item_deg)))
+        S = sp.csr_array((data, indices, indptr), shape=(m + n, m + n))
+        for a in (S.data, S.indices, S.indptr):
+            a.flags.writeable = False
+        return S
 
     def contains(self, codes: np.ndarray) -> np.ndarray:
         """Whether each code u*n + i, in any order, is a stored pair; the
@@ -117,9 +148,10 @@ def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray,
     It runs scipy's csr_matvecs, the kernel that S @ E runs after np.zeros:
     each output row adds its entries' products in stored order, so a
     zero-filled out receives exactly rows lo..hi-1 of S @ E, and a row's
-    result does not depend on the rows asked for. The kernel is private
-    scipy API, the package's one use of it. No other product rounds the same
-    onto a non-zero out, so without the kernel this raises DgcfError.
+    result does not depend on the rows asked for. S need not be canonical:
+    a row's repeated entries are added one by one. The kernel is private
+    scipy API (see sparse_kernel). No other product rounds the same onto a
+    non-zero out, so without the kernel this raises DgcfError.
     """
     lo, hi = rows
     E = np.asarray(E, dtype=np.float64)
@@ -133,22 +165,28 @@ def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray,
     if not (isinstance(out, np.ndarray) and out.shape == want and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {want}")
-    _csr_matvecs()(hi - lo, S.shape[1], E.shape[1], S.indptr[lo:hi + 1], S.indices, S.data,
-                   np.ascontiguousarray(E).ravel(), out.ravel())
+    sparse_kernel("csr_matvecs")(hi - lo, S.shape[1], E.shape[1], S.indptr[lo:hi + 1],
+                                 S.indices, S.data, np.ascontiguousarray(E).ravel(), out.ravel())
     return out
 
 
+# scipy's private sparsetools kernels that the package runs, with what each does for it
+SPARSE_KERNELS = {"csr_matvecs": "the kernel of every sparse product",
+                  "coo_tocsr": "the kernel that builds the loss gradient's seed C"}
+
+
 @functools.cache
-def _csr_matvecs():
-    """scipy's private csr_matvecs kernel, loaded on first use."""
+def sparse_kernel(name: str):
+    """scipy's private kernel scipy.sparse._sparsetools.<name>, one of
+    SPARSE_KERNELS, loaded on first use; DgcfError naming the scipy version
+    when that release lacks it."""
     try:
-        from scipy.sparse._sparsetools import csr_matvecs
-    except ImportError:
+        return getattr(importlib.import_module("scipy.sparse._sparsetools"), name)
+    except (ImportError, AttributeError):
         import scipy
 
         raise DgcfError(f"scipy {scipy.__version__} has no scipy.sparse._sparsetools."
-                        "csr_matvecs, the kernel of every sparse product") from None
-    return csr_matvecs
+                        f"{name}, {SPARSE_KERNELS[name]}") from None
 
 
 BLOCK_ROWS = 64  # rows per dense product: at d = 64, every GEMM of a step is 64 x 64 x 64

@@ -20,7 +20,7 @@ from .data import DatasetSplit, laplacian_for, sample_bpr_triples
 from .errors import ConfigError, DivergenceError
 from .evaluate import evaluate_model
 from .graph import (BLOCK_ROWS, add_product, even_partition, range_count, row_blocks,
-                    row_partition, run_ranges)
+                    row_partition, run_ranges, sparse_kernel)
 from .model import ForwardTrace, Hyperparams, ModelParams, Workspace, forward, init_params
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
@@ -65,14 +65,14 @@ ADAM_CHUNK = 256  # rows per pass of optimizer_step: two (256, d) buffers per ra
 
 def training_bytes(N: int, d: int, L: int, batch_size: int) -> int:
     """Bytes that fit holds for an N-node graph, an upper bound over models:
-    2L + 13 (N, d) float arrays (the stack E(0..L), the mixes M(1..L), W, the
-    best parameters' copy, grad_W, Adam's two, E*, G, D, two M_dot, E0_bar
-    and bpr_loss's squared W), the relu mask's (N, d) bytes, two layers' (d, d)
-    partial products per BLOCK_ROWS rows, two (ADAM_CHUNK, d) buffers per
-    range of Adam, two (MARGIN_CHUNK, d) margin buffers per range of triples,
-    and the batch path's 32 values per triple (sampling, margins, bpr_loss's
-    seed C; tracemalloc sees about 250 bytes)."""
-    floats = ((2 * L + 13) * N * d + 2 * -(-N // BLOCK_ROWS) * d * d
+    2L + 12 (N, d) float arrays (the stack E(0..L), the mixes M(1..L), W, the
+    best parameters' copy, grad_W, Adam's two, E*, G, D, two M_dot and
+    E0_bar), the relu mask's (N, d) bytes, two layers' (d, d) partial
+    products per BLOCK_ROWS rows, two (ADAM_CHUNK, d) buffers per range of
+    Adam, two (MARGIN_CHUNK, d) margin buffers per range of triples, and the
+    batch path's 32 values per triple (sampling, margins, bpr_loss's seed C;
+    tracemalloc sees about 250 bytes)."""
+    floats = ((2 * L + 12) * N * d + 2 * -(-N // BLOCK_ROWS) * d * d
               + 2 * range_count(N) * ADAM_CHUNK * d
               + 2 * range_count(batch_size) * min(batch_size, MARGIN_CHUNK) * d + 32 * batch_size)
     return 8 * floats + N * d
@@ -115,25 +115,28 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
     """Mean softplus(-margin) plus L2 penalty on all parameter matrices, and
     the seed C of backward, with d(mean softplus term)/d(E_star) = C E_star.
     C is the symmetric N x N matrix with entries c_t at (u, m+i) and (m+i, u)
-    and -c_t at (u, m+j) and (m+j, u) per triple t, c_t = dloss/dx_t;
-    csr_array sums repeated entries in a fixed order."""
+    and -c_t at (u, m+j) and (m+j, u) per triple t, c_t = dloss/dx_t. C is
+    not canonical: scipy's coo_tocsr sorts the 4B entries by row in one
+    stable counting pass, so each row keeps its repeated entries apart, in
+    batch order, and add_product sums them in that order."""
     batch = np.asarray(batch)
     if batch.size == 0:
         raise ValueError("empty batch")
     x = _margins(trace, batch)
     # -ln sigmoid(x) = softplus(-x) = logaddexp(0, -x), stable for any x
     rank_term = float(np.mean(np.logaddexp(0.0, -x)))
-    W_sq = np.multiply(params.W, params.W, out=trace.workspace.get("W_sq", params.W.shape))
-    reg = float(np.sum(W_sq))
-    for Wl in params.W_layers:
-        reg += float(np.sum(Wl * Wl))
-    m, N = trace.m, trace.E_star.shape[0]
+    # einsum sums the squares in one pass, with neither a temporary nor a BLAS call
+    reg = sum(float(np.einsum("ij,ij->", Wl, Wl)) for Wl in [params.W] + params.W_layers)
+    m, N, nnz = trace.m, trace.E_star.shape[0], 4 * len(batch)
+    idx = np.int32 if max(N, nnz) <= np.iinfo(np.int32).max else np.int64
     u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
     c = -expit(-x) / len(batch)  # dloss/dx_t
-    rows = np.concatenate([u, u, i, j])
-    cols = np.concatenate([i, j, u, u])
+    rows = np.concatenate([u, u, i, j], dtype=idx)
+    cols = np.concatenate([i, j, u, u], dtype=idx)
     vals = np.concatenate([c, -c, c, -c])
-    return rank_term + reg_lambda * reg, sp.csr_array((vals, (rows, cols)), shape=(N, N))
+    indptr, indices, data = np.empty(N + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    sparse_kernel("coo_tocsr")(N, N, nnz, rows, cols, vals, indptr, indices, data)
+    return rank_term + reg_lambda * reg, sp.csr_array((data, indices, indptr), shape=(N, N))
 
 
 def backward(trace: ForwardTrace, C: sp.csr_array, params: ModelParams,

@@ -68,11 +68,12 @@ def acceptance_split(tmp_path_factory):
 @pytest.fixture()
 def without_sparse_kernel(monkeypatch):
     """scipy as a release without scipy.sparse._sparsetools would be: the
-    module cannot be imported, and add_product loads its kernel afresh."""
+    module cannot be imported, and add_product and bpr_loss load their
+    kernels (csr_matvecs, coo_tocsr) afresh."""
     monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
-    graph._csr_matvecs.cache_clear()
+    graph.sparse_kernel.cache_clear()
     yield
-    graph._csr_matvecs.cache_clear()  # the next call loads the real kernel
+    graph.sparse_kernel.cache_clear()  # the next call loads the real kernels
 
 
 @pytest.fixture()

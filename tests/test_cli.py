@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shutil
@@ -103,6 +104,22 @@ class TestTrain:
         rec = load_model(out)
         fresh = np.random.default_rng(0).normal(0.0, 0.1, rec.params.W.shape)
         assert np.array_equal(rec.params.W, fresh)
+
+    def test_builds_s_once(self, dataset_dir, tmp_path, monkeypatch):
+        # fit, its evaluations and save_model's graph section share the split's S
+        built = []
+        build = InteractionMatrix.laplacian.func
+
+        def counted(R):
+            built.append(R)
+            return build(R)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(InteractionMatrix, "laplacian")
+        monkeypatch.setattr(InteractionMatrix, "laplacian", prop)
+        assert main(["train", "--data", str(dataset_dir), "--epochs", "2", "--dim", "4",
+                     "--layers", "1", "--eval-every", "1", "--out", str(tmp_path / "m.bin")]) == 0
+        assert len(built) == 1
 
     def test_bad_layer_weights_length(self, dataset_dir, tmp_path):
         with pytest.raises(ConfigError, match="layer_weights"):
@@ -539,6 +556,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == (f"error: scipy {scipy.__version__} has no scipy.sparse._sparsetools."
                        "csr_matvecs, the kernel of every sparse product\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_bprmf_train_without_sparse_kernel_is_one(self, dataset_dir, tmp_path, monkeypatch,
+                                                      capsys, without_sparse_kernel):
+        # bprmf's forward makes no sparse product, so building C is its first kernel
+        argv = ["train", "--data", str(dataset_dir), "--model", "bprmf", "--epochs", "1",
+                "--dim", "4", "--out", str(tmp_path / "m.dgcf")]
+        code, out, err = run_cli(argv, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: scipy {scipy.__version__} has no scipy.sparse._sparsetools."
+                       "coo_tocsr, the kernel that builds the loss gradient's seed C\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command,flags", [

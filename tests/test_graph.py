@@ -4,8 +4,11 @@ import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dgcf.data import DatasetSplit, laplacian_for
 from dgcf.errors import DgcfError
 from dgcf.graph import InteractionMatrix, add_product, spmm
+from dgcf.model import ModelParams, forward, preset
+from dgcf.train import bpr_loss
 from helpers import canonical_csr, dense_normalized_adjacency, random_interactions, \
     row_order_spmm_add, scipy_laplacian
 
@@ -162,6 +165,17 @@ def test_normalize_matches_dense_oracle():
         assert np.max(np.abs(S - dense_normalized_adjacency(m, n, pairs))) < 1e-12
 
 
+def test_laplacian_is_built_once_and_read_only():
+    R = InteractionMatrix.from_pairs(2, 3, [(0, 0), (1, 2), (0, 1)])
+    S = R.laplacian
+    split = DatasetSplit(train=R, test=None, user_map={}, item_map={}, seed=0)
+    assert R.laplacian is S and laplacian_for(split) is S
+    for a in (S.data, S.indices, S.indptr):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        S.data[0] = 2.0
+
+
 def test_top_eigenvalue_is_one_when_connected():
     # ring graph is connected; top |eigenvalue| of S is exactly 1
     pairs = [(u, u) for u in range(8)] + [(u, (u + 1) % 8) for u in range(8)]
@@ -248,6 +262,16 @@ def test_add_product_without_kernel_is_an_error(case, without_sparse_kernel):
                                         r"scipy\.sparse\._sparsetools\.csr_matvecs"):
         add_product(S, E, out, (0, S.shape[0]))
     assert out.tobytes() == before.tobytes()
+
+
+def test_bpr_loss_without_kernel_is_an_error(without_sparse_kernel):
+    # C keeps each row's entries in batch order, which no public constructor does
+    m, n = 2, 3
+    params = ModelParams(m, n, np.random.default_rng(0).normal(size=(m + n, 2)), [])
+    trace = forward(params, laplacian_from_pairs(m, n, []), preset("bprmf", d=2))
+    with pytest.raises(DgcfError, match=rf"^scipy {scipy.__version__} has no "
+                                        r"scipy\.sparse\._sparsetools\.coo_tocsr"):
+        bpr_loss(trace, np.array([[0, 1, 2], [1, 0, 2]]), 0.0, params)
 
 
 def test_spmm_out_rejects_bad_buffers():

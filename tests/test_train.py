@@ -182,6 +182,40 @@ class TestBatchPath:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= scatter_bound(E, m, batch))
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=gradient_case())
+    @example(case=fixed_case(3, 4, 2, [[0, 1, 2]]))  # B = 1
+    @example(case=fixed_case(2, 3, 3, [[0, 1, 2], [0, 1, 2], [1, 1, 0], [0, 0, 1]]))  # repeats
+    @example(case=fixed_case(2, 3, 2, [[1, 0, 2], [1, 2, 0], [0, 2, 0]]))  # pos and neg
+    @example(case=fixed_case(1, 2, 3, [[0, t % 2, (t + 1) % 2] for t in range(7)]))  # B > N
+    def test_seed_lists_each_row_in_batch_order(self, case):
+        m, n, E, batch = case
+        trace = bprmf_trace(m, n, E)
+        _, C = bpr_loss(trace, batch, 0.0, ModelParams(m, n, E, []))
+        # the 4B entries as listed: (u, i), (u, j), (i, u), (j, u), each in batch order
+        u, i, j = batch[:, 0], m + batch[:, 1], m + batch[:, 2]
+        c = -expit(-one_shot_margins(E, m, batch)) / len(batch)
+        rows, cols = np.concatenate([u, u, i, j]), np.concatenate([i, j, u, u])
+        vals = np.concatenate([c, -c, c, -c])
+        N = m + n
+        assert C.shape == (N, N) and C.nnz == 4 * len(batch)
+        order = np.argsort(rows, kind="stable")
+        assert np.array_equal(C.indptr, np.searchsorted(rows[order], np.arange(N + 1)))
+        assert np.array_equal(C.indices, cols[order])
+        assert C.data.tobytes() == vals[order].tobytes()
+        # Summed, C is scipy's canonical matrix of the same entries. Each of
+        # an entry's K repeats is added in another order, so two float sums of
+        # the same K terms differ by at most 2 gamma_(K-1) A <= 2 K eps A, A
+        # the sum of their magnitudes; adding subnormals is exact.
+        want = sp.csr_array((vals, (rows, cols)), shape=(N, N))
+        K = sp.csr_array((np.ones(len(vals)), (rows, cols)), shape=(N, N))
+        A = sp.csr_array((np.abs(vals), (rows, cols)), shape=(N, N))
+        got = C.copy()
+        got.sum_duplicates()
+        for X in (want, K, A):
+            assert np.array_equal(got.indptr, X.indptr) and np.array_equal(got.indices, X.indices)
+        assert np.all(np.abs(got.data - want.data) <= 2 * K.data * np.finfo(float).eps * A.data)
+
     @pytest.mark.parametrize("bad", [(0, 0, -1), (-1, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 9)])
     def test_out_of_range_batch_is_refused(self, bad):
         S, hyper, params, batch = tiny_instance(6)
