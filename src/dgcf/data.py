@@ -10,16 +10,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError, ParseError
-from .graph import InteractionMatrix
+from .graph import CsrMatrix, InteractionMatrix
 from .util import read_text, write_atomic_text
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 FORMATS = ("edge-pairs", "adjacency-list")
 
@@ -149,7 +145,7 @@ def split_train_test(raw: RawInteractions, test_ratio: float, seed: int) -> Data
     return DatasetSplit(train=train, test=test, user_map=user_map, item_map=item_map, seed=seed)
 
 
-def laplacian_for(split: DatasetSplit) -> sp.csr_array:
+def laplacian_for(split: DatasetSplit) -> CsrMatrix:
     """The propagation operator S of the split's train graph
     (InteractionMatrix.laplacian): built once per train matrix, so training,
     saving and serving on one split share it."""

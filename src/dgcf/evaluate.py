@@ -88,10 +88,13 @@ def _rounding_bound(user_rows: np.ndarray, items: np.ndarray) -> tuple[np.ndarra
     whether delta is finite far below overflow. Two float evaluations of a
     length-d dot product differ by at most 2 gamma_d sum_j |x_j y_j| <=
     2 gamma_d |x|_inf max_i |y_i|_1, plus underflow: delta is four times that
-    plus the least normal float. The norms square nothing, so cannot underflow."""
+    plus the least normal float. The norms square nothing, so cannot underflow.
+    np.sum adds a row in another order when the rows are not contiguous, so
+    the 1-norms are summed on a C-contiguous copy: the same values give the
+    same delta in any layout."""
     with np.errstate(invalid="ignore", over="ignore"):
         bound = (np.max(np.abs(user_rows), axis=1, initial=0.0)
-                 * np.max(np.sum(np.abs(items), axis=1), initial=0.0))
+                 * np.max(np.sum(np.abs(np.ascontiguousarray(items)), axis=1), initial=0.0))
     f = np.finfo(np.float64)
     return 4 * items.shape[1] * f.eps * bound + f.tiny, bound < f.max / 4  # False for nan
 

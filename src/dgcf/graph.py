@@ -6,9 +6,12 @@ Node index layout is fixed everywhere in this package: users occupy rows
 The interaction matrix R is plain numpy CSR arrays, so a reader of the
 train matrix (sampling, evaluation, the model file's fingerprint) needs
 numpy alone. The propagation operator S built from it
-(InteractionMatrix.laplacian) is a scipy CSR array (float64); scipy is
-imported only where S is multiplied or, in that property, wrapped. All
-values are treated as immutable after construction.
+(InteractionMatrix.laplacian) and every other sparse operand is a CsrMatrix,
+float64 CSR arrays as well. Only their products (add_product) and the loss
+gradient's seed (train.bpr_loss) need scipy, and of scipy only two compiled
+kernels, which sparse_kernel loads straight from their extension module
+without running the package init of scipy.sparse. All values are treated as
+immutable after construction.
 
 The training step and evaluation split their work among threads
 (run_ranges). forward and backward cut S's rows by work (row_partition):
@@ -26,7 +29,9 @@ from __future__ import annotations
 import contextvars
 import functools
 import importlib
+import operator
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -37,8 +42,6 @@ from .errors import DgcfError
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
-
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class InteractionMatrix:
         return codes
 
     @functools.cached_property
-    def laplacian(self) -> sp.csr_array:
+    def laplacian(self) -> CsrMatrix:
         """Normalized adjacency S of this graph, the propagation operator: the
         (m+n) x (m+n) block matrix [[0, R], [R^T, 0]] with S_ij = 1 / sqrt(d_i d_j)
         on each edge, for node degrees d; isolated nodes (d = 0) keep all-zero
@@ -77,8 +80,6 @@ class InteractionMatrix:
         product of the two scale factors, so S equals its transpose exactly.
         Built on first read and kept, its arrays read-only, as the matrix is
         immutable."""
-        import scipy.sparse as sp
-
         m, n = self.m, self.n
         user_deg = np.diff(self.indptr)
         item_deg = np.bincount(self.indices, minlength=n)
@@ -93,10 +94,9 @@ class InteractionMatrix:
         data = np.concatenate((edge, edge[by_item]))
         indices = np.concatenate((items, users[by_item]))
         indptr = np.concatenate((self.indptr, self.nnz + np.cumsum(item_deg)))
-        S = sp.csr_array((data, indices, indptr), shape=(m + n, m + n))
-        for a in (S.data, S.indices, S.indptr):
+        for a in (data, indices, indptr):
             a.flags.writeable = False
-        return S
+        return CsrMatrix(data, indices, indptr, (m + n, m + n))
 
     def contains(self, codes: np.ndarray) -> np.ndarray:
         """Whether each code u*n + i, in any order, is a stored pair; the
@@ -131,36 +131,83 @@ class InteractionMatrix:
         return InteractionMatrix(m=m, n=n, indptr=indptr, indices=items)
 
 
-def spmm(S: sp.csr_array, E: np.ndarray) -> np.ndarray:
-    """A fresh S @ E in float64. The propagation steps add into their own
-    buffers with add_product instead."""
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A float64 sparse matrix as CSR arrays, the operand of add_product: row
+    r's values are data[indptr[r]:indptr[r + 1]], in the columns indices[...]
+    of the same slice, in stored order. A row may list a column more than
+    once. The constructor refuses arrays that the compiled kernel could read
+    out of bounds, with ValueError: data, indices and indptr must be 1-d
+    C-contiguous numpy arrays, data float64, indices and indptr of one dtype,
+    int32 or int64; indptr has rows + 1 entries, starts at 0 and does not
+    descend, and its last entry is the length of data and of indices, whose
+    every column is in range."""
+
+    data: np.ndarray  # (nnz,) float64
+    indices: np.ndarray  # (nnz,)
+    indptr: np.ndarray  # (rows + 1,)
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        shape = tuple(operator.index(k) for k in self.shape)
+        if len(shape) != 2 or min(shape) < 0:
+            raise ValueError(f"shape must be two sizes >= 0, got {self.shape}")
+        object.__setattr__(self, "shape", shape)
+        rows, cols = shape
+        arrays = (self.data, self.indices, self.indptr)
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.flags.c_contiguous
+                   for a in arrays):
+            raise ValueError("data, indices and indptr must be 1-d C-contiguous numpy arrays")
+        if self.data.dtype != np.float64:
+            raise ValueError(f"data must be float64, got {self.data.dtype}")
+        if self.indices.dtype != self.indptr.dtype or self.indptr.dtype not in (np.int32,
+                                                                                  np.int64):
+            raise ValueError(f"indices and indptr must be both int32 or both int64, got "
+                             f"{self.indices.dtype} and {self.indptr.dtype}")
+        ptr = self.indptr
+        if len(ptr) != rows + 1:
+            raise ValueError(f"indptr has {len(ptr)} entries, expected rows + 1 = {rows + 1}")
+        if ptr[0] != 0 or ptr[-1] != len(self.data) or ptr[-1] != len(self.indices):
+            raise ValueError(f"indptr must run from 0 to the {len(self.data)} values and "
+                             f"{len(self.indices)} indices, got {ptr[0]}..{ptr[-1]}")
+        if rows > 1 and (ptr[1:] < ptr[:-1]).any():
+            raise ValueError("indptr must not descend")
+        if len(self.indices) and not (0 <= self.indices.min() and self.indices.max() < cols):
+            raise ValueError(f"column indices must be in [0, {cols})")
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+
+def spmm(S: CsrMatrix, E: np.ndarray) -> np.ndarray:
+    """A fresh S @ E in float64 for a 2-d E: add_product onto zeros. The
+    propagation steps add into their own buffers with add_product instead."""
     E = np.asarray(E, dtype=np.float64)
-    if S.shape[1] != E.shape[0]:
-        raise ValueError(f"dimension mismatch: {S.shape} @ {E.shape}")
-    return S @ E
+    return add_product(S, E, np.zeros(S.shape[:1] + E.shape[1:]), (0, S.shape[0]))
 
 
-def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray,
+def add_product(S: CsrMatrix, E: np.ndarray, out: np.ndarray,
                 rows: tuple[int, int]) -> np.ndarray:
-    """out += S[lo:hi] @ E in place for rows = (lo, hi), a float64 CSR S, a 2-d
+    """out += S[lo:hi] @ E in place for rows = (lo, hi), a CsrMatrix S, a 2-d
     E and a C-contiguous float64 out of rows lo..hi-1 only; returns out.
 
-    It runs scipy's csr_matvecs, the kernel that S @ E runs after np.zeros:
-    each output row adds its entries' products in stored order, so a
-    zero-filled out receives exactly rows lo..hi-1 of S @ E, and a row's
+    It runs scipy's csr_matvecs, the kernel that scipy's S @ E runs after
+    np.zeros: each output row adds its entries' products in stored order, so
+    a zero-filled out receives exactly rows lo..hi-1 of S @ E, and a row's
     result does not depend on the rows asked for. S need not be canonical:
     a row's repeated entries are added one by one. The kernel is private
     scipy API (see sparse_kernel). No other product rounds the same onto a
     non-zero out, so without the kernel this raises DgcfError.
     """
+    if not isinstance(S, CsrMatrix):
+        raise ValueError(f"S must be a CsrMatrix of float64 CSR arrays, got {type(S).__name__}")
     lo, hi = rows
     E = np.asarray(E, dtype=np.float64)
     if E.ndim != 2 or S.shape[1] != E.shape[0]:
         raise ValueError(f"dimension mismatch: {S.shape} @ {E.shape}")
     if not 0 <= lo <= hi <= S.shape[0]:  # the kernel would read past S.indptr
         raise ValueError(f"rows {rows} out of range for {S.shape[0]} rows")
-    if S.format != "csr" or S.dtype != np.float64:
-        raise ValueError(f"S must be a float64 CSR matrix, got {S.dtype} {S.format}")
     want = (hi - lo, E.shape[1])
     if not (isinstance(out, np.ndarray) and out.shape == want and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
@@ -173,6 +220,7 @@ def add_product(S: sp.csr_array, E: np.ndarray, out: np.ndarray,
 # scipy's private sparsetools kernels that the package runs, with what each does for it
 SPARSE_KERNELS = {"csr_matvecs": "the kernel of every sparse product",
                   "coo_tocsr": "the kernel that builds the loss gradient's seed C"}
+KERNEL_MODULE = "scipy.sparse._sparsetools"
 
 
 @functools.cache
@@ -181,12 +229,46 @@ def sparse_kernel(name: str):
     SPARSE_KERNELS, loaded on first use; DgcfError naming the scipy version
     when that release lacks it."""
     try:
-        return getattr(importlib.import_module("scipy.sparse._sparsetools"), name)
+        return getattr(_kernel_module(), name)
     except (ImportError, AttributeError):
         import scipy
 
-        raise DgcfError(f"scipy {scipy.__version__} has no scipy.sparse._sparsetools."
+        raise DgcfError(f"scipy {scipy.__version__} has no {KERNEL_MODULE}."
                         f"{name}, {SPARSE_KERNELS[name]}") from None
+
+
+_KERNEL_LOCK = threading.Lock()  # the first products of a pass arrive on every range at once
+
+
+def _kernel_module():
+    """The extension module KERNEL_MODULE, found in this order: its
+    sys.modules entry, reused as is (None blocks it, as it blocks an import);
+    its file in the sparse directory of scipy's package, loaded once and
+    entered in sys.modules, so that a later import of scipy.sparse shares it;
+    the ordinary import. find_spec locates scipy without importing it, so
+    neither scipy's nor scipy.sparse's package init runs here, short of that
+    last resort: scipy.sparse's took a cold process 120-200 ms on a 2-core
+    host, and loading the file under 1 ms."""
+    with _KERNEL_LOCK:
+        if KERNEL_MODULE in sys.modules:
+            module = sys.modules[KERNEL_MODULE]
+            if module is None:
+                raise ImportError(f"{KERNEL_MODULE} is blocked in sys.modules")
+            return module
+        from importlib import machinery, util
+
+        scipy_spec = util.find_spec("scipy")
+        locations = scipy_spec.submodule_search_locations if scipy_spec else None
+        for location in locations or ():
+            finder = machinery.FileFinder(os.path.join(location, "sparse"), (
+                machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+            spec = finder.find_spec(KERNEL_MODULE)
+            if spec is not None and spec.loader is not None:
+                module = util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[KERNEL_MODULE] = module
+                return module
+        return importlib.import_module(KERNEL_MODULE)
 
 
 BLOCK_ROWS = 64  # rows per dense product: at d = 64, every GEMM of a step is 64 x 64 x 64
@@ -196,7 +278,7 @@ MIN_RANGE_ROWS = 1024  # rows per range, at the least on average: fewer are not 
 ROW_WORK = 24
 
 
-def row_partition(S: sp.csr_array) -> tuple[int, ...]:
+def row_partition(S: CsrMatrix) -> tuple[int, ...]:
     """Bounds of ranges of S's rows, range r being rows bounds[r]..bounds[r+1]-1:
     one range per usable core, but no more than one per MIN_RANGE_ROWS rows
     (so a small graph is one range), cut at the block boundaries that come

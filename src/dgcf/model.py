@@ -19,15 +19,11 @@ and the plain ablation are configurations of this one model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .graph import add_product, row_blocks, row_partition, run_ranges
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .graph import CsrMatrix, add_product, row_blocks, row_partition, run_ranges
 
 ACTIVATIONS = ("identity", "relu")
 EMBEDDING_MODES = ("sw", "free")
@@ -144,8 +140,8 @@ class ForwardTrace:
     mixed_layers: list[np.ndarray]  # M(1)..M(L)
     transforms: list[np.ndarray | None]  # T(1)..T(L)
     E_star: np.ndarray = field(repr=False, default=None)
-    S: sp.csr_array | None = field(repr=False, default=None)
-    S_mix: sp.csr_array | None = field(repr=False, default=None)
+    S: CsrMatrix | None = field(repr=False, default=None)
+    S_mix: CsrMatrix | None = field(repr=False, default=None)
     workspace: Workspace = field(repr=False, default_factory=Workspace)
 
 
@@ -156,7 +152,7 @@ def init_params(m: int, n: int, hyper: Hyperparams, rng: np.random.Generator) ->
     return ModelParams(m=m, n=n, W=W, W_layers=W_layers)
 
 
-def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
+def forward(params: ModelParams, S: CsrMatrix, hyper: Hyperparams,
             out: ForwardTrace | None = None) -> ForwardTrace:
     """Full forward pass on the graph S: E(0), L propagation layers, E*.
 
@@ -183,10 +179,8 @@ def forward(params: ModelParams, S: sp.csr_array, hyper: Hyperparams,
     stack = ws.get("E", (L + 1,) + shape)
     S_mix = S
     if a != 0.0:
-        import scipy.sparse as sp
-
         data = np.multiply(1.0 - a, S.data, out=ws.get("S_mix", S.data.shape))
-        S_mix = sp.csr_array((data, S.indices, S.indptr), shape=S.shape)
+        S_mix = CsrMatrix(data, S.indices, S.indptr, S.shape)
     relu = hyper.activation == "relu"
     own_M = b != 0.0 or relu  # else M(l) is E(l)
     out.m, out.E_layers, out.S, out.S_mix = params.m, list(stack), S, S_mix

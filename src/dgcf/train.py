@@ -13,14 +13,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import DatasetSplit, laplacian_for, sample_bpr_triples
 from .errors import ConfigError, DivergenceError
 from .evaluate import evaluate_model
-from .graph import (BLOCK_ROWS, add_product, even_partition, range_count, row_blocks,
-                    row_partition, run_ranges, sparse_kernel)
+from .graph import (BLOCK_ROWS, CsrMatrix, add_product, even_partition, range_count,
+                    row_blocks, row_partition, run_ranges, sparse_kernel)
 from .model import ForwardTrace, Hyperparams, ModelParams, Workspace, forward, init_params
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # the Adam paper's defaults
@@ -111,7 +110,7 @@ def _margins(trace: ForwardTrace, batch: np.ndarray) -> np.ndarray:
 
 
 def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
-             params: ModelParams) -> tuple[float, sp.csr_array]:
+             params: ModelParams) -> tuple[float, CsrMatrix]:
     """Mean softplus(-margin) plus L2 penalty on all parameter matrices, and
     the seed C of backward, with d(mean softplus term)/d(E_star) = C E_star.
     C is the symmetric N x N matrix with entries c_t at (u, m+i) and (m+i, u)
@@ -136,16 +135,16 @@ def bpr_loss(trace: ForwardTrace, batch: np.ndarray, reg_lambda: float,
     vals = np.concatenate([c, -c, c, -c])
     indptr, indices, data = np.empty(N + 1, idx), np.empty(nnz, idx), np.empty(nnz)
     sparse_kernel("coo_tocsr")(N, N, nnz, rows, cols, vals, indptr, indices, data)
-    return rank_term + reg_lambda * reg, sp.csr_array((data, indices, indptr), shape=(N, N))
+    return rank_term + reg_lambda * reg, CsrMatrix(data, indices, indptr, (N, N))
 
 
-def backward(trace: ForwardTrace, C: sp.csr_array, params: ModelParams,
+def backward(trace: ForwardTrace, C: CsrMatrix, params: ModelParams,
              hyper: Hyperparams, reg_lambda: float) -> ModelParams:
     """Exact gradient with respect to W and every W(l) of a loss whose
     gradient with respect to E* is C E*, plus reg_lambda times the squared
     norms of W and the W(l), returned in the shape of params. With the C of
     bpr_loss(trace, batch, reg_lambda, params), that is bpr_loss's gradient.
-    C is a float64 CSR matrix of S's shape.
+    C is a CsrMatrix of S's shape.
 
     Reverse pass through E* = sum w_k E(k), E(l) = act(M(l) T(l)),
     M(l) = a E(0) + S_mix E(l-1), E(0) = S W (or W). S, S_mix = (1-a) S and

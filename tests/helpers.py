@@ -17,9 +17,22 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from dgcf.errors import DataError, ParseError
-from dgcf.graph import spmm
+from dgcf.graph import CsrMatrix
 from dgcf.model import ModelParams
 from dgcf.util import read_text
+
+
+def as_scipy(S: CsrMatrix) -> sp.csr_array:
+    """The package's sparse matrix S as a scipy CSR array of the same values,
+    for scipy's operations on it (.toarray(), @, .T)."""
+    return sp.csr_array((S.data, S.indices, S.indptr), shape=S.shape)
+
+
+def as_csr(A) -> CsrMatrix:
+    """The package's sparse matrix of what scipy's csr_array takes (a dense
+    array, a scipy sparse matrix, a shape), in float64."""
+    A = sp.csr_array(A, dtype=np.float64)
+    return CsrMatrix(A.data, A.indices, A.indptr, A.shape)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -47,8 +60,9 @@ def layer_order_sum(weights, layers) -> np.ndarray:
 
 
 
-def lightgcn_forward(E0: np.ndarray, S: sp.csr_array, L: int) -> np.ndarray:
-    """E(l) = S E(l-1) for l = 1..L; returns the uniform mean over E(0)..E(L).
+def lightgcn_forward(E0: np.ndarray, S: CsrMatrix, L: int) -> np.ndarray:
+    """E(l) = S E(l-1) for l = 1..L, by scipy's product, not the package's;
+    returns the uniform mean over E(0)..E(L).
 
     The independent LightGCN propagation: the model configured with alpha=0,
     beta=0, identity activation and free embeddings must reproduce it. E0
@@ -63,7 +77,7 @@ def lightgcn_forward(E0: np.ndarray, S: sp.csr_array, L: int) -> np.ndarray:
     acc = E0.copy()
     E = E0
     for _ in range(L):
-        E = spmm(S, E)
+        E = as_scipy(S) @ E
         acc += E
     return acc / (L + 1)
 

@@ -24,7 +24,7 @@ from dgcf.synthetic import bipartite_ring
 from dgcf.train import backward, bpr_loss
 
 from conftest import laplacian_from_pairs
-from helpers import brute_force_k_core, finite_diff_grad, lightgcn_forward, \
+from helpers import as_scipy, brute_force_k_core, finite_diff_grad, lightgcn_forward, \
     naive_evaluate, random_interactions, rel_err
 
 DIM = 64
@@ -94,7 +94,7 @@ def test_2_reduction_matches_simpler_models(capfd):
         deep = Hyperparams(d=d, L=L, alpha=0.0, beta=0.0, activation="identity",
                            embedding_mode="free", layer_weights=last_only)
         E = params.W.copy()
-        Sd = S.toarray()
+        Sd = as_scipy(S).toarray()
         for _ in range(L):
             E = Sd @ E
         diff = forward(params, S, deep).E_star - E

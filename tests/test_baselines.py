@@ -4,13 +4,12 @@ lightgcn_forward oracle."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from dgcf.data import RawInteractions, split_train_test
 from dgcf.evaluate import evaluate_model
 from dgcf.model import ModelParams, forward, preset, score_all_items
 from dgcf.train import TrainConfig, backward, bpr_loss, fit, laplacian_for
-from helpers import finite_diff_grad, lightgcn_forward, rel_err
+from helpers import as_csr, finite_diff_grad, lightgcn_forward, rel_err
 
 from conftest import laplacian_from_pairs
 
@@ -20,7 +19,7 @@ def bprmf_instance(P, Q):
     m, n = len(P), len(Q)
     params = ModelParams(m, n, np.vstack([P, Q]), [])
     # L=0 in free mode makes no graph product; S only has to have the right shape
-    return params, sp.csr_array((m + n, m + n)), preset("bprmf", d=P.shape[1])
+    return params, as_csr((m + n, m + n)), preset("bprmf", d=P.shape[1])
 
 
 def bprmf_loss(params, S, hyper, batch, reg=0.0):
@@ -105,36 +104,36 @@ class TestFit:
 class TestLightgcn:
     def test_L_zero_copies(self):
         E0 = np.arange(6.0).reshape(3, 2)
-        S = sp.csr_array(np.zeros((3, 3)))
+        S = as_csr(np.zeros((3, 3)))
         out = lightgcn_forward(E0, S, 0)
         assert np.array_equal(out, E0)
         assert out is not E0
 
     def test_zero_graph_divides_by_depth(self):
         E0 = np.ones((3, 2))
-        S = sp.csr_array(np.zeros((3, 3)))
+        S = as_csr(np.zeros((3, 3)))
         out = lightgcn_forward(E0, S, 3)
         assert np.allclose(out, 0.25)
 
     def test_identity_graph_is_noop(self):
         E0 = np.arange(8.0).reshape(4, 2)
-        S = sp.csr_array(np.eye(4))
+        S = as_csr(np.eye(4))
         assert np.allclose(lightgcn_forward(E0, S, 5), E0)
 
     def test_hand_average(self):
         # S swaps two nodes: mean of E0 and swapped E0
-        S = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        S = as_csr(np.array([[0.0, 1.0], [1.0, 0.0]]))
         E0 = np.array([[1.0], [3.0]])
         out = lightgcn_forward(E0, S, 1)
         assert np.allclose(out, [[2.0], [2.0]])
 
     def test_negative_L_rejected(self):
         with pytest.raises(ValueError):
-            lightgcn_forward(np.zeros((2, 1)), sp.csr_array(np.eye(2)), -1)
+            lightgcn_forward(np.zeros((2, 1)), as_csr(np.eye(2)), -1)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            lightgcn_forward(np.zeros((3, 1)), sp.csr_array(np.eye(2)), 1)
+            lightgcn_forward(np.zeros((3, 1)), as_csr(np.eye(2)), 1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_reduced_main_model(self, seed):

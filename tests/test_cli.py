@@ -325,18 +325,24 @@ class TestTrainingGraph:
 
 
 def test_import_leaves_training_unloaded(trained_model, dataset_dir, tmp_path):
-    """Importing the CLI loads neither training nor scipy; serving a version-2
-    file loads neither either, and a version-1 file still serves the same items."""
+    """Importing the CLI loads neither training nor scipy, and serving a
+    version-2 file loads neither either. Serving a version-1 file and
+    diagnose propagate, which loads scipy's compiled kernels alone, none of
+    scipy's Python modules; version 1 still serves the same output."""
     v1 = tmp_path / "v1.bin"
     write_v1_model(trained_model, v1)
     loaded = ("print(sorted(name for name in sys.modules "
               "if name == 'dgcf.train' or name.split('.')[0] == 'scipy'))")
-    serve = [serving_argv(command, trained_model, dataset_dir) for command in ("evaluate",
-                                                                               "recommend")]
+    serve = {version: [serving_argv(command, model, dataset_dir)
+                       for command in ("evaluate", "recommend")]
+             for version, model in ((2, trained_model), (1, v1))}
+    diagnose = ["diagnose", "--data", str(dataset_dir), "--models", "ours,plain",
+                "--layers", "2", "--dim", "4"]
     probes = [
         f"import sys, dgcf.cli; {loaded}",
-        f"import sys; from dgcf.cli import main; [main(a) for a in {serve!r}]; {loaded}; "
-        f"main({serving_argv('recommend', v1, dataset_dir)!r})",
+        f"import sys; from dgcf.cli import main; [main(a) for a in {serve[2]!r}]; {loaded}; "
+        f"[main(a) for a in {serve[1]!r}]; {loaded}",
+        f"import sys; from dgcf.cli import main; main({diagnose!r}); {loaded}",
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     outputs = []
@@ -345,12 +351,16 @@ def test_import_leaves_training_unloaded(trained_model, dataset_dir, tmp_path):
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
+    kernels = str(["scipy.sparse._sparsetools"])
     assert outputs[0] == ["[]"]
     lines = outputs[1]
-    at = next(k for k, line in enumerate(lines) if line.startswith("["))  # the module list
-    assert lines[at] == "[]"
-    assert json.loads(lines[0])["users_evaluated"] > 0
-    assert lines[1:at] and lines[at + 1:] == lines[1:at]  # version 1 serves the same items
+    ends = [k for k, line in enumerate(lines) if line.startswith("[")]  # the module lists
+    assert [lines[k] for k in ends] == ["[]", kernels]
+    v2, v1 = lines[:ends[0]], lines[ends[0] + 1:ends[1]]
+    assert json.loads(v2[0])["users_evaluated"] > 0 and len(v2) > 1
+    assert v1 == v2  # version 1 serves the same metrics and items
+    assert outputs[2][0] == "model\tlayer\tuser_sim\titem_sim"
+    assert outputs[2][-1] == kernels
 
 
 class TestDiagnose:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dgcf.errors import ConfigError, DivergenceError
 from dgcf.graph import InteractionMatrix
 from dgcf.model import Hyperparams, ModelParams, forward, init_params, preset, score_all_items
-from helpers import layer_order_sum, lightgcn_forward, predict, random_interactions
+from helpers import as_csr, as_scipy, layer_order_sum, lightgcn_forward, predict, \
+    random_interactions
 
 from conftest import laplacian_from_pairs
 
@@ -66,14 +66,14 @@ class TestInitialEmbedding:
         assert not e0(S, np.zeros((S.shape[0], 4)), 7).any()
 
     def test_swap_permutation(self):
-        swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        swap = as_csr(np.array([[0.0, 1.0], [1.0, 0.0]]))
         out = e0(swap, np.array([[1.0], [2.0]]), 1)
         assert np.array_equal(out, [[2.0], [1.0]])
 
     def test_matches_dense_product(self, rng):
         S = small_S(3, 5, 5)
         W = rng.normal(size=(10, 4))
-        assert np.max(np.abs(e0(S, W, 5) - S.toarray() @ W)) < 1e-12
+        assert np.max(np.abs(e0(S, W, 5) - as_scipy(S).toarray() @ W)) < 1e-12
 
 
 def free_forward(S, W, alpha, L=1, activation="identity", **fields):
@@ -97,10 +97,10 @@ class TestPropagateLayer:
         S = small_S()
         W = rng.normal(size=(S.shape[0], 3))
         E1 = free_forward(S, W, 0.0).E_layers[1]
-        assert np.max(np.abs(E1 - S.toarray() @ W)) < 1e-12
+        assert np.max(np.abs(E1 - as_scipy(S).toarray() @ W)) < 1e-12
 
     def test_hand_mix(self):
-        swap = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        swap = as_csr(np.array([[0.0, 1.0], [1.0, 0.0]]))
         E1 = free_forward(swap, np.array([[1.0], [2.0]]), 0.5).E_layers[1]
         assert np.array_equal(E1, [[1.5], [1.5]])  # 0.5*[[2],[1]] + 0.5*[[1],[2]]
 
@@ -118,7 +118,7 @@ class TestPropagateLayer:
             free_forward(S, rng.normal(size=(S.shape[0] - 1, 2)), 0.5)
 
     def test_nonfinite_raises(self):
-        S = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        S = as_csr(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(DivergenceError, match="propagation layer"):
             free_forward(S, np.array([[np.inf], [1.0]]), 0.5)
 
@@ -146,7 +146,7 @@ class TestForward:
                             layer_weights=[0, 0, 0, 1.0])
         params = init_params(7, 8, hyper, rng)
         trace = forward(params, S, hyper)
-        Sd = S.toarray()
+        Sd = as_scipy(S).toarray()
         oracle = np.linalg.matrix_power(Sd, 3) @ (Sd @ params.W)
         assert np.max(np.abs(trace.E_star - oracle)) <= 1e-10
 
@@ -219,7 +219,7 @@ class TestCombine:
 
     def test_forced_arithmetic(self):
         # E(1) = 3 E(0) on a one-node graph with a self-loop of weight 3
-        E_star = free_forward(sp.csr_array([[3.0]]), np.array([[1.0]]), 0.0,
+        E_star = free_forward(as_csr([[3.0]]), np.array([[1.0]]), 0.0,
                               layer_weights=[0.5, 0.5]).E_star
         assert np.array_equal(E_star, [[2.0]])
 

@@ -102,3 +102,32 @@ def test_perfbench_reads_only_names_that_exist():
             and sub.value.id in bound}
         missing += [f"{path.name}: {name}" for name in sorted(names) if not resolves(name)]
     assert missing == []
+
+
+def scipy_imports(tree: ast.Module) -> set[str]:
+    """The scipy modules that import statements anywhere in tree name, in
+    functions and under TYPE_CHECKING too: `import scipy.sparse as sp` and
+    `from scipy import sparse` both name scipy.sparse."""
+    names = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Import):
+            names |= {a.name for a in sub.names}
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 0 and sub.module:
+            names |= {sub.module} | {f"{sub.module}.{a.name}" for a in sub.names}
+    return {name for name in names if name.split(".")[0] == "scipy"}
+
+
+def test_only_training_imports_scipy_packages():
+    # no path of the package needs scipy.sparse's package init, which took a
+    # cold process 120-200 ms on a 2-core host: graph.sparse_kernel loads the
+    # compiled kernels from their extension module. Only training needs
+    # scipy.special
+    found = {path.name: scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+
+    def importers(package: str) -> list[str]:
+        return [f"{file}: {name}" for file, names in found.items() for name in sorted(names)
+                if name == package or name.startswith(package + ".")]
+
+    assert importers("scipy.sparse") == []
+    assert {entry.split(":")[0] for entry in importers("scipy.special")} == {"train.py"}

@@ -22,7 +22,7 @@ from dgcf.graph import BLOCK_ROWS, InteractionMatrix, even_partition, row_partit
 from dgcf.model import forward, init_params, preset
 from dgcf.train import ADAM_CHUNK, MARGIN_CHUNK, OptimizerState, TrainConfig, \
     backward, bpr_loss, fit, optimizer_step
-from helpers import random_interactions, whole_array_adam
+from helpers import as_scipy, random_interactions, whole_array_adam
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -176,7 +176,7 @@ def test_transform_gradient_sums_block_products_in_block_order(ranges):
         batch = sample_bpr_triples(split, 96, rng)
         trace = forward(params, S, hyper)
         _, C = bpr_loss(trace, batch, reg, params)
-        G = C @ trace.E_star
+        G = as_scipy(C) @ trace.E_star
         dZ = hyper.layer_weights[1] * G * (trace.E_layers[1] > 0)
         M = trace.mixed_layers[0]
         total = M[:BLOCK_ROWS].T @ dZ[:BLOCK_ROWS]
@@ -221,7 +221,7 @@ def test_divergence_in_a_worker_range_reaches_the_caller(ranges):
     good = params.W.copy()
     # a user of range 1, whose items are in range 1 too: no row of range 0
     # reads it, so only range 1 sees the inf (in M(1) and Z = M(1) T)
-    assert lo < split.m and not S[:lo].toarray()[:, lo].any()
+    assert lo < split.m and not as_scipy(S)[:lo].toarray()[:, lo].any()
     params.W[lo, 3] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
         forward(params, S, hyper)

@@ -5,6 +5,7 @@ import pytest
 
 from dgcf.data import laplacian_for, split_train_test
 from dgcf.synthetic import bipartite_ring, walk_interactions
+from helpers import as_scipy
 
 
 def connected(raw):
@@ -83,7 +84,7 @@ class TestScaleAndStructure:
     def test_ring_normalized_laplacian_is_connected_graph(self):
         raw = bipartite_ring(30, 30, 4, seed=1)
         split = split_train_test(raw, 0.2, seed=0)
-        S = laplacian_for(split)
+        S = as_scipy(laplacian_for(split))
         # connected bipartite graph: power iteration spreads mass everywhere
         x = np.zeros(S.shape[0])
         x[0] = 1.0

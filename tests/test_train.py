@@ -12,8 +12,8 @@ from dgcf.graph import InteractionMatrix
 from dgcf.model import Hyperparams, ModelParams, forward, init_params, preset, score_all_items
 from dgcf.train import ADAM_EPS, MARGIN_CHUNK, OptimizerState, TrainConfig, _margins, \
     backward, bpr_loss, fit, laplacian_for, optimizer_step
-from helpers import finite_diff_grad, one_shot_margins, random_interactions, rel_err, \
-    scatter_loss_grad
+from helpers import as_csr, as_scipy, finite_diff_grad, one_shot_margins, random_interactions, \
+    rel_err, scatter_loss_grad
 
 from conftest import laplacian_from_pairs
 
@@ -83,7 +83,7 @@ class TestBprLoss:
 
 def one_entry_seed(N, row, col):
     """The seed C with a single 1 at (row, col)."""
-    return sp.csr_array(([1.0], ([row], [col])), shape=(N, N))
+    return as_csr(sp.coo_array(([1.0], ([row], [col])), shape=(N, N)))
 
 
 class TestSeed:
@@ -111,7 +111,7 @@ class TestSeed:
         S, hyper, params, _ = tiny_instance(2, 5, 7, 2, 2)
         trace = forward(params, S, hyper)
         with pytest.raises(ValueError, match="does not match S"):
-            backward(trace, sp.csr_array(C_shape), params, hyper, REG)
+            backward(trace, as_csr(C_shape), params, hyper, REG)
 
 
 def bprmf_trace(m, n, E_star):
@@ -177,7 +177,7 @@ class TestBatchPath:
         m, n, E, batch = case
         trace = bprmf_trace(m, n, E)
         _, C = bpr_loss(trace, batch, 0.0, ModelParams(m, n, E, []))
-        got = C @ trace.E_star
+        got = as_scipy(C) @ trace.E_star
         want = scatter_loss_grad(E, m, batch)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= scatter_bound(E, m, batch))
@@ -210,7 +210,7 @@ class TestBatchPath:
         want = sp.csr_array((vals, (rows, cols)), shape=(N, N))
         K = sp.csr_array((np.ones(len(vals)), (rows, cols)), shape=(N, N))
         A = sp.csr_array((np.abs(vals), (rows, cols)), shape=(N, N))
-        got = C.copy()
+        got = as_scipy(C).copy()
         got.sum_duplicates()
         for X in (want, K, A):
             assert np.array_equal(got.indptr, X.indptr) and np.array_equal(got.indices, X.indices)
@@ -272,8 +272,8 @@ class TestBackward:
         pi = np.array([3, 1, 0, 2])  # item permutation
         # permute graph, params, and batch consistently
         perm = np.concatenate([pu, m + pi])
-        Sd = S.toarray()[np.ix_(perm, perm)]
-        S2 = sp.csr_array(Sd)
+        Sd = as_scipy(S).toarray()[np.ix_(perm, perm)]
+        S2 = as_csr(Sd)
         inv_u = np.argsort(pu)
         inv_i = np.argsort(pi)
         params2 = ModelParams(m, n, params.W[perm], params.W_layers)

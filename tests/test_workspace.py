@@ -11,8 +11,8 @@ from dgcf.graph import InteractionMatrix
 from dgcf.model import ModelParams, forward, init_params, preset
 from dgcf.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState, TrainConfig, \
     backward, bpr_loss, fit, optimizer_step, training_bytes
-from helpers import finite_diff_grad, layer_order_sum, random_interactions, rel_err, \
-    row_order_spmm_add
+from helpers import as_scipy, finite_diff_grad, layer_order_sum, random_interactions, \
+    rel_err, row_order_spmm_add
 
 from conftest import laplacian_from_pairs
 
@@ -66,6 +66,7 @@ def assert_follows_definition(trace, params, S, hyper):
     S_mix = (1-a) S, accumulated row by row onto a E(0), and E* as the
     weighted layers added in layer order."""
     a, b, w = hyper.alpha, hyper.beta, hyper.layer_weights
+    S = as_scipy(S)
     E0 = S @ params.W if hyper.embedding_mode == "sw" else params.W.copy()
     S_mix = (1.0 - a) * S
     want = [E0]
